@@ -29,6 +29,28 @@ Variant = Literal["OP1", "OP2"]
 EXP_CLIP = 300.0
 
 
+def reach_kernel(lam, b, levels, times, jacobian=True):
+    """Transferred initial states and their time Jacobians for a stack.
+
+    lam and b are the (n,) eigenvalue and gain arrays; times has shape
+    (m, K), one nondecreasing segment end-time vector per row.  Returns the (m, n) states reach(t) = -(b/lam) sum_j w_j e^(-lam t_j)
+    (t_0 = 0, w_j = v_{j+1} - v_j) and, when asked, the (m, n, K) derivatives
+    d reach / d t_j = b e^(-lam t_j) (v_{j+1} - v_j), both from one set of
+    exponentials.  Every row is computed exactly as a stack of one would be.
+    """
+    m, K = times.shape
+    v = np.asarray(levels, dtype=float)
+    E = np.exp(np.clip(-lam[None, :, None] * times[:, None, :], -EXP_CLIP, EXP_CLIP))
+    padded = np.empty((m, len(lam), K + 1))
+    padded[:, :, 0] = 1.0
+    padded[:, :, 1:] = E
+    reach = -(b / lam) * ((padded[:, :, :-1] - padded[:, :, 1:]) @ v)
+    if not jacobian:
+        return reach, None
+    vstep = np.concatenate([v[1:], [0.0]]) - v
+    return reach, b[None, :, None] * E * vstep
+
+
 class OrderTooSmallError(ValueError):
     pass
 
@@ -392,23 +414,21 @@ class NlpInstance:
     def cost_gradient(self, times: Sequence[float]) -> np.ndarray:
         return self.cost.gradient(times)
 
+    def reach_stack(self, times: np.ndarray, jacobian: bool = True):
+        """Fused kernel on a stack of time vectors; see `reach_kernel`."""
+        return reach_kernel(self._lam, self._b, self._v, times, jacobian)
+
     def reach(self, times: Sequence[float]) -> np.ndarray:
         """Initial state transferred to the origin by these segment times."""
-        t = np.concatenate([[0.0], np.asarray(times, dtype=float)])
-        E = np.exp(np.clip(np.outer(-self._lam, t), -EXP_CLIP, EXP_CLIP))
-        diff = E[:, :-1] - E[:, 1:]
-        return -(self._b / self._lam) * (diff @ self._v)
+        t = np.asarray(times, dtype=float)[None, :]
+        return self.reach_stack(t, jacobian=False)[0][0]
 
     def constraint_residuals(self, times: Sequence[float]) -> np.ndarray:
         return self.reach(times) - self._x0
 
     def constraint_jacobian(self, times: Sequence[float]) -> np.ndarray:
         """d residual_i / d t_j, shape (order, slot_count)."""
-        t = np.asarray(times, dtype=float)
-        E = np.exp(np.clip(np.outer(-self._lam, t), -EXP_CLIP, EXP_CLIP))
-        v = self._v
-        vnext = np.concatenate([v[1:], [0.0]])
-        return self._b[:, None] * E * (vnext - v)[None, :]
+        return self.reach_stack(np.asarray(times, dtype=float)[None, :])[1][0]
 
     def ordering_residuals(self, times: Sequence[float]) -> np.ndarray:
         """Values that must be nonnegative: t_1 and the consecutive gaps."""

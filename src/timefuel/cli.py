@@ -57,11 +57,6 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(**kwargs)
 
 
-def _threads() -> Optional[int]:
-    raw = os.environ.get("TIMEFUEL_THREADS")
-    return int(raw) if raw else None
-
-
 def _sorted_sequences(seqs):
     return sorted(seqs, key=lambda s: (len(s.levels), s.levels))
 
@@ -97,7 +92,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = load_problem(args.problem)
-    report = solve_time_fuel(spec, _solver_options(args), threads=_threads())
+    report = solve_time_fuel(spec, _solver_options(args))
     payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -160,7 +155,7 @@ def cmd_table(args) -> int:
     rows = []
     for k in args.k:
         kspec = dataclasses.replace(spec, time_weight=float(k))
-        report = solve_time_fuel(kspec, _solver_options(args), threads=_threads())
+        report = solve_time_fuel(kspec, _solver_options(args))
         best = report.best
         rows.append(
             {

@@ -14,11 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .builder import EXP_CLIP, reach_kernel
 from .model import LtiSystem, ProblemSpec
 from .sequences import CandidateSequence, OrderTooLargeError
-
-#: Exponent clip keeping e^x and its squares finite in float64.
-EXP_CLIP = 300.0
 
 #: Segments shorter than this are treated as zero length when condensing.
 COLLAPSE_TOL = 1e-6
@@ -199,33 +197,14 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
-def _reach_batch(lam, b, levels, times):
-    # times: (m, K) nondecreasing; returns (m, n) transferred initial states
-    m = times.shape[0]
-    t = np.concatenate([np.zeros((m, 1)), times], axis=1)
-    expo = np.clip(-t[:, None, :] * lam[None, :, None], -EXP_CLIP, EXP_CLIP)
-    E = np.exp(expo)
-    v = np.asarray(levels, dtype=float)
-    diff = E[:, :, :-1] - E[:, :, 1:]
-    return -(b / lam)[None, :] * (diff @ v)
-
-
-def _time_jacobian_batch(lam, b, levels, times):
-    # (m, n, K) derivative of the transferred state wrt each time
-    v = np.asarray(levels, dtype=float)
-    vstep = np.concatenate([v[1:], [0.0]]) - v
-    E = np.exp(np.clip(-times[:, None, :] * lam[None, :, None], -EXP_CLIP, EXP_CLIP))
-    return b[None, :, None] * E * vstep[None, None, :]
-
-
 def _project_batch(lam, b, levels, x0, times, t_max, sweeps=3):
     # damped Gauss-Newton sweeps pulling each time vector toward the
     # reachability manifold; keeps points inside the monotone box
     pts = times.copy()
     n = len(lam)
     for _ in range(sweeps):
-        r = _reach_batch(lam, b, levels, pts) - x0
-        A = _time_jacobian_batch(lam, b, levels, pts)
+        reach, A = reach_kernel(lam, b, levels, pts)
+        r = reach - x0
         gram = A @ A.transpose(0, 2, 1)
         damp = 1e-10 * (1.0 + np.trace(gram, axis1=1, axis2=2))
         gram = gram + damp[:, None, None] * np.eye(n)[None, :, :]
@@ -246,7 +225,7 @@ def _tangent_walkers(lam, b, levels, pts, t_max, h):
     K = pts.shape[1]
     if K <= n:
         return np.empty((0, K))
-    A = _time_jacobian_batch(lam, b, levels, pts)
+    A = reach_kernel(lam, b, levels, pts)[1]
     try:
         _, _, vh = np.linalg.svd(A)
     except np.linalg.LinAlgError:
@@ -312,7 +291,8 @@ def grid_oracle(
     incumbent = None
     tight_incumbent = None
     while True:
-        res = np.max(np.abs(_reach_batch(lam, b, levels, pts) - x0), axis=1)
+        reach = reach_kernel(lam, b, levels, pts, jacobian=False)[0]
+        res = np.max(np.abs(reach - x0), axis=1)
         cost = _cost_batch(levels, pts, spec.k)
         feasible = res <= feas_tol
         if feasible.any():

@@ -2,19 +2,21 @@
 
 Each program is solved in gap coordinates (nonnegative segment lengths whose
 cumulative sums are the switching times, so ordering holds by construction)
-in three phases per start: a projected Levenberg-Marquardt restoration onto
-the reachability manifold, an augmented-Lagrangian descent with L-BFGS-B
-inner iterations and warm-started multipliers, and an active-set Newton
-polish of the KKT system.  Aggregation re-simulates every converged solution
-before trusting it and is bitwise reproducible for a fixed seed regardless
-of the worker count.
+in three phases: a projected Levenberg-Marquardt restoration onto the
+reachability manifold, an augmented-Lagrangian descent with L-BFGS-B inner
+iterations and warm-started multipliers, and an active-set Newton polish of
+the KKT system.  Restoration handles all starts of a program as one stack on
+the fused reach/Jacobian kernel; its continuation walks run speculatively as
+one stack, and the rule that only the first three failed starts may use a
+walk is then replayed in start order.  Every row gives the bits it would
+give alone, so reports match a start-by-start run.  The later phases run per
+start.  Aggregation re-simulates every converged solution before trusting
+it and is bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -137,107 +139,183 @@ class SolveReport:
 
 
 def _gap_jacobian(time_jac: np.ndarray) -> np.ndarray:
-    # chain rule through t_j = sum_{m <= j} gap_m: reverse cumulative sum
-    return np.flip(np.cumsum(np.flip(time_jac, axis=1), axis=1), axis=1)
+    # chain rule through t_j = sum_{m <= j} gap_m: reverse cumulative sum.
+    # The result is a reversed view of a C-ordered array.  matmul on it runs
+    # numpy's own loop, not BLAS, which rounds J^T J differently from 12
+    # slots up; reports depend on those bits, so row selections keep the
+    # layout through `_rows`.
+    return np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _eval(instance: NlpInstance, gaps: np.ndarray):
-    times = np.cumsum(gaps)
-    c = instance.constraint_residuals(times)
-    J = _gap_jacobian(instance.constraint_jacobian(times))
-    return c, J
+def _rows(J: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of a gap-Jacobian stack, in `_gap_jacobian`'s memory layout."""
+    return J[..., ::-1][idx][..., ::-1]
+
+
+def _eval(instance: NlpInstance, gaps: np.ndarray, jacobian: bool = True):
+    """Residuals (m, n) and gap Jacobians (m, n, K) of gap stack (m, K)."""
+    reach, time_jac = instance.reach_stack(np.cumsum(gaps, axis=-1), jacobian)
+    c = reach - instance._x0
+    return c, None if time_jac is None else _gap_jacobian(time_jac)
+
+
+def _eval1(instance: NlpInstance, gaps: np.ndarray):
+    """`_eval` of a single gap vector."""
+    c, J = _eval(instance, gaps[None, :])
+    return c[0], J[0]
+
+
+def _half_sq(c: np.ndarray) -> np.ndarray:
+    # 0.5 * c_i . c_i per row, each a BLAS dot as for a lone vector
+    return 0.5 * (c[:, None, :] @ c[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(A: np.ndarray, rhs: np.ndarray):
+    """Solve every system of the stack; flag the singular ones.
+
+    A stacked solve raises when any one matrix is singular, so that case
+    falls back to one solve per row.
+    """
+    singular = np.zeros(len(A), dtype=bool)
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        step = np.zeros(rhs.shape)
+        for i in range(len(A)):
+            try:
+                step[i] = np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
 
 
 def _lm(instance, gaps, t_max, shift, max_iter=150, tol=1e-12):
-    """Projected Levenberg-Marquardt on || reach(t) - x0 + shift ||."""
+    """Projected Levenberg-Marquardt on || reach(t) - x0 + shift ||, per row.
+
+    gaps (m, K) and shift (m, n) stack independent runs.  Each row keeps its
+    own damping and counters: an iteration opens with the tolerance check,
+    tries at most 40 damped steps, and the run ends when an iteration finds
+    no improvement or the damping passes 1e16 (a singular system only
+    raises the damping).
+    """
+    m, K = gaps.shape
+    gaps = gaps.copy()
     c, J = _eval(instance, gaps)
     c = c + shift
-    f = 0.5 * float(c @ c)
-    nu = 1e-3
-    eye = np.eye(len(gaps))
-    for _ in range(max_iter):
-        if np.max(np.abs(c)) <= tol:
-            break
-        improved = False
-        for _attempt in range(40):
-            try:
-                step = np.linalg.solve(J.T @ J + nu * eye, -J.T @ c)
-            except np.linalg.LinAlgError:
-                nu *= 10.0
-                continue
-            trial = np.clip(gaps + step, 0.0, t_max)
-            ct, Jt = _eval(instance, trial)
-            ct = ct + shift
-            ft = 0.5 * float(ct @ ct)
-            if ft < f:
-                gaps, c, J, f = trial, ct, Jt, ft
-                nu = max(nu * 0.3, 1e-12)
-                improved = True
-                break
-            nu *= 10.0
-            if nu > 1e16:
-                break
-        if not improved:
-            break
-    return gaps, c
+    f = _half_sq(c)
+    nu = np.full(m, 1e-3)
+    iters = np.zeros(m, dtype=int)
+    attempts = np.zeros(m, dtype=int)
+    live = np.ones(m, dtype=bool)
+    eye = np.eye(K)
+    while True:
+        opening = live & (attempts == 0)
+        stop = (iters >= max_iter) | (np.max(np.abs(c), axis=1) <= tol)
+        live &= ~(opening & stop)
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            return gaps, c
+        Ji = _rows(J, idx)
+        JT = Ji.transpose(0, 2, 1)
+        step, singular = _solve_rows(
+            JT @ Ji + nu[idx, None, None] * eye, (-JT @ c[idx, :, None])[:, :, 0]
+        )
+        attempts[idx] += 1
+        nu[idx[singular]] *= 10.0
+        tried = idx[~singular]
+        trial = np.clip(gaps[tried] + step[~singular], 0.0, t_max)
+        ct, Jt = _eval(instance, trial)
+        ct = ct + shift[tried]
+        ft = _half_sq(ct)
+        better = ft < f[tried]
+        took = tried[better]
+        gaps[took], c[took], f[took] = trial[better], ct[better], ft[better]
+        J[took] = Jt[better]
+        nu[took] = np.maximum(nu[took] * 0.3, 1e-12)
+        iters[took] += 1
+        attempts[took] = 0
+        worse = tried[~better]
+        nu[worse] *= 10.0
+        live[worse[nu[worse] > 1e16]] = False
+        live[attempts >= 40] = False
 
 
-def _restore(instance, gaps, t_max, max_iter=150, tol=1e-12, continuation=True):
-    """Pull a start onto the reachability manifold.
+def _restore(instance, draws, t_max, max_iter=150, tol=1e-12):
+    """Pull every start of a program onto the reachability manifold at once.
 
     Draws can land dozens of time constants out where the residual is
-    astronomically large and Newton steps barely move, so the whole gap
-    vector is first shrunk geometrically to its best overall scale.  When
-    plain LM then stalls in a nearby local residual minimum, a continuation
-    pass walks the target from a reachable fraction of x0 up to x0 itself
-    with warm starts; far-off stalls usually mean the instance cannot reach
-    x0 at all and are left as they are.
+    astronomically large and Newton steps barely move, so each gap vector is
+    first shrunk geometrically to its best overall scale (the first of 61
+    scales 0.7^k with the least residual), then restored by plain LM.  When
+    plain LM stalls in a nearby local residual minimum, a continuation walk
+    moves the target from a reachable fraction of x0 up to x0 itself with
+    warm starts; far-off stalls usually mean the program cannot reach x0 at
+    all and are left as they are.  All rows run as one stack.
+
+    Returns the plain restoration (gaps (m, K), residuals (m, n)) of every
+    row and, for each row whose walk reached x0, its (gaps, residuals).
+    Whether a walk is used is the caller's decision; a walk depends only on
+    its own draw.
     """
-    c, _ = _eval(instance, gaps)
-    best_scale = 1.0
-    best_norm = float(np.max(np.abs(c)))
-    scale = 1.0
+    m, K = draws.shape
+    scales = [1.0]
     for _ in range(60):
-        scale *= 0.7
-        c_s, _ = _eval(instance, scale * gaps)
-        norm = float(np.max(np.abs(c_s)))
-        if norm < best_norm:
-            best_norm, best_scale = norm, scale
-    draw = gaps.copy()
-    gaps = best_scale * gaps
-    x0 = np.array(instance.x0)
+        scales.append(scales[-1] * 0.7)
+    scales = np.array(scales)
+    shrunk = (scales[None, :, None] * draws[:, None, :]).reshape(-1, K)
+    c, _ = _eval(instance, shrunk, jacobian=False)
+    norms = np.max(np.abs(c), axis=1).reshape(m, len(scales))
+    gaps = scales[np.argmin(norms, axis=1)][:, None] * draws
+    x0 = instance._x0
     scale = max(1.0, float(np.max(np.abs(x0))))
-    zero = np.zeros_like(x0)
-    gaps, c = _lm(instance, gaps, t_max, zero, max_iter=max_iter, tol=tol)
-    stall = float(np.max(np.abs(c)))
-    if stall <= 1e-8 * scale or not continuation or stall > 0.3 * scale:
-        return gaps, c
-    # continuation: walk the target reach = theta * x0 up to theta = 1,
-    # seeded with the draw's structure rescaled to a fraction of the slowest
-    # time constant (a degenerate all-equal-times seed has a rank-1 Jacobian)
+    gaps, c = _lm(instance, gaps, t_max, np.zeros((m, len(x0))), max_iter, tol)
+    stall = np.max(np.abs(c), axis=1)
+    rows = np.flatnonzero((stall > 1e-8 * scale) & (stall <= 0.3 * scale))
+    return gaps, c, _walk(instance, draws[rows], rows, t_max, scale, tol)
+
+
+def _walk(instance, draws, rows, t_max, scale, tol):
+    """Continuation walks of the target reach = theta * x0 up to theta = 1.
+
+    Each walk is seeded with its draw's structure rescaled to a fraction of
+    the slowest time constant (a degenerate all-equal-times seed has a
+    rank-1 Jacobian) and keeps its own theta and step.  Returns
+    {rows[i]: (gaps, residuals)} for the walks that reached theta = 1.
+    """
+    x0 = instance._x0
     slowest = instance.common_denominator / min(
         abs(s) for s in instance.scaled_numerators
     )
-    total = float(np.sum(draw))
-    g = draw * (0.3 * slowest / total) if total > 0 else draw
-    theta = 0.0
-    step = 0.5
+    total = np.sum(draws, axis=1)
+    factor = np.divide(0.3 * slowest, total, out=np.ones_like(total), where=total > 0)
+    g = draws * factor[:, None]
+    theta = np.zeros(len(rows))
+    step = np.full(len(rows), 0.5)
+    live = np.ones(len(rows), dtype=bool)
+    reached = {}
     for _ in range(24):
-        trial_theta = min(1.0, theta + step)
-        shift = (1.0 - trial_theta) * x0
-        g_t, c_t = _lm(instance, g, t_max, shift, max_iter=100, tol=tol)
-        if np.max(np.abs(c_t)) <= 1e-9 * scale:
-            theta, g = trial_theta, g_t
-            if theta >= 1.0:
-                return g, c_t
-            step = min(2.0 * step, 1.0 - theta)
-        else:
-            if np.max(np.abs(c_t)) <= 1e-2 * scale:
-                g = g_t  # near the path: keep the progress, retry smaller
-            step *= 0.5
-            if step < 2e-3:
-                break
-    return gaps, c
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        trial_theta = np.minimum(1.0, theta[idx] + step[idx])
+        shift = (1.0 - trial_theta)[:, None] * x0
+        g_t, c_t = _lm(instance, g[idx], t_max, shift, max_iter=100, tol=tol)
+        res = np.max(np.abs(c_t), axis=1)
+        ok = res <= 1e-9 * scale
+        # near the path: keep the progress, retry smaller
+        keep = ok | (res <= 1e-2 * scale)
+        g[idx[keep]] = g_t[keep]
+        theta[idx[ok]] = trial_theta[ok]
+        done = ok & (trial_theta >= 1.0)
+        for j in np.flatnonzero(done):
+            reached[int(rows[idx[j]])] = (g_t[j], c_t[j])
+        up = idx[ok & ~done]
+        step[up] = np.minimum(2.0 * step[up], 1.0 - theta[up])
+        down = idx[~ok]
+        step[down] *= 0.5
+        live[idx[done]] = False
+        live[down[step[down] < 2e-3]] = False
+    return reached
 
 
 def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -249,7 +327,7 @@ def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarra
 
 
 def _kkt_state(instance, w, gaps, t_max, mult):
-    c, J = _eval(instance, gaps)
+    c, J = _eval1(instance, gaps)
     grad_l = w + J.T @ mult
     projected = np.where(
         gaps <= _ACTIVE_EPS,
@@ -268,9 +346,9 @@ def _polish(instance, w, gaps, mult, t_max, feas_tol, kkt_tol):
     for _ in range(80):
         if feas <= feas_tol * 1e-2 and kkt <= kkt_tol * 1e-2:
             break
-        times = np.cumsum(gaps)
-        c = instance.constraint_residuals(times)
-        A = instance.constraint_jacobian(times)
+        reach, A = instance.reach_stack(np.cumsum(gaps)[None, :])
+        c = reach[0] - instance._x0
+        A = A[0]
         J = _gap_jacobian(A)
         grad_l = w + J.T @ mult
         # free set: positive gaps plus bound coords pushed off the bound
@@ -329,8 +407,8 @@ def _slsqp(instance, gaps, t_max, w, max_iter=400):
             constraints=[
                 {
                     "type": "eq",
-                    "fun": lambda g: _eval(instance, g)[0],
-                    "jac": lambda g: _eval(instance, g)[1],
+                    "fun": lambda g: _eval1(instance, g)[0],
+                    "jac": lambda g: _eval1(instance, g)[1],
                 }
             ],
             options={"maxiter": max_iter, "ftol": 1e-14},
@@ -346,24 +424,38 @@ def _start_seed(seed: int, instance_id: str, start: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, digest, start]))
 
 
+def _draws(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.ndarray:
+    """The (starts, K) exponential gap draws, one generator per start."""
+    mean_gap = t_max / (4.0 * instance.order)
+    return np.array(
+        [
+            _start_seed(options.seed, instance.instance_id, start).exponential(
+                mean_gap, instance.slot_count
+            )
+            for start in range(options.starts)
+        ]
+    )
+
+
 def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
     """Best local solution of one program over the deterministic starts."""
-    K = instance.slot_count
-    n = instance.order
     w = instance.gap_weights
     t_max = options.horizon(instance)
-    bounds = [(0.0, t_max)] * K
-    mean_gap = t_max / (4.0 * n)
+    bounds = [(0.0, t_max)] * instance.slot_count
     best: Optional[tuple] = None
 
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
+    restored, residuals, walks = _restore(
+        instance, _draws(instance, options, t_max), t_max
+    )
+    # replay the starts in order: a start may use its continuation walk only
+    # while fewer than three earlier starts have failed restoration
     rescue_failures = 0
     for start in range(options.starts):
-        rng = _start_seed(options.seed, instance.instance_id, start)
-        gaps = rng.exponential(mean_gap, K)
-        gaps, c = _restore(
-            instance, gaps, t_max, continuation=rescue_failures < 3
-        )
+        if start in walks and rescue_failures < 3:
+            gaps, c = walks[start]
+        else:
+            gaps, c = restored[start], residuals[start]
         if np.max(np.abs(c)) > 1e-6 * x0_scale:
             rescue_failures += 1
             record = (
@@ -374,7 +466,7 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
                 float("inf"),
             )
         else:
-            _, J = _eval(instance, gaps)
+            _, J = _eval1(instance, gaps)
             mult = _ls_multipliers(J, w, gaps)
             mu = 1e3 * max(1.0, float(np.max(w)))
             eta = 1e-4
@@ -382,7 +474,7 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
             budget = options.max_iterations
             for _outer in range(15):
                 def augmented(g):
-                    c, J = _eval(instance, g)
+                    c, J = _eval1(instance, g)
                     shifted = mult + mu * c
                     value = float(w @ g + mult @ c + 0.5 * mu * (c @ c))
                     return value, w + J.T @ shifted
@@ -401,7 +493,7 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
                 )
                 gaps = result.x
                 budget -= result.nit
-                c, J = _eval(instance, gaps)
+                c, J = _eval1(instance, gaps)
                 feas = float(np.max(np.abs(c)))
                 if feas <= eta:
                     mult = mult + mu * c
@@ -420,7 +512,7 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
                 # instances can defeat the quasi-Newton inner loop, so hand
                 # the start to an SQP step
                 alt = _slsqp(instance, gaps, t_max, w)
-                _, J_alt = _eval(instance, alt)
+                _, J_alt = _eval1(instance, alt)
                 alt_mult = _ls_multipliers(J_alt, w, alt)
                 alt, alt_mult, feas_a, kkt_a = _polish(
                     instance, w, alt, alt_mult, t_max,
@@ -463,16 +555,9 @@ def decode_schedule(instance: NlpInstance, times: Sequence[float]) -> SwitchingS
     return schedule_from_times(instance.levels, times)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is None:
-        threads = int(os.environ.get("TIMEFUEL_THREADS", "1"))
-    return max(1, threads)
-
-
 def solve_time_fuel(
     spec: ProblemSpec,
     options: SolverOptions = SolverOptions(),
-    threads: Optional[int] = None,
 ) -> SolveReport:
     """Solve every program, verify against the simulator, keep the cheapest.
 
@@ -481,12 +566,7 @@ def solve_time_fuel(
     ties are broken by fewer switchings, then smaller final time, then id.
     """
     instances = build_all(spec)
-    workers = _thread_count(threads)
-    if workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(lambda i: solve_nlp(i, options), instances))
-    else:
-        solutions = [solve_nlp(i, options) for i in instances]
+    solutions = [solve_nlp(i, options) for i in instances]
     order = sorted(range(len(instances)), key=lambda i: instances[i].instance_id)
     instances = [instances[i] for i in order]
     solutions = [solutions[i] for i in order]

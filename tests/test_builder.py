@@ -3,6 +3,7 @@ import pytest
 
 from timefuel import LtiSystem, build_spectrum, validate_problem
 from timefuel.builder import (
+    EXP_CLIP,
     DomainError,
     InconsistentSignsError,
     OrderTooSmallError,
@@ -20,6 +21,7 @@ from timefuel.builder import (
 )
 from timefuel.sequences import CandidateSequence
 from timefuel.simulate import reachability_x0, schedule_from_times
+from timefuel.solver import _gap_jacobian
 
 from conftest import random_system
 
@@ -210,6 +212,33 @@ class TestInstanceCallbacks:
                     rhs = reachability_x0(system, sched)
                     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_stacked_kernel_rows_match_single_rows(self, n):
+        # every row of one stacked kernel call is bitwise the one-row
+        # result, including zero gaps and exponents past the clip
+        rng = np.random.default_rng(40 + n)
+        system = LtiSystem(
+            build_spectrum([((-1) ** i * (i + 1), 2) for i in range(n)]),
+            tuple(rng.uniform(0.5, 2.0, size=n)),
+        )
+        spec = validate_problem(system, [0.01] * n, 1.0)
+        m = 61 * 16
+        for inst in build_all(spec)[:3]:
+            K = inst.slot_count
+            spread = rng.choice([0.01, 1.0, 200.0], size=(m, 1))
+            gaps = rng.exponential(1.0, size=(m, K)) * spread
+            gaps[rng.random((m, K)) < 0.3] = 0.0
+            gaps[0] = 0.0
+            times = np.cumsum(gaps, axis=1)
+            exponents = np.abs(np.multiply.outer(times, inst._lam))
+            assert np.any(exponents > EXP_CLIP)
+            reach, jac = inst.reach_stack(times)
+            assert reach.shape == (m, n) and jac.shape == (m, n, K)
+            assert np.array_equal(inst.reach_stack(times, jacobian=False)[0], reach)
+            for i in range(m):
+                assert np.array_equal(reach[i], inst.reach(times[i]))
+                assert np.array_equal(jac[i], inst.constraint_jacobian(times[i]))
+
     def test_constraint_expression_matches_vector_form(self):
         rng = np.random.default_rng(23)
         spec = make_spec(3, x0=[0.2, -0.1, 0.05])
@@ -242,19 +271,28 @@ class TestInstanceCallbacks:
         step = 1e-6
         for inst in build_all(spec):
             for _ in range(25):
-                times = np.cumsum(rng.uniform(0.1, 0.5, size=inst.slot_count))
-                analytic = inst.constraint_jacobian(times)
-                fd = np.zeros_like(analytic)
-                for j in range(inst.slot_count):
-                    up = times.copy()
-                    up[j] += step
-                    dn = times.copy()
-                    dn[j] -= step
-                    fd[:, j] = (
-                        inst.constraint_residuals(up) - inst.constraint_residuals(dn)
-                    ) / (2 * step)
-                scale = np.maximum(np.abs(analytic), 1.0)
-                assert np.max(np.abs(analytic - fd) / scale) < 1e-5
+                gaps = rng.uniform(0.1, 0.5, size=inst.slot_count)
+                times = np.cumsum(gaps)
+                time_jac = inst.constraint_jacobian(times)
+                # time coordinates, and gap coordinates through the solver's
+                # reverse cumulative sum
+                for point, residuals, analytic in (
+                    (times, inst.constraint_residuals, time_jac),
+                    (
+                        gaps,
+                        lambda g: inst.constraint_residuals(np.cumsum(g)),
+                        _gap_jacobian(time_jac),
+                    ),
+                ):
+                    fd = np.zeros_like(analytic)
+                    for j in range(inst.slot_count):
+                        up = point.copy()
+                        up[j] += step
+                        dn = point.copy()
+                        dn[j] -= step
+                        fd[:, j] = (residuals(up) - residuals(dn)) / (2 * step)
+                    scale = np.maximum(np.abs(analytic), 1.0)
+                    assert np.max(np.abs(analytic - fd) / scale) < 1e-5
                 cg = inst.cost_gradient(times)
                 fdc = np.array(
                     [
