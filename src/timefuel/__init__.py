@@ -9,7 +9,6 @@ schedule.
 
 from .builder import (
     ControlTemplate,
-    CostExpression,
     NlpInstance,
     SignVector,
     build_all,
@@ -17,8 +16,6 @@ from .builder import (
     count_nlps,
     sequence_instance,
     sign_vectors,
-    to_a,
-    to_times,
 )
 from .model import (
     LtiSystem,
@@ -46,7 +43,7 @@ from .simulate import (
     SwitchingSchedule,
     Trajectory,
     evaluate_cost,
-    grid_oracle,
+    lp_oracle,
     propagate,
     reachability_x0,
 )
@@ -55,7 +52,6 @@ from .solver import (
     LocalSolution,
     SolveReport,
     SolverOptions,
-    decode_schedule,
     solve_nlp,
     solve_time_fuel,
 )
@@ -63,7 +59,6 @@ from .solver import (
 __all__ = [
     "CandidateSequence",
     "ControlTemplate",
-    "CostExpression",
     "FamilyId",
     "InfeasibleProblemError",
     "LocalSolution",
@@ -85,12 +80,11 @@ __all__ = [
     "count_all_candidates",
     "count_family",
     "count_nlps",
-    "decode_schedule",
     "enumerate_candidates",
     "enumerate_family",
     "evaluate_cost",
-    "grid_oracle",
     "load_problem",
+    "lp_oracle",
     "parse_problem",
     "propagate",
     "reachability_x0",
@@ -100,8 +94,6 @@ __all__ = [
     "solve_nlp",
     "solve_time_fuel",
     "tilde_sequence",
-    "to_a",
-    "to_times",
     "validate_problem",
 ]
 

@@ -3,10 +3,12 @@
 Every instance fixes a level template (one input level per time slot) and
 asks for nondecreasing segment end times t_1 <= ... <= t_K minimizing
 k*t_K + on-duration subject to the reachability equalities that make the
-template transfer x0 to the origin.  Under a_j = exp(t_j / l) the cost is a
-ratio of monomials and the constraints are polynomial in the a_j; the solver
-consumes the better-conditioned time-domain form, the a-form is kept for
-reporting.
+template transfer x0 to the origin.  The cost is linear in the times and each
+equality is a sum of exponentials, evaluated for stacks of time vectors by
+the one fused kernel `reach_kernel`.  The `build` JSON carries the integer
+data (common denominator l, scaled numerators c_i, cost exponents) from
+which the polynomial form under a_j = exp(t_j / l) follows; the package
+itself works in time only.
 """
 
 from __future__ import annotations
@@ -57,45 +59,6 @@ class OrderTooSmallError(ValueError):
 
 class InconsistentSignsError(ValueError):
     pass
-
-
-class DomainError(ValueError):
-    """Substitution argument outside a >= 1 / t >= 0."""
-
-
-def to_times(a: Sequence[float], common_denominator: int) -> np.ndarray:
-    """Invert the substitution a_j = exp(t_j / l): t_j = l * ln(a_j)."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 1.0):
-        raise DomainError("substituted variables must satisfy a_j >= 1")
-    return common_denominator * np.log(a)
-
-
-def to_a(times: Sequence[float], common_denominator: int) -> np.ndarray:
-    """Apply the substitution a_j = exp(t_j / l) to switching times."""
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError("switching times must be nonnegative")
-    return np.exp(t / common_denominator)
-
-
-@dataclass(frozen=True)
-class SubstitutedVariables:
-    """Paired (a, t) views of one switching-time vector."""
-
-    a: tuple[float, ...]
-    times: tuple[float, ...]
-    common_denominator: int
-
-    @classmethod
-    def from_times(cls, times: Sequence[float], common_denominator: int):
-        a = to_a(times, common_denominator)
-        return cls(tuple(float(v) for v in a), tuple(float(t) for t in times), common_denominator)
-
-    @classmethod
-    def from_a(cls, a: Sequence[float], common_denominator: int):
-        times = to_times(a, common_denominator)
-        return cls(tuple(float(v) for v in a), tuple(float(t) for t in times), common_denominator)
 
 
 @dataclass(frozen=True)
@@ -223,109 +186,12 @@ def count_nlps(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CostExpression:
-    """k*t_K + on-duration, equivalently l*log of a monomial ratio in the a_j."""
-
-    kind: str
-    k: float
-    levels: tuple[int, ...]
-
-    @cached_property
-    def exponents(self) -> tuple[float, ...]:
-        # J = prod_j a_j^(e_j); e_j collects k at the final slot plus the
-        # telescoped on-duration pattern
-        K = len(self.levels)
-        e = []
-        for j in range(K):
-            val = self.k if j == K - 1 else 0.0
-            val += 1.0 if self.levels[j] != 0 else 0.0
-            if j + 1 < K:
-                val -= 1.0 if self.levels[j + 1] != 0 else 0.0
-            e.append(val)
-        return tuple(e)
-
-    def value(self, times: Sequence[float]) -> float:
-        return float(np.dot(self.exponents, np.asarray(times, dtype=float)))
-
-    def gradient(self, times: Sequence[float]) -> np.ndarray:
-        return np.asarray(self.exponents, dtype=float)
-
-    def value_a(self, a: Sequence[float]) -> float:
-        """The monomial-ratio form; strictly positive for a_j >= 1."""
-        a = np.asarray(a, dtype=float)
-        return float(np.prod(a ** np.asarray(self.exponents)))
-
-    def log_value_a(self, a: Sequence[float]) -> float:
-        a = np.asarray(a, dtype=float)
-        return float(np.dot(self.exponents, np.log(a)))
-
-
-@dataclass(frozen=True)
-class ConstraintExpression:
-    """Reachability equality for one state, in time and polynomial form.
-
-    Time form: residual(t) = reach(t) - x0 with
-    reach(t) = -(b l / c) * sum_j w_j exp(-(c/l) t_j), t_0 = 0 and
-    w_j = v_{j+1} - v_j.  Over a_j = exp(t_j / l) the reach is a rational
-    function N(a)/D(a); clearing denominators gives the polynomial equality
-    x0 * D(a) - N(a) = 0, which equals -D(a) * residual with D(a) > 0 on the
-    feasible box, so both forms vanish together.
-    """
-
-    x0_component: float
-    gain: float
-    scaled_numerator: int
-    common_denominator: int
-    coefficients: tuple[int, ...]
-
-    @property
-    def eigenvalue(self) -> float:
-        return self.scaled_numerator / self.common_denominator
-
-    def reach_time(self, times: Sequence[float]) -> float:
-        lam = self.eigenvalue
-        t = np.concatenate([[0.0], np.asarray(times, dtype=float)])
-        E = np.exp(np.clip(-lam * t, -EXP_CLIP, EXP_CLIP))
-        w = np.asarray(self.coefficients, dtype=float)
-        return float(-(self.gain / lam) * np.dot(w, E))
-
-    def residual_time(self, times: Sequence[float]) -> float:
-        return self.reach_time(times) - self.x0_component
-
-    def residual_poly(self, a: Sequence[float]) -> float:
-        """The cleared polynomial form x0 * D(a) - N(a)."""
-        a = np.concatenate([[1.0], np.asarray(a, dtype=float)])
-        c = self.scaled_numerator
-        scale = -self.gain * self.common_denominator / c
-        w = np.asarray(self.coefficients, dtype=float)
-        if c < 0:
-            num = scale * np.dot(w, a ** (-c))
-            den = 1.0
-        else:
-            full = np.prod(a[1:] ** c)
-            terms = np.array([full / a[j] ** c for j in range(len(a))])
-            terms[0] = full
-            num = scale * np.dot(w, terms)
-            den = full
-        return float(self.x0_component * den - num)
-
-    def as_dict(self) -> dict:
-        return {
-            "x0": self.x0_component,
-            "gain": self.gain,
-            "scaled_numerator": self.scaled_numerator,
-            "coefficients": list(self.coefficients),
-        }
-
-
-@dataclass(frozen=True)
 class NlpInstance:
     """One static program: template, resolved levels and evaluation callbacks.
 
     Carries one reachability equality per state, slot_count - 1 ordering
-    inequalities t_j <= t_{j+1} and the t_1 >= 0 bound (a_1 >= 1 in
-    substituted form).  All callbacks are pure; instances are safe to share
-    across workers.
+    inequalities t_j <= t_{j+1} and the t_1 >= 0 bound.  All callbacks are
+    pure functions of the frozen fields.
     """
 
     instance_id: str
@@ -359,11 +225,6 @@ class NlpInstance:
         return self.template.start_sign
 
     @cached_property
-    def cost(self) -> CostExpression:
-        kind = "J1" if self.levels[0] != 0 else "J2"
-        return CostExpression(kind, self.k, self.levels)
-
-    @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
         l = self.common_denominator
         return tuple(c / l for c in self.scaled_numerators)
@@ -390,29 +251,25 @@ class NlpInstance:
         return np.array([self.k + (1.0 if v else 0.0) for v in self.levels])
 
     @cached_property
-    def _coefficients(self) -> tuple[int, ...]:
-        # w_j = v_{j+1} - v_j over the zero-padded level word, j = 0..K
-        padded = (0,) + self.levels + (0,)
-        return tuple(padded[j + 1] - padded[j] for j in range(len(padded) - 1))
+    def cost_exponents(self) -> tuple[float, ...]:
+        """Cost weight of each end time: the cost is sum_j e_j t_j.
 
-    @cached_property
-    def equality_constraints(self) -> tuple[ConstraintExpression, ...]:
-        return tuple(
-            ConstraintExpression(
-                x0_component=self.x0[i],
-                gain=self.input_gains[i],
-                scaled_numerator=self.scaled_numerators[i],
-                common_denominator=self.common_denominator,
-                coefficients=self._coefficients,
-            )
-            for i in range(self.order)
-        )
+        e_j collects k at the final slot plus the telescoped on-duration
+        pattern (the exponents of the cost monomial prod_j a_j^(e_j) under
+        the substitution a_j = exp(t_j / l)).
+        """
+        K = self.slot_count
+        e = []
+        for j in range(K):
+            val = self.k if j == K - 1 else 0.0
+            val += 1.0 if self.levels[j] != 0 else 0.0
+            if j + 1 < K:
+                val -= 1.0 if self.levels[j + 1] != 0 else 0.0
+            e.append(val)
+        return tuple(e)
 
     def cost_value(self, times: Sequence[float]) -> float:
-        return self.cost.value(times)
-
-    def cost_gradient(self, times: Sequence[float]) -> np.ndarray:
-        return self.cost.gradient(times)
+        return float(np.dot(self.cost_exponents, np.asarray(times, dtype=float)))
 
     def reach_stack(self, times: np.ndarray, jacobian: bool = True):
         """Fused kernel on a stack of time vectors; see `reach_kernel`."""
@@ -430,12 +287,9 @@ class NlpInstance:
         """d residual_i / d t_j, shape (order, slot_count)."""
         return self.reach_stack(np.asarray(times, dtype=float)[None, :])[1][0]
 
-    def ordering_residuals(self, times: Sequence[float]) -> np.ndarray:
-        """Values that must be nonnegative: t_1 and the consecutive gaps."""
-        t = np.asarray(times, dtype=float)
-        return np.diff(np.concatenate([[0.0], t]))
-
     def as_dict(self) -> dict:
+        # w_j = v_{j+1} - v_j over the zero-padded level word, j = 0..K
+        coefficients = [b - a for a, b in zip((0,) + self.levels, self.levels + (0,))]
         return {
             "id": self.instance_id,
             "variant": self.variant,
@@ -446,9 +300,17 @@ class NlpInstance:
                 "levels": list(self.levels),
                 "time_weight": self.k,
                 "common_denominator": self.common_denominator,
-                "cost_kind": self.cost.kind,
-                "cost_exponents": list(self.cost.exponents),
-                "states": [c.as_dict() for c in self.equality_constraints],
+                "cost_kind": "J1" if self.levels[0] != 0 else "J2",
+                "cost_exponents": list(self.cost_exponents),
+                "states": [
+                    {
+                        "x0": self.x0[i],
+                        "gain": self.input_gains[i],
+                        "scaled_numerator": self.scaled_numerators[i],
+                        "coefficients": coefficients,
+                    }
+                    for i in range(self.order)
+                ],
             },
         }
 

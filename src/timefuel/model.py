@@ -3,8 +3,8 @@
 Systems are accepted only in diagonal form with nonzero, distinct, rational
 eigenvalues given as exact integer pairs.  Each eigenvalue n_i/d_i is rewritten
 over the common denominator l = lcm(d_1, ..., d_n) as c_i/l with integer c_i;
-the integers (c_i, l) drive the polynomial form of the reachability
-constraints downstream.
+every static program reports the integers (c_i, l), which give the
+polynomial form of its reachability constraints.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ class LtiSystem:
                 f"{len(self.input_gains)} input gains for "
                 f"{len(self.spectrum)} eigenvalues"
             )
+        if not all(math.isfinite(g) for g in self.input_gains):
+            raise ProblemError("every input gain b_i must be finite")
         if any(g == 0.0 for g in self.input_gains):
             raise ZeroInputGainError("every input gain b_i must be nonzero")
 
@@ -158,6 +160,8 @@ def validate_problem(
     max_switches: Optional[int] = None,
 ) -> ProblemSpec:
     """Check problem data against the type invariants and freeze it."""
+    if not math.isfinite(k):
+        raise ProblemError(f"time weight k must be finite, got {k}")
     if k <= 0:
         raise NonpositiveTimeWeightError(
             "time weight k must be positive: with k = 0 the off-duration is "
@@ -165,6 +169,8 @@ def validate_problem(
             "not attained (t_f -> infinity)"
         )
     x0 = tuple(float(v) for v in x0)
+    if not all(math.isfinite(v) for v in x0):
+        raise ProblemError("every x0 component must be finite")
     if len(x0) != system.order:
         raise DimensionMismatchError(
             f"x0 has {len(x0)} components for an order-{system.order} system"
@@ -178,6 +184,11 @@ def validate_problem(
                 f"got {max_switches}"
             )
     return ProblemSpec(system, x0, float(k), max_switches)
+
+
+def _is_number(value) -> bool:
+    # JSON true/false parse as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_problem(data: dict) -> ProblemSpec:
@@ -201,14 +212,14 @@ def parse_problem(data: dict) -> ProblemSpec:
         raise ProblemError('"eigenvalues" must be a list of [numerator, denominator] pairs')
     spectrum = build_spectrum([tuple(p) for p in eig])
     b = data["b"]
-    if not isinstance(b, list) or not all(isinstance(v, (int, float)) for v in b):
+    if not isinstance(b, list) or not all(_is_number(v) for v in b):
         raise ProblemError('"b" must be a list of numbers')
     system = LtiSystem(spectrum, tuple(float(v) for v in b))
     x0 = data["x0"]
-    if not isinstance(x0, list) or not all(isinstance(v, (int, float)) for v in x0):
+    if not isinstance(x0, list) or not all(_is_number(v) for v in x0):
         raise ProblemError('"x0" must be a list of numbers')
     k = data["k"]
-    if not isinstance(k, (int, float)) or isinstance(k, bool):
+    if not _is_number(k):
         raise ProblemError('"k" must be a number')
     return validate_problem(system, x0, float(k), data.get("max_switches"))
 

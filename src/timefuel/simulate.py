@@ -3,23 +3,32 @@
 Everything here is closed form: per segment with constant input u and
 eigenvalue lam, x(t0 + dt) = e^(lam dt) x(t0) + u b (e^(lam dt) - 1)/lam.
 The module doubles as the independent verification oracle for the problem
-builder and the solver.
+builder and the solver: `reachability_x0` is the reference the fused kernel
+is tested against, and `lp_oracle` gives a global reference cost at any
+order from fixed-horizon linear programs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linprog, minimize_scalar
 
-from .builder import EXP_CLIP, reach_kernel
+from .builder import EXP_CLIP
 from .model import LtiSystem, ProblemSpec
-from .sequences import CandidateSequence, OrderTooLargeError
+from .sequences import CandidateSequence
 
 #: Segments shorter than this are treated as zero length when condensing.
 COLLAPSE_TOL = 1e-6
+
+#: Equal input cells of one `lp_oracle` linear program.
+LP_CELLS = 400
+
+#: Horizons of `lp_oracle`'s coarse scan over (0, t_max].
+LP_SCAN = 60
 
 
 class InvalidScheduleError(ValueError):
@@ -197,135 +206,56 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
-def _project_batch(lam, b, levels, x0, times, t_max, sweeps=3):
-    # damped Gauss-Newton sweeps pulling each time vector toward the
-    # reachability manifold; keeps points inside the monotone box
-    pts = times.copy()
-    n = len(lam)
-    for _ in range(sweeps):
-        reach, A = reach_kernel(lam, b, levels, pts)
-        r = reach - x0
-        gram = A @ A.transpose(0, 2, 1)
-        damp = 1e-10 * (1.0 + np.trace(gram, axis1=1, axis2=2))
-        gram = gram + damp[:, None, None] * np.eye(n)[None, :, :]
-        try:
-            y = np.linalg.solve(gram, r[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return pts
-        step = -(A.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
-        pts = np.clip(pts + step, 0.0, t_max)
-        pts = np.maximum.accumulate(pts, axis=1)
-    return pts
+def _lp_cost(spec: ProblemSpec, horizon: float) -> float:
+    """k*T plus the least fuel that steers x0 to the origin at T = horizon.
 
-
-def _tangent_walkers(lam, b, levels, pts, t_max, h):
-    # walk snapped points along the manifold's tangent space at several
-    # ranges; projection next level pulls the walkers back onto it
-    n = len(lam)
-    K = pts.shape[1]
-    if K <= n:
-        return np.empty((0, K))
-    A = reach_kernel(lam, b, levels, pts)[1]
-    try:
-        _, _, vh = np.linalg.svd(A)
-    except np.linalg.LinAlgError:
-        return np.empty((0, K))
-    tangents = vh[:, n:, :]  # (m, K - n, K)
-    reaches = np.array([1.0, 3.0, 9.0, 27.0]) * h
-    steps = tangents[:, :, None, :] * reaches[None, None, :, None]
-    walked = pts[:, None, None, :] + np.concatenate([steps, -steps], axis=2)
-    walked = np.clip(walked.reshape(-1, K), 0.0, t_max)
-    return np.maximum.accumulate(walked, axis=1)
-
-
-def _cost_batch(levels, times, k):
-    t = np.concatenate([np.zeros((times.shape[0], 1)), times], axis=1)
-    gaps = np.diff(t, axis=1)
-    w = np.array([k + (1.0 if v else 0.0) for v in levels])
-    return gaps @ w
-
-
-def grid_oracle(
-    spec: ProblemSpec,
-    sequence: CandidateSequence,
-    grid_step: float,
-    t_max: Optional[float] = None,
-    beam: int = 256,
-    coarse: int = 24,
-) -> Optional[tuple[float, np.ndarray]]:
-    """Brute-force cost oracle for low-order problems.
-
-    Searches switching-time grids on [0, t_max] for the given sequence,
-    testing feasibility by proximity of the transferred state to x0 (final
-    tolerance 10x grid_step) and refining the grid around the most promising
-    points until the step falls below grid_step / 10.  Each refinement level
-    also pulls its retained points onto the feasible manifold with a few
-    damped Gauss-Newton sweeps of the reachability map, so the feasible
-    channel stays populated whatever the local sensitivity; the returned
-    point always passes the plain state-space proximity test.  Returns
-    (best cost, times) or None when nothing is feasible at the final
-    tolerance.  Shares only the closed-form reachability map with the
-    solver, none of its optimization machinery.
+    The input is constant on LP_CELLS equal cells with |u| <= 1, written as
+    u = u+ - u- so that the fuel is linear.  Returns inf when no such input
+    reaches the origin at T.
     """
-    if spec.order > 2:
-        raise OrderTooLargeError("grid oracle supports orders 1 and 2 only")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     lam = spec.system.eigenvalues
     b = spec.system.gains
-    x0 = spec.x0
-    if t_max is None:
-        l = spec.system.spectrum.common_denominator
-        t_max = 50.0 * l / min(abs(c) for c in spec.system.spectrum.scaled_numerators)
-    levels = sequence.levels
-    K = len(levels)
-    pts = np.array(
-        list(combinations_with_replacement(np.linspace(0.0, t_max, coarse + 1), K))
+    h = horizon / LP_CELLS
+    starts = h * np.arange(LP_CELLS)
+    # row i: x0_i + sum_j u_j b_i int_{cell j} e^(-lam_i s) ds = 0, scaled by
+    # e^(min(lam_i, 0) T) so that no entry grows with the horizon
+    shift = np.minimum(lam, 0.0) * horizon
+    cells = -(b / lam * np.expm1(-lam * h))[:, None] * np.exp(
+        shift[:, None] - np.outer(lam, starts)
     )
-    h = t_max / coarse
-    h_final = grid_step / 10.0
-    feas_tol = 10.0 * grid_step
-    # points this close to the manifold carry no membership slack worth
-    # correcting for; prefer them when any exist
-    tight_tol = min(1e-8, feas_tol)
-    incumbent = None
-    tight_incumbent = None
-    while True:
-        reach = reach_kernel(lam, b, levels, pts, jacobian=False)[0]
-        res = np.max(np.abs(reach - x0), axis=1)
-        cost = _cost_batch(levels, pts, spec.k)
-        feasible = res <= feas_tol
-        if feasible.any():
-            i = int(np.argmin(np.where(feasible, cost, np.inf)))
-            if incumbent is None or cost[i] < incumbent[0]:
-                incumbent = (float(cost[i]), pts[i].copy())
-        tight = res <= tight_tol
-        if tight.any():
-            i = int(np.argmin(np.where(tight, cost, np.inf)))
-            if tight_incumbent is None or cost[i] < tight_incumbent[0]:
-                tight_incumbent = (float(cost[i]), pts[i].copy())
-        if h <= h_final:
-            return tight_incumbent if tight_incumbent is not None else incumbent
-        # retention channels: feasible points by cost, near-feasible points
-        # by cost, and the closest-to-feasible points
-        slice_size = beam // 3
+    result = linprog(
+        np.full(2 * LP_CELLS, h),
+        A_eq=np.hstack([cells, -cells]),
+        b_eq=-spec.x0 * np.exp(shift),
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    return spec.k * horizon + result.fun if result.status == 0 else math.inf
 
-        def cheapest(mask):
-            ranked = np.argsort(np.where(mask, cost, np.inf), kind="stable")
-            return ranked[: min(slice_size, int(mask.sum()))]
 
-        strict = cheapest(tight | (res <= feas_tol))
-        loose = cheapest(res <= 10.0 * h)
-        closest = np.argsort(res, kind="stable")[:slice_size]
-        keep = np.unique(np.concatenate([strict, loose, closest]))
-        h_next = max(h / 2.0, h_final)
-        offsets = np.array(
-            np.meshgrid(*([np.arange(-1, 2) * h_next] * K), indexing="ij")
-        ).reshape(K, -1).T
-        cand = (pts[keep][:, None, :] + offsets[None, :, :]).reshape(-1, K)
-        cand = np.clip(cand, 0.0, t_max)
-        cand = np.maximum.accumulate(cand, axis=1)
-        snapped = _project_batch(lam, b, levels, x0, pts[keep], t_max)
-        walkers = _tangent_walkers(lam, b, levels, snapped, t_max, h_next)
-        pts = np.unique(np.concatenate([cand, snapped, walkers]), axis=0)
-        h = h_next
+def lp_oracle(spec: ProblemSpec, t_max: float) -> Optional[float]:
+    """Global reference cost from fixed-horizon linear programs, any order.
+
+    At a fixed horizon T the least-fuel transfer over inputs constant on
+    equal cells is a linear program (the L1/LP link of maximum hands-off
+    control).  The cost min_T k*T + fuel(T) comes from LP_SCAN horizons
+    evenly spaced on (0, t_max] and a bounded 1-D refinement around the
+    best one; None when no scanned horizon is feasible.  The cell grid only
+    restricts the input, so up to HiGHS's feasibility tolerance the result
+    lies above the optimum, by the discretization error.  Shares nothing
+    with the solver.
+    """
+    grid = t_max * np.arange(1, LP_SCAN + 1) / LP_SCAN
+    costs = [_lp_cost(spec, horizon) for horizon in grid]
+    i = int(np.argmin(costs))
+    if not math.isfinite(costs[i]):
+        return None
+    # the bounded search needs finite values: an infeasible horizon reads as
+    # a penalty above every feasible cost (at most (k + 1) t_max) that falls
+    # toward longer horizons, where the feasible ones lie
+    refined = minimize_scalar(
+        lambda T: min(_lp_cost(spec, T), (spec.k + 2.0) * t_max - T),
+        bounds=(grid[i - 1] if i else 0.0, grid[min(i + 1, LP_SCAN - 1)]),
+        method="bounded",
+    )
+    return float(min(costs[i], refined.fun))

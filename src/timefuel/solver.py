@@ -16,9 +16,10 @@ it and is bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -39,6 +40,12 @@ ITERATION_LIMIT = "iteration_limit"
 #: Cost ratio under which two verified solutions count as the same optimum.
 TIE_REL_TOL = 1e-6
 
+#: L-BFGS-B iteration budget of one start's augmented-Lagrangian loop.
+MAX_ITERATIONS = 500
+
+#: Projected KKT residual a converged program must reach.
+KKT_TOL = 1e-8
+
 _ACTIVE_EPS = 1e-9
 
 
@@ -53,18 +60,16 @@ class SolverOptions:
 
     starts: int = 64
     seed: int = 0
-    max_iterations: int = 500
-    kkt_tol: float = 1e-8
     feas_tol: float = 1e-8
     t_max: Optional[float] = None
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.kkt_tol <= 0 or self.feas_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if self.feas_tol <= 0:
+            raise ValueError("feas_tol must be positive")
+        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
     def horizon(self, instance: NlpInstance) -> float:
         """Time box: 50 slowest-mode time constants unless overridden."""
@@ -337,14 +342,14 @@ def _kkt_state(instance, w, gaps, t_max, mult):
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
-def _polish(instance, w, gaps, mult, t_max, feas_tol, kkt_tol):
+def _polish(instance, w, gaps, mult, t_max, feas_tol):
     """Newton iterations on the active-set KKT system, merit safeguarded."""
     n = instance.order
     gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps.copy())
     feas, kkt = _kkt_state(instance, w, gaps, t_max, mult)
     best = (gaps.copy(), mult.copy(), feas, kkt)
     for _ in range(80):
-        if feas <= feas_tol * 1e-2 and kkt <= kkt_tol * 1e-2:
+        if feas <= feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2:
             break
         reach, A = instance.reach_stack(np.cumsum(gaps)[None, :])
         c = reach[0] - instance._x0
@@ -352,7 +357,7 @@ def _polish(instance, w, gaps, mult, t_max, feas_tol, kkt_tol):
         J = _gap_jacobian(A)
         grad_l = w + J.T @ mult
         # free set: positive gaps plus bound coords pushed off the bound
-        free = np.where((gaps > _ACTIVE_EPS) | (grad_l < -kkt_tol * 1e-2))[0]
+        free = np.where((gaps > _ACTIVE_EPS) | (grad_l < -KKT_TOL * 1e-2))[0]
         if len(free) == 0:
             break
         rhs = -np.concatenate([grad_l[free], c])
@@ -471,7 +476,7 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
             mu = 1e3 * max(1.0, float(np.max(w)))
             eta = 1e-4
             gtol = 1e-9
-            budget = options.max_iterations
+            budget = MAX_ITERATIONS
             for _outer in range(15):
                 def augmented(g):
                     c, J = _eval1(instance, g)
@@ -504,9 +509,9 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
                 if feas <= 1e-8 or budget <= 0:
                     break
             gaps, mult, feas, kkt = _polish(
-                instance, w, gaps, mult, t_max, options.feas_tol, options.kkt_tol
+                instance, w, gaps, mult, t_max, options.feas_tol
             )
-            converged = feas <= options.feas_tol and kkt <= options.kkt_tol
+            converged = feas <= options.feas_tol and kkt <= KKT_TOL
             if not converged and feas <= 1e-2 * x0_scale:
                 # near the manifold but stalled: the penalty valley of stiff
                 # instances can defeat the quasi-Newton inner loop, so hand
@@ -515,14 +520,13 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
                 _, J_alt = _eval1(instance, alt)
                 alt_mult = _ls_multipliers(J_alt, w, alt)
                 alt, alt_mult, feas_a, kkt_a = _polish(
-                    instance, w, alt, alt_mult, t_max,
-                    options.feas_tol, options.kkt_tol,
+                    instance, w, alt, alt_mult, t_max, options.feas_tol
                 )
-                if (feas_a <= options.feas_tol and kkt_a <= options.kkt_tol) or (
+                if (feas_a <= options.feas_tol and kkt_a <= KKT_TOL) or (
                     feas_a + kkt_a < feas + kkt
                 ):
                     gaps, mult, feas, kkt = alt, alt_mult, feas_a, kkt_a
-                    converged = feas <= options.feas_tol and kkt <= options.kkt_tol
+                    converged = feas <= options.feas_tol and kkt <= KKT_TOL
             record = (
                 CONVERGED if converged else ITERATION_LIMIT,
                 float(w @ gaps),
@@ -550,11 +554,6 @@ def _record_key(record):
     return (status != CONVERGED, cost if status == CONVERGED else feas)
 
 
-def decode_schedule(instance: NlpInstance, times: Sequence[float]) -> SwitchingSchedule:
-    """Condense solved times into a schedule (collapse, merge, trim)."""
-    return schedule_from_times(instance.levels, times)
-
-
 def solve_time_fuel(
     spec: ProblemSpec,
     options: SolverOptions = SolverOptions(),
@@ -577,7 +576,7 @@ def solve_time_fuel(
         best_residual = min(best_residual, sol.constraint_residual)
         if sol.status != CONVERGED:
             continue
-        schedule = decode_schedule(inst, sol.times)
+        schedule = schedule_from_times(inst.levels, sol.times)
         terminal = propagate(spec.system, spec.x0, schedule).terminal_state
         if float(np.max(np.abs(terminal), initial=0.0)) > 10.0 * options.feas_tol:
             continue

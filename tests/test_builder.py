@@ -4,11 +4,9 @@ import pytest
 from timefuel import LtiSystem, build_spectrum, validate_problem
 from timefuel.builder import (
     EXP_CLIP,
-    DomainError,
     InconsistentSignsError,
     OrderTooSmallError,
     SignVector,
-    SubstitutedVariables,
     build_all,
     build_nlp,
     count_nlps,
@@ -16,11 +14,9 @@ from timefuel.builder import (
     op2_template,
     sequence_instance,
     sign_vectors,
-    to_a,
-    to_times,
 )
 from timefuel.sequences import CandidateSequence
-from timefuel.simulate import reachability_x0, schedule_from_times
+from timefuel.simulate import evaluate_cost, reachability_x0, schedule_from_times
 from timefuel.solver import _gap_jacobian
 
 from conftest import random_system
@@ -160,35 +156,6 @@ class TestTemplates:
             build_nlp(spec, t, SignVector((1, 1, 1), "OP1"))
 
 
-class TestSubstitution:
-    def test_identity_at_zero(self):
-        np.testing.assert_array_equal(to_a([0.0, 0.0, 0.0], 1), [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(to_times([1.0, 1.0, 1.0], 1), [0.0, 0.0, 0.0])
-
-    def test_log_two(self):
-        np.testing.assert_allclose(to_a([np.log(2.0)], 1), [2.0], rtol=1e-15)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            l = int(rng.integers(1, 5))
-            a = rng.uniform(1.0, 10.0, size=6)
-            back = to_a(to_times(a, l), l)
-            np.testing.assert_allclose(back, a, rtol=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            to_times([0.5], 1)
-        with pytest.raises(DomainError):
-            to_a([-0.1], 1)
-
-    def test_substituted_variables(self):
-        sub = SubstitutedVariables.from_times([0.0, np.log(2.0)], 1)
-        assert sub.a == pytest.approx((1.0, 2.0))
-        back = SubstitutedVariables.from_a(sub.a, 1)
-        assert back.times == pytest.approx(sub.times)
-
-
 class TestInstanceCallbacks:
     def test_zero_times_imply_zero_state(self):
         for n in (2, 3, 4):
@@ -239,31 +206,79 @@ class TestInstanceCallbacks:
                 assert np.array_equal(reach[i], inst.reach(times[i]))
                 assert np.array_equal(jac[i], inst.constraint_jacobian(times[i]))
 
+    @staticmethod
+    def _json_instances():
+        system = LtiSystem(
+            build_spectrum([(1, 2), (-3, 4), (-2, 1)]), (1.0, -0.5, 2.0)
+        )
+        spec = validate_problem(system, [0.2, -0.1, 0.05], 1.5)
+        return build_all(spec) + [
+            sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
+        ]
+
     def test_constraint_expression_matches_vector_form(self):
+        # the README's time form of each state's equality, evaluated from the
+        # documented `build` fields alone:
+        # x0 + (gain * l / c) * sum_j coefficients[j] * exp(-(c / l) * t_j),
+        # t_0 = 0, is the negated residual; cost_exponents . t is the cost
         rng = np.random.default_rng(23)
-        spec = make_spec(3, x0=[0.2, -0.1, 0.05])
-        for inst in build_all(spec):
-            times = np.cumsum(rng.uniform(0.05, 0.4, size=inst.slot_count))
-            residuals = inst.constraint_residuals(times)
-            per_state = [c.residual_time(times) for c in inst.equality_constraints]
-            np.testing.assert_allclose(per_state, residuals, rtol=1e-12)
+        for inst in self._json_instances():
+            data = inst.as_dict()["constraint_spec"]
+            l = data["common_denominator"]
+            for _ in range(5):
+                times = np.cumsum(rng.uniform(0.05, 0.4, size=inst.slot_count))
+                padded = np.concatenate([[0.0], times])
+                rows = [
+                    state["x0"]
+                    + (state["gain"] * l / state["scaled_numerator"])
+                    * np.dot(
+                        state["coefficients"],
+                        np.exp(-(state["scaled_numerator"] / l) * padded),
+                    )
+                    for state in data["states"]
+                ]
+                np.testing.assert_allclose(
+                    rows, -inst.constraint_residuals(times), rtol=1e-12, atol=1e-15
+                )
+                cost = np.dot(data["cost_exponents"], times)
+                assert cost == inst.cost_value(times)
+                # k * t_f plus the on-duration, from the simulator's side
+                schedule = schedule_from_times(data["levels"], times)
+                assert cost == pytest.approx(
+                    evaluate_cost(schedule, data["time_weight"])[0], rel=1e-12
+                )
 
     def test_polynomial_form_consistent(self):
-        # x0*D - N = -D * (reach - x0) with D > 0 on the feasible box
+        # the README's polynomial form in a_j = exp(t_j / l), a_0 = 1, built
+        # from the `build` fields alone: x0 * D(a) - N(a) = -D * residual
+        # with D = prod_{j>=1} a_j^c > 0 for c > 0 and D = 1 otherwise; the
+        # cost monomial prod_j a_j^(e_j) is exp(cost / l)
         rng = np.random.default_rng(29)
-        system = LtiSystem(build_spectrum([(1, 2), (-3, 4)]), (1.0, -0.5))
-        spec = validate_problem(system, [0.2, 0.4], 1.0)
-        inst = sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
-        l = inst.common_denominator
-        for _ in range(20):
-            times = np.cumsum(rng.uniform(0.05, 0.4, size=inst.slot_count))
-            a = to_a(times, l)
-            for c_expr in inst.equality_constraints:
-                poly = c_expr.residual_poly(a)
-                time_form = c_expr.residual_time(times)
-                c = c_expr.scaled_numerator
-                denom = np.prod(a ** c) if c > 0 else 1.0
-                np.testing.assert_allclose(poly, -denom * time_form, rtol=1e-9)
+        for inst in self._json_instances():
+            data = inst.as_dict()["constraint_spec"]
+            l = data["common_denominator"]
+            for _ in range(5):
+                times = np.cumsum(rng.uniform(0.05, 0.4, size=inst.slot_count))
+                a = np.concatenate([[1.0], np.exp(times / l)])
+                residuals = inst.constraint_residuals(times)
+                for state, residual in zip(data["states"], residuals):
+                    c = state["scaled_numerator"]
+                    w = np.asarray(state["coefficients"], dtype=float)
+                    scale = -state["gain"] * l / c
+                    if c < 0:
+                        den = 1.0
+                        num = scale * np.dot(w, a ** (-c))
+                    else:
+                        den = np.prod(a[1:] ** c)
+                        num = scale * np.dot(w, den / a**c)
+                    poly = state["x0"] * den - num
+                    np.testing.assert_allclose(
+                        poly, -den * residual, rtol=1e-9, atol=1e-12 * den
+                    )
+                monomial = np.prod(a[1:] ** np.asarray(data["cost_exponents"]))
+                assert monomial == pytest.approx(
+                    np.exp(inst.cost_value(times) / l), rel=1e-12
+                )
 
     def test_gradient_checks(self):
         rng = np.random.default_rng(31)
@@ -293,7 +308,7 @@ class TestInstanceCallbacks:
                         fd[:, j] = (residuals(up) - residuals(dn)) / (2 * step)
                     scale = np.maximum(np.abs(analytic), 1.0)
                     assert np.max(np.abs(analytic - fd) / scale) < 1e-5
-                cg = inst.cost_gradient(times)
+                cg = np.asarray(inst.cost_exponents)
                 fdc = np.array(
                     [
                         (
@@ -306,38 +321,11 @@ class TestInstanceCallbacks:
                 )
                 assert np.max(np.abs(cg - fdc) / np.maximum(np.abs(cg), 1.0)) < 1e-5
 
-    def test_cost_positive_and_log_zero_at_ones(self):
-        rng = np.random.default_rng(37)
-        for n in (2, 3):
-            spec = make_spec(n, k=rng.uniform(0.5, 3.0))
-            for inst in build_all(spec):
-                ones = np.ones(inst.slot_count)
-                assert inst.cost.log_value_a(ones) == 0.0
-                assert inst.cost.value_a(ones) == 1.0
-                a = rng.uniform(1.0, 3.0, size=inst.slot_count)
-                a = np.maximum.accumulate(a)
-                assert inst.cost.value_a(a) > 0.0
-                # log of the monomial ratio equals the time-domain cost / l
-                times = to_times(a, inst.common_denominator)
-                np.testing.assert_allclose(
-                    inst.common_denominator * inst.cost.log_value_a(a),
-                    inst.cost_value(times),
-                    rtol=1e-12,
-                )
-
     def test_cost_kinds(self):
         spec = make_spec(2, x0=[0.6, 0.4])
         by_id = {i.instance_id: i for i in build_all(spec)}
-        assert by_id["OP1-plus"].cost.kind == "J1"
-        assert by_id["OP2-plus"].cost.kind == "J2"
-
-    def test_ordering_residuals(self):
-        spec = make_spec(2)
-        inst = build_all(spec)[0]
-        times = np.array([0.1, 0.3, 0.7])
-        np.testing.assert_allclose(
-            inst.ordering_residuals(times), [0.1, 0.2, 0.4], rtol=1e-12
-        )
+        assert by_id["OP1-plus"].as_dict()["constraint_spec"]["cost_kind"] == "J1"
+        assert by_id["OP2-plus"].as_dict()["constraint_spec"]["cost_kind"] == "J2"
 
     def test_as_dict_schema(self):
         spec = make_spec(4)

@@ -109,6 +109,42 @@ class TestSolve:
         assert code == 2
         assert "infeasible" in err.lower()
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("x0", "[NaN, 0.4]"),
+            ("x0", "[false, 0.4]"),
+            ("k", "Infinity"),
+            ("k", "NaN"),
+            ("b", "[1, Infinity]"),
+            ("b", "[1, true]"),
+        ],
+    )
+    def test_bad_number_exits_1(self, capsys, tmp_path, field, text):
+        # Python's json accepts NaN and Infinity; such data are invalid, not
+        # infeasible (exit 2 is kept for an unreachable x0)
+        data = {
+            "eigenvalues": "[[-1, 1], [-2, 1]]",
+            "b": "[1, 1]",
+            "x0": "[0.6, 0.4]",
+            "k": "1",
+            field: text,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text("{" + ", ".join(f'"{f}": {v}' for f, v in data.items()) + "}")
+        code, _, err = run(capsys, "solve", "--problem", str(bad), "--starts", "2")
+        assert code == 1
+        assert "error" in err.lower()
+
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-1"])
+    def test_bad_max_time_exits_1(self, capsys, example_problem_file, value):
+        code, _, err = run(
+            capsys, "solve", "--problem", str(example_problem_file),
+            "--starts", "2", "--max-time", value,
+        )
+        assert code == 1
+        assert "t_max" in err
+
     def test_same_seed_gives_same_bytes(self, capsys, tmp_path, example_problem_file):
         outputs = []
         for label in ("first", "second"):

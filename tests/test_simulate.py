@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from timefuel import LtiSystem, build_spectrum, validate_problem
-from timefuel.sequences import CandidateSequence, OrderTooLargeError
 from timefuel.simulate import (
     InvalidScheduleError,
     SwitchingSchedule,
     evaluate_cost,
-    grid_oracle,
+    lp_oracle,
     propagate,
     reachability_x0,
     schedule_from_times,
@@ -200,30 +199,28 @@ class TestCost:
             assert J == pytest.approx(k * s.final_time + parts_on)
 
 
-class TestGridOracle:
+class TestLpOracle:
     def test_scalar_closed_form(self):
         system = LtiSystem(build_spectrum([(-1, 1)]), (1.0,))
         spec = validate_problem(system, [0.5], 1.0)
-        seq = CandidateSequence.from_levels((-1,))
-        cost, times = grid_oracle(spec, seq, 1e-3, t_max=4.0)
+        cost = lp_oracle(spec, 4.0)
         expected = 2.0 * math.log(1.5)
         assert abs(cost - expected) / expected < 5e-3
 
     def test_reference_example_winner(self):
         system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
         spec = validate_problem(system, [0.6, 0.4], 1.0)
-        seq = CandidateSequence.from_levels((-1, 0, 1))
-        cost, _ = grid_oracle(spec, seq, 1e-3, t_max=6.0)
-        assert abs(cost - 1.8940) < 5e-3
+        assert abs(lp_oracle(spec, 6.0) - 1.8940) < 5e-3
 
-    def test_order_guard(self):
-        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1), (-3, 1)]), (1, 1, 1))
-        spec = validate_problem(system, [0.1, 0.1, 0.1], 1.0)
-        with pytest.raises(OrderTooLargeError):
-            grid_oracle(spec, CandidateSequence.from_levels((1,)), 1e-3)
+    def test_fourth_order_counterexample(self):
+        # feasible (every mode is stable) although the multi-start solver
+        # refuses it; the optimum word is -1,0,1,0,-1,0,1 at t_f ~ 1.42
+        system = LtiSystem(build_spectrum([(-i, 1) for i in range(1, 5)]), (1.0,) * 4)
+        spec = validate_problem(system, [0.2, 0.15, 0.1, 0.05], 1.0)
+        assert lp_oracle(spec, 6.0) == pytest.approx(1.9461, abs=1e-3)
 
     def test_infeasible_returns_none(self):
+        # unstable scalar mode: the reachable set is (-1, 1) at any horizon
         system = LtiSystem(build_spectrum([(1, 1)]), (1.0,))
         spec = validate_problem(system, [2.0], 1.0)
-        out = grid_oracle(spec, CandidateSequence.from_levels((0, -1)), 1e-2, t_max=5.0)
-        assert out is None
+        assert lp_oracle(spec, 5.0) is None

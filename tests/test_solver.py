@@ -7,17 +7,17 @@ import pytest
 from timefuel import LtiSystem, build_spectrum, validate_problem
 from timefuel.builder import build_all, sequence_instance
 from timefuel.sequences import CandidateSequence
-from timefuel.simulate import SwitchingSchedule, propagate
+from timefuel.simulate import SwitchingSchedule, propagate, schedule_from_times
 from timefuel.solver import (
     CONVERGED,
     INFEASIBLE,
+    KKT_TOL,
     InfeasibleProblemError,
     SolverOptions,
     _draws,
     _lm,
     _restore,
     _solve_rows,
-    decode_schedule,
     solve_nlp,
     solve_time_fuel,
 )
@@ -65,7 +65,7 @@ class TestSolveNlp:
             if sol.status != CONVERGED:
                 continue
             assert sol.constraint_residual <= OPTS.feas_tol
-            assert sol.kkt_residual <= OPTS.kkt_tol
+            assert sol.kkt_residual <= KKT_TOL
             assert sol.cost == pytest.approx(
                 inst.cost_value(np.asarray(sol.times)), rel=1e-12
             )
@@ -73,37 +73,24 @@ class TestSolveNlp:
 
 
 class TestDecodeSchedule:
-    def test_all_equal_times_empty(self, example_spec):
-        inst = sequence_instance(
-            example_spec, CandidateSequence.from_levels((0, 1, 0, -1))
-        )
-        sched = decode_schedule(inst, [0.4, 0.4, 0.4, 0.4])
+    LEVELS = (0, 1, 0, -1)
+
+    def test_all_equal_times_empty(self):
+        sched = schedule_from_times(self.LEVELS, [0.4, 0.4, 0.4, 0.4])
         assert sched == SwitchingSchedule.empty()
 
-    def test_collapse_example(self, example_spec):
-        inst = sequence_instance(
-            example_spec, CandidateSequence.from_levels((0, 1, 0, -1))
-        )
-        sched = decode_schedule(inst, [0.0, 0.3, 0.3, 0.9])
+    def test_collapse_example(self):
+        sched = schedule_from_times(self.LEVELS, [0.0, 0.3, 0.3, 0.9])
         assert sched.levels == (1, -1)
         assert sched.breakpoints == pytest.approx((0.0, 0.3, 0.9))
 
-    def test_decode_idempotent(self, example_spec):
-        inst = sequence_instance(
-            example_spec, CandidateSequence.from_levels((0, 1, 0, -1))
-        )
-        sched = decode_schedule(inst, [0.1, 0.4, 0.9, 1.5])
-        again = decode_schedule(
-            sequence_instance(example_spec, sched.sequence()),
-            sched.breakpoints[1:],
-        )
+    def test_decode_idempotent(self):
+        sched = schedule_from_times(self.LEVELS, [0.1, 0.4, 0.9, 1.5])
+        again = schedule_from_times(sched.levels, sched.breakpoints[1:])
         assert again == sched
 
-    def test_subsequence_of_template(self, example_spec):
-        inst = sequence_instance(
-            example_spec, CandidateSequence.from_levels((0, 1, 0, -1))
-        )
-        sched = decode_schedule(inst, [0.0, 0.5, 0.5, 1.0])
+    def test_subsequence_of_template(self):
+        sched = schedule_from_times(self.LEVELS, [0.0, 0.5, 0.5, 1.0])
         assert sched.levels == (1, -1)
 
 
