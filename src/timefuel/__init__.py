@@ -51,6 +51,7 @@ from .solver import (
     InfeasibleProblemError,
     LocalSolution,
     SolveReport,
+    SolverFailedError,
     SolverOptions,
     solve_nlp,
     solve_time_fuel,
@@ -69,6 +70,7 @@ __all__ = [
     "SegmentCounts",
     "SignVector",
     "SolveReport",
+    "SolverFailedError",
     "SolverOptions",
     "SwitchingSchedule",
     "Trajectory",

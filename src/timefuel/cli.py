@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
-0 success, 1 usage or validation error, 2 infeasible problem.  All outputs
+0 success, 1 usage or validation error, 2 infeasible problem (the
+fixed-horizon LP finds no transfer either), 3 solver failure (the LP finds
+a transfer, the local solves do not).  All outputs
 are deterministic for fixed inputs, flags and seed; JSON is emitted with
 sorted keys and CSV uses '.' decimals with 9 significant digits.
 """
@@ -24,10 +26,16 @@ from .sequences import (
     plus_part,
 )
 from .simulate import InvalidScheduleError, SwitchingSchedule, propagate
-from .solver import InfeasibleProblemError, SolverOptions, solve_time_fuel
+from .solver import (
+    InfeasibleProblemError,
+    SolverFailedError,
+    SolverOptions,
+    solve_time_fuel,
+)
 
 USAGE_ERROR = 1
 INFEASIBLE_EXIT = 2
+SOLVER_FAILED_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,8 +122,7 @@ def _load_schedule(path) -> SwitchingSchedule:
             'schedule file must hold {"breakpoints": [...], "levels": [...]}'
         )
     return SwitchingSchedule(
-        tuple(float(t) for t in data["breakpoints"]),
-        tuple(int(v) for v in data["levels"]),
+        tuple(float(t) for t in data["breakpoints"]), tuple(data["levels"])
     )
 
 
@@ -263,6 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return INFEASIBLE_EXIT
+    except SolverFailedError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return SOLVER_FAILED_EXIT
     except (ProblemError, InvalidScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -19,7 +19,6 @@ from scipy.optimize import linprog, minimize_scalar
 
 from .builder import EXP_CLIP
 from .model import LtiSystem, ProblemSpec
-from .sequences import CandidateSequence
 
 #: Segments shorter than this are treated as zero length when condensing.
 COLLAPSE_TOL = 1e-6
@@ -50,9 +49,12 @@ class SwitchingSchedule:
             raise InvalidScheduleError(
                 f"{len(lv)} levels for {len(bp)} breakpoints"
             )
+        if not all(math.isfinite(b) for b in bp):
+            raise InvalidScheduleError("breakpoints must be finite")
         if any(b >= a for a, b in zip(bp[1:], bp)):
             raise InvalidScheduleError("breakpoints must increase strictly")
-        if any(v not in (-1, 0, 1) for v in lv):
+        # JSON true is a Python bool, which equals 1
+        if any(v not in (-1, 0, 1) or isinstance(v, bool) for v in lv):
             raise InvalidScheduleError("levels must lie in {-1, 0, +1}")
         if any(a == b for a, b in zip(lv, lv[1:])):
             raise InvalidScheduleError("adjacent intervals must differ in level")
@@ -74,11 +76,6 @@ class SwitchingSchedule:
     @property
     def switch_count(self) -> int:
         return max(len(self.levels) - 1, 0)
-
-    def sequence(self) -> Optional[CandidateSequence]:
-        if not self.levels:
-            return None
-        return CandidateSequence.from_levels(self.levels)
 
 
 def schedule_from_times(
@@ -206,12 +203,12 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
-def _lp_cost(spec: ProblemSpec, horizon: float) -> float:
-    """k*T plus the least fuel that steers x0 to the origin at T = horizon.
+def _lp_transfer(spec: ProblemSpec, horizon: float):
+    """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
 
     The input is constant on LP_CELLS equal cells with |u| <= 1, written as
-    u = u+ - u- so that the fuel is linear.  Returns inf when no such input
-    reaches the origin at T.
+    u = u+ - u- so that the fuel is linear.  Returns (inf, None) when no
+    such input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
@@ -230,23 +227,28 @@ def _lp_cost(spec: ProblemSpec, horizon: float) -> float:
         bounds=(0.0, 1.0),
         method="highs",
     )
-    return spec.k * horizon + result.fun if result.status == 0 else math.inf
+    if result.status != 0:
+        return math.inf, None
+    return spec.k * horizon + result.fun, result.x[:LP_CELLS] - result.x[LP_CELLS:]
 
 
-def lp_oracle(spec: ProblemSpec, t_max: float) -> Optional[float]:
-    """Global reference cost from fixed-horizon linear programs, any order.
+def lp_oracle(
+    spec: ProblemSpec, t_max: float
+) -> Optional[tuple[float, float, np.ndarray]]:
+    """Global reference (cost, horizon, cell inputs) at any order.
 
     At a fixed horizon T the least-fuel transfer over inputs constant on
-    equal cells is a linear program (the L1/LP link of maximum hands-off
-    control).  The cost min_T k*T + fuel(T) comes from LP_SCAN horizons
-    evenly spaced on (0, t_max] and a bounded 1-D refinement around the
-    best one; None when no scanned horizon is feasible.  The cell grid only
-    restricts the input, so up to HiGHS's feasibility tolerance the result
-    lies above the optimum, by the discretization error.  Shares nothing
-    with the solver.
+    LP_CELLS equal cells is a linear program (the L1/LP link of maximum
+    hands-off control).  The cost min_T k*T + fuel(T) comes from LP_SCAN
+    horizons evenly spaced on (0, t_max] and a bounded 1-D refinement
+    around the best one; the inputs are those of the horizon that gave it.
+    None when no scanned horizon is feasible.  The cell grid only restricts
+    the input, so up to HiGHS's feasibility tolerance the cost lies above
+    the optimum, by the discretization error.  Shares nothing with the
+    solver.
     """
     grid = t_max * np.arange(1, LP_SCAN + 1) / LP_SCAN
-    costs = [_lp_cost(spec, horizon) for horizon in grid]
+    costs = [_lp_transfer(spec, horizon)[0] for horizon in grid]
     i = int(np.argmin(costs))
     if not math.isfinite(costs[i]):
         return None
@@ -254,8 +256,10 @@ def lp_oracle(spec: ProblemSpec, t_max: float) -> Optional[float]:
     # a penalty above every feasible cost (at most (k + 1) t_max) that falls
     # toward longer horizons, where the feasible ones lie
     refined = minimize_scalar(
-        lambda T: min(_lp_cost(spec, T), (spec.k + 2.0) * t_max - T),
+        lambda T: min(_lp_transfer(spec, T)[0], (spec.k + 2.0) * t_max - T),
         bounds=(grid[i - 1] if i else 0.0, grid[min(i + 1, LP_SCAN - 1)]),
         method="bounded",
     )
-    return float(min(costs[i], refined.fun))
+    horizon = float(refined.x if refined.fun < costs[i] else grid[i])
+    cost, inputs = _lp_transfer(spec, horizon)
+    return cost, horizon, inputs

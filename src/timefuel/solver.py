@@ -5,13 +5,16 @@ cumulative sums are the switching times, so ordering holds by construction)
 in three phases: a projected Levenberg-Marquardt restoration onto the
 reachability manifold, an augmented-Lagrangian descent with L-BFGS-B inner
 iterations and warm-started multipliers, and an active-set Newton polish of
-the KKT system.  Restoration handles all starts of a program as one stack on
-the fused reach/Jacobian kernel; its continuation walks run speculatively as
-one stack, and the rule that only the first three failed starts may use a
-walk is then replayed in start order.  Every row gives the bits it would
-give alone, so reports match a start-by-start run.  The later phases run per
-start.  Aggregation re-simulates every converged solution before trusting
-it and is bitwise reproducible for a fixed seed.
+the KKT system, with an SQP rescue for starts that stall near the manifold.
+Restoration handles all starts of a program as one stack on the fused
+reach/Jacobian kernel; every row gives the bits it would give alone.  The
+later phases run per start.  Aggregation re-simulates every converged
+solution before trusting it and is bitwise reproducible for a fixed seed.
+
+When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
+decides: with no feasible horizon the problem is infeasible; otherwise its
+input, rounded to a level word, seeds one more start of every program that
+contains the word, and a miss there is a solver failure, not infeasibility.
 """
 
 from __future__ import annotations
@@ -19,16 +22,17 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .builder import NlpInstance, build_all
+from .builder import NlpInstance, SignVector, build_all, build_nlp, fixed_template
 from .model import ProblemSpec
 from .simulate import (
     SwitchingSchedule,
     evaluate_cost,
+    lp_oracle,
     propagate,
     schedule_from_times,
 )
@@ -50,8 +54,11 @@ _ACTIVE_EPS = 1e-9
 
 
 class InfeasibleProblemError(RuntimeError):
-    """No program produced a verified transfer; x0 may be outside the
-    reachable set, or the start budget was too small."""
+    """No verified transfer, and no fixed-horizon LP transfer within the time box."""
+
+
+class SolverFailedError(RuntimeError):
+    """No verified transfer, although the fixed-horizon LP reaches the origin."""
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,10 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray):
         return step, singular
 
 
-def _lm(instance, gaps, t_max, shift, max_iter=150, tol=1e-12):
-    """Projected Levenberg-Marquardt on || reach(t) - x0 + shift ||, per row.
+def _lm(instance, gaps, t_max, max_iter=150):
+    """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
 
-    gaps (m, K) and shift (m, n) stack independent runs.  Each row keeps its
+    The rows of gaps (m, K) are independent runs.  Each row keeps its
     own damping and counters: an iteration opens with the tolerance check,
     tries at most 40 damped steps, and the run ends when an iteration finds
     no improvement or the damping passes 1e16 (a singular system only
@@ -206,7 +213,6 @@ def _lm(instance, gaps, t_max, shift, max_iter=150, tol=1e-12):
     m, K = gaps.shape
     gaps = gaps.copy()
     c, J = _eval(instance, gaps)
-    c = c + shift
     f = _half_sq(c)
     nu = np.full(m, 1e-3)
     iters = np.zeros(m, dtype=int)
@@ -215,7 +221,7 @@ def _lm(instance, gaps, t_max, shift, max_iter=150, tol=1e-12):
     eye = np.eye(K)
     while True:
         opening = live & (attempts == 0)
-        stop = (iters >= max_iter) | (np.max(np.abs(c), axis=1) <= tol)
+        stop = (iters >= max_iter) | (np.max(np.abs(c), axis=1) <= 1e-12)
         live &= ~(opening & stop)
         idx = np.flatnonzero(live)
         if idx.size == 0:
@@ -230,7 +236,6 @@ def _lm(instance, gaps, t_max, shift, max_iter=150, tol=1e-12):
         tried = idx[~singular]
         trial = np.clip(gaps[tried] + step[~singular], 0.0, t_max)
         ct, Jt = _eval(instance, trial)
-        ct = ct + shift[tried]
         ft = _half_sq(ct)
         better = ft < f[tried]
         took = tried[better]
@@ -245,82 +250,22 @@ def _lm(instance, gaps, t_max, shift, max_iter=150, tol=1e-12):
         live[attempts >= 40] = False
 
 
-def _restore(instance, draws, t_max, max_iter=150, tol=1e-12):
+def _restore(instance, draws, t_max):
     """Pull every start of a program onto the reachability manifold at once.
 
     Draws can land dozens of time constants out where the residual is
     astronomically large and Newton steps barely move, so each gap vector is
     first shrunk geometrically to its best overall scale (the first of 61
-    scales 0.7^k with the least residual), then restored by plain LM.  When
-    plain LM stalls in a nearby local residual minimum, a continuation walk
-    moves the target from a reachable fraction of x0 up to x0 itself with
-    warm starts; far-off stalls usually mean the program cannot reach x0 at
-    all and are left as they are.  All rows run as one stack.
-
-    Returns the plain restoration (gaps (m, K), residuals (m, n)) of every
-    row and, for each row whose walk reached x0, its (gaps, residuals).
-    Whether a walk is used is the caller's decision; a walk depends only on
-    its own draw.
+    scales 0.7^k with the least residual), then restored by plain LM.  All
+    rows run as one stack.  Returns gaps (m, K) and residuals (m, n).
     """
     m, K = draws.shape
-    scales = [1.0]
-    for _ in range(60):
-        scales.append(scales[-1] * 0.7)
-    scales = np.array(scales)
+    scales = np.cumprod(np.r_[1.0, np.full(60, 0.7)])
     shrunk = (scales[None, :, None] * draws[:, None, :]).reshape(-1, K)
     c, _ = _eval(instance, shrunk, jacobian=False)
     norms = np.max(np.abs(c), axis=1).reshape(m, len(scales))
     gaps = scales[np.argmin(norms, axis=1)][:, None] * draws
-    x0 = instance._x0
-    scale = max(1.0, float(np.max(np.abs(x0))))
-    gaps, c = _lm(instance, gaps, t_max, np.zeros((m, len(x0))), max_iter, tol)
-    stall = np.max(np.abs(c), axis=1)
-    rows = np.flatnonzero((stall > 1e-8 * scale) & (stall <= 0.3 * scale))
-    return gaps, c, _walk(instance, draws[rows], rows, t_max, scale, tol)
-
-
-def _walk(instance, draws, rows, t_max, scale, tol):
-    """Continuation walks of the target reach = theta * x0 up to theta = 1.
-
-    Each walk is seeded with its draw's structure rescaled to a fraction of
-    the slowest time constant (a degenerate all-equal-times seed has a
-    rank-1 Jacobian) and keeps its own theta and step.  Returns
-    {rows[i]: (gaps, residuals)} for the walks that reached theta = 1.
-    """
-    x0 = instance._x0
-    slowest = instance.common_denominator / min(
-        abs(s) for s in instance.scaled_numerators
-    )
-    total = np.sum(draws, axis=1)
-    factor = np.divide(0.3 * slowest, total, out=np.ones_like(total), where=total > 0)
-    g = draws * factor[:, None]
-    theta = np.zeros(len(rows))
-    step = np.full(len(rows), 0.5)
-    live = np.ones(len(rows), dtype=bool)
-    reached = {}
-    for _ in range(24):
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        trial_theta = np.minimum(1.0, theta[idx] + step[idx])
-        shift = (1.0 - trial_theta)[:, None] * x0
-        g_t, c_t = _lm(instance, g[idx], t_max, shift, max_iter=100, tol=tol)
-        res = np.max(np.abs(c_t), axis=1)
-        ok = res <= 1e-9 * scale
-        # near the path: keep the progress, retry smaller
-        keep = ok | (res <= 1e-2 * scale)
-        g[idx[keep]] = g_t[keep]
-        theta[idx[ok]] = trial_theta[ok]
-        done = ok & (trial_theta >= 1.0)
-        for j in np.flatnonzero(done):
-            reached[int(rows[idx[j]])] = (g_t[j], c_t[j])
-        up = idx[ok & ~done]
-        step[up] = np.minimum(2.0 * step[up], 1.0 - theta[up])
-        down = idx[~ok]
-        step[down] *= 0.5
-        live[idx[done]] = False
-        live[down[step[down] < 2e-3]] = False
-    return reached
+    return _lm(instance, gaps, t_max)
 
 
 def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -442,102 +387,71 @@ def _draws(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.nd
     )
 
 
-def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
-    """Best local solution of one program over the deterministic starts."""
+def _descend(instance, options, t_max, gaps, c) -> tuple:
+    """One restored start through descent, polish and the SQP rescue; the
+    record (status, cost, times, feasibility, KKT residual)."""
     w = instance.gap_weights
-    t_max = options.horizon(instance)
-    bounds = [(0.0, t_max)] * instance.slot_count
-    best: Optional[tuple] = None
-
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
-    restored, residuals, walks = _restore(
-        instance, _draws(instance, options, t_max), t_max
-    )
-    # replay the starts in order: a start may use its continuation walk only
-    # while fewer than three earlier starts have failed restoration
-    rescue_failures = 0
-    for start in range(options.starts):
-        if start in walks and rescue_failures < 3:
-            gaps, c = walks[start]
-        else:
-            gaps, c = restored[start], residuals[start]
-        if np.max(np.abs(c)) > 1e-6 * x0_scale:
-            rescue_failures += 1
-            record = (
-                INFEASIBLE,
-                float(w @ gaps),
-                np.cumsum(gaps),
-                float(np.max(np.abs(c))),
-                float("inf"),
-            )
-        else:
-            _, J = _eval1(instance, gaps)
-            mult = _ls_multipliers(J, w, gaps)
-            mu = 1e3 * max(1.0, float(np.max(w)))
-            eta = 1e-4
-            gtol = 1e-9
-            budget = MAX_ITERATIONS
-            for _outer in range(15):
-                def augmented(g):
-                    c, J = _eval1(instance, g)
-                    shifted = mult + mu * c
-                    value = float(w @ g + mult @ c + 0.5 * mu * (c @ c))
-                    return value, w + J.T @ shifted
+    feas = float(np.max(np.abs(c)))
+    if feas > 1e-6 * x0_scale:
+        return INFEASIBLE, float(w @ gaps), np.cumsum(gaps), feas, float("inf")
+    bounds = [(0.0, t_max)] * instance.slot_count
+    _, J = _eval1(instance, gaps)
+    mult = _ls_multipliers(J, w, gaps)
+    mu = 1e3 * max(1.0, float(np.max(w)))
+    eta = 1e-4
+    gtol = 1e-9
+    budget = MAX_ITERATIONS
+    for _outer in range(15):
+        def augmented(g):
+            c, J = _eval1(instance, g)
+            shifted = mult + mu * c
+            value = float(w @ g + mult @ c + 0.5 * mu * (c @ c))
+            return value, w + J.T @ shifted
 
-                result = minimize(
-                    augmented,
-                    gaps,
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={
-                        "maxiter": min(250, budget),
-                        "ftol": 1e-18,
-                        "gtol": gtol,
-                    },
-                )
-                gaps = result.x
-                budget -= result.nit
-                c, J = _eval1(instance, gaps)
-                feas = float(np.max(np.abs(c)))
-                if feas <= eta:
-                    mult = mult + mu * c
-                    eta = max(eta * 0.1, 1e-10)
-                    gtol = max(gtol * 0.2, 1e-12)
-                else:
-                    mu = min(mu * 10.0, 1e12)
-                if feas <= 1e-8 or budget <= 0:
-                    break
-            gaps, mult, feas, kkt = _polish(
-                instance, w, gaps, mult, t_max, options.feas_tol
-            )
+        result = minimize(
+            augmented,
+            gaps,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": min(250, budget), "ftol": 1e-18, "gtol": gtol},
+        )
+        gaps = result.x
+        budget -= result.nit
+        c, J = _eval1(instance, gaps)
+        feas = float(np.max(np.abs(c)))
+        if feas <= eta:
+            mult = mult + mu * c
+            eta = max(eta * 0.1, 1e-10)
+            gtol = max(gtol * 0.2, 1e-12)
+        else:
+            mu = min(mu * 10.0, 1e12)
+        if feas <= 1e-8 or budget <= 0:
+            break
+    gaps, mult, feas, kkt = _polish(instance, w, gaps, mult, t_max, options.feas_tol)
+    converged = feas <= options.feas_tol and kkt <= KKT_TOL
+    if not converged and feas <= 1e-2 * x0_scale:
+        # near the manifold but stalled: the penalty valley of stiff
+        # instances can defeat the quasi-Newton inner loop, so hand the
+        # start to an SQP step
+        alt = _slsqp(instance, gaps, t_max, w)
+        _, J_alt = _eval1(instance, alt)
+        alt_mult = _ls_multipliers(J_alt, w, alt)
+        alt, alt_mult, feas_a, kkt_a = _polish(
+            instance, w, alt, alt_mult, t_max, options.feas_tol
+        )
+        if (feas_a <= options.feas_tol and kkt_a <= KKT_TOL) or (
+            feas_a + kkt_a < feas + kkt
+        ):
+            gaps, mult, feas, kkt = alt, alt_mult, feas_a, kkt_a
             converged = feas <= options.feas_tol and kkt <= KKT_TOL
-            if not converged and feas <= 1e-2 * x0_scale:
-                # near the manifold but stalled: the penalty valley of stiff
-                # instances can defeat the quasi-Newton inner loop, so hand
-                # the start to an SQP step
-                alt = _slsqp(instance, gaps, t_max, w)
-                _, J_alt = _eval1(instance, alt)
-                alt_mult = _ls_multipliers(J_alt, w, alt)
-                alt, alt_mult, feas_a, kkt_a = _polish(
-                    instance, w, alt, alt_mult, t_max, options.feas_tol
-                )
-                if (feas_a <= options.feas_tol and kkt_a <= KKT_TOL) or (
-                    feas_a + kkt_a < feas + kkt
-                ):
-                    gaps, mult, feas, kkt = alt, alt_mult, feas_a, kkt_a
-                    converged = feas <= options.feas_tol and kkt <= KKT_TOL
-            record = (
-                CONVERGED if converged else ITERATION_LIMIT,
-                float(w @ gaps),
-                np.cumsum(gaps),
-                feas,
-                kkt,
-            )
-        if best is None or _record_key(record) < _record_key(best):
-            best = record
+    status = CONVERGED if converged else ITERATION_LIMIT
+    return status, float(w @ gaps), np.cumsum(gaps), feas, kkt
 
-    status, cost, times, feas, kkt = best
+
+def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
+    status, _cost, times, feas, kkt = record
     return LocalSolution(
         instance_id=instance.instance_id,
         times=tuple(float(t) for t in times),
@@ -548,10 +462,79 @@ def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
     )
 
 
+def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
+    """Best local solution of one program over the deterministic starts."""
+    t_max = options.horizon(instance)
+    restored, residuals = _restore(instance, _draws(instance, options, t_max), t_max)
+    records = [
+        _descend(instance, options, t_max, g, c) for g, c in zip(restored, residuals)
+    ]
+    return _solution(instance, min(records, key=_record_key))
+
+
 def _record_key(record):
     status, cost, _times, feas, _kkt = record
     # converged beats everything, then lowest cost; otherwise lowest residual
+    # (min keeps the first start of a tie)
     return (status != CONVERGED, cost if status == CONVERGED else feas)
+
+
+def _lp_word(inputs: np.ndarray, horizon: float) -> SwitchingSchedule:
+    """The LP's cell inputs rounded to {-1, 0, 1} and condensed."""
+    ends = horizon * np.arange(1, len(inputs) + 1) / len(inputs)
+    return schedule_from_times([int(v) for v in np.rint(inputs)], ends)
+
+
+def _slots(levels: Sequence[int], word: Sequence[int]) -> Optional[list[int]]:
+    """Template slots that carry the word, each segment in the first
+    matching slot after the previous one; None when the word does not fit."""
+    free = iter(range(len(levels)))
+    slots = [next((j for j in free if levels[j] == level), None) for level in word]
+    return None if None in slots else slots
+
+
+def _lp_seeded(spec, instances, solutions, word, options, t_max):
+    """Solutions after one more start, with the word's durations in the
+    matching slots and gap 0 elsewhere, of each program that contains it.
+
+    The seed is far off the manifold in reach coordinates, where the shrink
+    of `_restore` would discard it, so plain LM restores it on the word's
+    own program: LM in the template would lift the empty slots to tiny gaps
+    that the polish then treats as free.  A solution is replaced when its
+    seeded start converges.
+    """
+    template = fixed_template(word.levels, spec.order)
+    program = build_nlp(spec, template, SignVector((), template.variant))
+    seed, c = _lm(program, word.durations[None, :], t_max)
+    out = []
+    for inst, sol in zip(instances, solutions):
+        slots = _slots(inst.levels, word.levels)
+        if slots is not None:
+            gaps = np.zeros(inst.slot_count)
+            gaps[slots] = seed[0]
+            record = _descend(inst, options, t_max, gaps, c[0])
+            if record[0] == CONVERGED:
+                sol = _solution(inst, record)
+        out.append(sol)
+    return out
+
+
+def _verified(spec, instances, solutions, options):
+    """(cost, switches, final time, id, schedule) of every converged
+    solution whose schedule, propagated from x0, lands on the origin."""
+    verified = []
+    for inst, sol in zip(instances, solutions):
+        if sol.status != CONVERGED:
+            continue
+        schedule = schedule_from_times(inst.levels, sol.times)
+        terminal = propagate(spec.system, spec.x0, schedule).terminal_state
+        if float(np.max(np.abs(terminal), initial=0.0)) > 10.0 * options.feas_tol:
+            continue
+        cost, _on, _sp = evaluate_cost(schedule, spec.k)
+        verified.append(
+            (cost, schedule.switch_count, schedule.final_time, inst.instance_id, schedule)
+        )
+    return verified
 
 
 def solve_time_fuel(
@@ -563,39 +546,39 @@ def solve_time_fuel(
     A converged program only competes after its decoded schedule, propagated
     from x0, lands on the origin within 10x the feasibility tolerance.  Cost
     ties are broken by fewer switchings, then smaller final time, then id.
+    When none verifies, the fixed-horizon LP decides between infeasibility
+    and one more start seeded from its input (see the module docstring).
     """
-    instances = build_all(spec)
+    instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     solutions = [solve_nlp(i, options) for i in instances]
-    order = sorted(range(len(instances)), key=lambda i: instances[i].instance_id)
-    instances = [instances[i] for i in order]
-    solutions = [solutions[i] for i in order]
-
-    verified: list[tuple[float, int, float, str, SwitchingSchedule]] = []
-    best_residual = float("inf")
-    for inst, sol in zip(instances, solutions):
-        best_residual = min(best_residual, sol.constraint_residual)
-        if sol.status != CONVERGED:
-            continue
-        schedule = schedule_from_times(inst.levels, sol.times)
-        terminal = propagate(spec.system, spec.x0, schedule).terminal_state
-        if float(np.max(np.abs(terminal), initial=0.0)) > 10.0 * options.feas_tol:
-            continue
-        cost, _on, _sp = evaluate_cost(schedule, spec.k)
-        verified.append(
-            (cost, schedule.switch_count, schedule.final_time, inst.instance_id, schedule)
-        )
+    verified = _verified(spec, instances, solutions, options)
     if not verified:
-        raise InfeasibleProblemError(
-            "no program converged and verified: x0 may be outside the "
-            f"reachable set (best constraint residual {best_residual:.3e}); "
-            "raising `starts` may help if the problem is feasible"
-        )
+        residual = min(s.constraint_residual for s in solutions)
+        t_max = options.horizon(instances[0])
+        lp = lp_oracle(spec, t_max)
+        refusal = f"no program verified (best constraint residual {residual:.3e})"
+        if lp is None:
+            raise InfeasibleProblemError(
+                f"{refusal}, and the fixed-horizon LP found no input reaching "
+                f"the origin within t_max = {t_max:.6g}"
+            )
+        lp_cost, horizon, inputs = lp
+        word = _lp_word(inputs, horizon)
+        if word.levels:
+            solutions = _lp_seeded(spec, instances, solutions, word, options, t_max)
+        verified = _verified(spec, instances, solutions, options)
+        if not verified:
+            raise SolverFailedError(
+                f"{refusal}, although the fixed-horizon LP reaches the origin at "
+                f"cost {lp_cost:.6f} (t_f {horizon:.6g}, word "
+                f"{','.join(map(str, word.levels))}); raising `starts` may help"
+            )
     min_cost = min(v[0] for v in verified)
     ties = sorted(
         (v for v in verified if v[0] <= min_cost * (1.0 + TIE_REL_TOL) + 1e-300),
         key=lambda v: (v[1], v[2], v[3]),
     )
-    cost, _switches, final_time, instance_id, schedule = ties[0]
+    *_, instance_id, schedule = ties[0]
     cost, on, sparsity = evaluate_cost(schedule, spec.k)
     best = BestSolution(
         instance_id=instance_id,

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from timefuel import cli
 from timefuel.cli import main
+from timefuel.solver import SolverFailedError
 
 
 def run(capsys, *argv):
@@ -109,6 +111,19 @@ class TestSolve:
         assert code == 2
         assert "infeasible" in err.lower()
 
+    def test_solver_failure_exits_3(self, capsys, monkeypatch, example_problem_file):
+        # a refusal that the LP contradicts is not reported as infeasible
+        def fail(spec, options):
+            raise SolverFailedError("the LP reaches the origin at cost 1.946168")
+
+        monkeypatch.setattr(cli, "solve_time_fuel", fail)
+        code, out, err = run(
+            capsys, "solve", "--problem", str(example_problem_file), "--starts", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "solver failed" in err and "1.946168" in err
+
     @pytest.mark.parametrize(
         "field, text",
         [
@@ -206,10 +221,33 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[0] == "t,x1,x2,u"
 
-    def test_bad_schedule_exits_1(self, capsys, tmp_path, example_problem_file):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"breakpoints": [0.0, 1.0]}',
+            '{"breakpoints": [0.0, NaN], "levels": [1]}',
+            '{"breakpoints": [0.0, Infinity], "levels": [1]}',
+            '{"breakpoints": [0.0, 1.0, NaN], "levels": [1, -1]}',
+            '{"breakpoints": [0.0, 1.0, 2.0], "levels": [0.6, 1]}',
+            '{"breakpoints": [0.0, 1.0], "levels": [-1.9]}',
+            '{"breakpoints": [0.0, 1.0], "levels": [true]}',
+        ],
+        ids=[
+            "missing-levels",
+            "nan-breakpoint",
+            "infinite-breakpoint",
+            "nan-inner-breakpoint",
+            "fractional-level",
+            "negative-fractional-level",
+            "boolean-level",
+        ],
+    )
+    def test_bad_schedule_exits_1(self, capsys, tmp_path, example_problem_file, text):
+        # Python's json reads NaN, Infinity and true; none is a valid
+        # breakpoint or level, and a fractional level is not truncated
         sched = tmp_path / "sched.json"
-        sched.write_text(json.dumps({"breakpoints": [0.0, 1.0]}))
-        code, _, err = run(
+        sched.write_text(text)
+        code, out, err = run(
             capsys,
             "simulate",
             "--problem",
@@ -218,6 +256,8 @@ class TestSimulate:
             str(sched),
         )
         assert code == 1
+        assert out == ""
+        assert "error" in err.lower()
 
 
 class TestTable:

@@ -5,6 +5,7 @@ import pytest
 
 from timefuel import LtiSystem, build_spectrum, validate_problem
 from timefuel.simulate import (
+    LP_CELLS,
     InvalidScheduleError,
     SwitchingSchedule,
     evaluate_cost,
@@ -13,6 +14,7 @@ from timefuel.simulate import (
     reachability_x0,
     schedule_from_times,
 )
+from timefuel.solver import _lp_word
 
 from conftest import random_schedule, random_system
 
@@ -203,21 +205,31 @@ class TestLpOracle:
     def test_scalar_closed_form(self):
         system = LtiSystem(build_spectrum([(-1, 1)]), (1.0,))
         spec = validate_problem(system, [0.5], 1.0)
-        cost = lp_oracle(spec, 4.0)
+        cost, _horizon, _inputs = lp_oracle(spec, 4.0)
         expected = 2.0 * math.log(1.5)
         assert abs(cost - expected) / expected < 5e-3
 
     def test_reference_example_winner(self):
         system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
         spec = validate_problem(system, [0.6, 0.4], 1.0)
-        assert abs(lp_oracle(spec, 6.0) - 1.8940) < 5e-3
+        assert abs(lp_oracle(spec, 6.0)[0] - 1.8940) < 5e-3
 
     def test_fourth_order_counterexample(self):
-        # feasible (every mode is stable) although the multi-start solver
-        # refuses it; the optimum word is -1,0,1,0,-1,0,1 at t_f ~ 1.42
+        # feasible (every mode is stable) although every start of the
+        # multi-start stalls on it; the optimum word is -1,0,1,0,-1,0,1 at
+        # t_f ~ 1.42
         system = LtiSystem(build_spectrum([(-i, 1) for i in range(1, 5)]), (1.0,) * 4)
         spec = validate_problem(system, [0.2, 0.15, 0.1, 0.05], 1.0)
-        assert lp_oracle(spec, 6.0) == pytest.approx(1.9461, abs=1e-3)
+        cost, horizon, inputs = lp_oracle(spec, 6.0)
+        assert cost == pytest.approx(1.9461, abs=1e-3)
+        # the inputs of the best horizon give the cost, and rounded cell by
+        # cell they condense to the optimum word
+        assert inputs.shape == (LP_CELLS,) and np.all(np.abs(inputs) <= 1.0 + 1e-9)
+        fuel = horizon / LP_CELLS * np.sum(np.abs(inputs))
+        assert spec.k * horizon + fuel == pytest.approx(cost, rel=1e-7)
+        word = _lp_word(inputs, horizon)
+        assert word.levels == (-1, 0, 1, 0, -1, 0, 1)
+        assert word.final_time == pytest.approx(horizon)
 
     def test_infeasible_returns_none(self):
         # unstable scalar mode: the reachable set is (-1, 1) at any horizon
