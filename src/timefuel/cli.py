@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
-0 success, 1 usage or validation error, 2 infeasible problem (the
+0 success, 1 usage, validation or file error, 2 infeasible problem (the
 fixed-horizon LP finds no transfer either), 3 solver failure (the LP finds
 a transfer, the local solves do not).  All outputs
 are deterministic for fixed inputs, flags and seed; JSON is emitted with
@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .builder import build_all
-from .model import ProblemError, load_problem
+from .model import _is_number, load_problem
 from .sequences import (
     brute_force_candidates,
     count_all_candidates,
@@ -117,9 +117,15 @@ def cmd_solve(args) -> int:
 def _load_schedule(path) -> SwitchingSchedule:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or set(data) != {"breakpoints", "levels"}:
+    if (
+        not isinstance(data, dict)
+        or set(data) != {"breakpoints", "levels"}
+        or not isinstance(data["levels"], list)
+        or not isinstance(data["breakpoints"], list)
+        or not all(_is_number(t) for t in data["breakpoints"])
+    ):
         raise InvalidScheduleError(
-            'schedule file must hold {"breakpoints": [...], "levels": [...]}'
+            'schedule file must hold {"breakpoints": [numbers], "levels": [...]}'
         )
     return SwitchingSchedule(
         tuple(float(t) for t in data["breakpoints"]), tuple(data["levels"])
@@ -273,10 +279,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverFailedError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return SOLVER_FAILED_EXIT
-    except (ProblemError, InvalidScheduleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:
+        # ProblemError and InvalidScheduleError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,13 +2,12 @@
 
 Each program is solved in gap coordinates (nonnegative segment lengths whose
 cumulative sums are the switching times, so ordering holds by construction)
-in three phases: a projected Levenberg-Marquardt restoration onto the
-reachability manifold, an augmented-Lagrangian descent with L-BFGS-B inner
-iterations and warm-started multipliers, and an active-set Newton polish of
-the KKT system, with an SQP rescue for starts that stall near the manifold.
-Restoration handles all starts of a program as one stack on the fused
-reach/Jacobian kernel; every row gives the bits it would give alone.  The
-later phases run per start.  Aggregation re-simulates every converged
+in two phases: a projected Levenberg-Marquardt restoration onto the
+reachability manifold, then up to `SQP_ROUNDS` rounds of SLSQP followed by
+an active-set Newton polish of the KKT system, each round starting from the
+previous polish.  Restoration handles all starts of a program as one stack
+on the fused reach/Jacobian kernel; every row gives the bits it would give
+alone.  The rounds run per start.  Aggregation re-simulates every converged
 solution before trusting it and is bitwise reproducible for a fixed seed.
 
 When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
@@ -44,8 +43,8 @@ ITERATION_LIMIT = "iteration_limit"
 #: Cost ratio under which two verified solutions count as the same optimum.
 TIE_REL_TOL = 1e-6
 
-#: L-BFGS-B iteration budget of one start's augmented-Lagrangian loop.
-MAX_ITERATIONS = 500
+#: SLSQP-and-polish rounds one start gets before it counts as stalled.
+SQP_ROUNDS = 3
 
 #: Projected KKT residual a converged program must reach.
 KKT_TOL = 1e-8
@@ -345,8 +344,8 @@ def _polish(instance, w, gaps, mult, t_max, feas_tol):
     return gaps, mult, feas, kkt
 
 
-def _slsqp(instance, gaps, t_max, w, max_iter=400):
-    """Sequential quadratic programming fallback for stiff instances."""
+def _slsqp(instance, gaps, t_max, w):
+    """SLSQP on min w . gaps subject to reach(gaps) = x0 within the box."""
     try:
         result = minimize(
             lambda g: float(w @ g),
@@ -361,7 +360,7 @@ def _slsqp(instance, gaps, t_max, w, max_iter=400):
                     "jac": lambda g: _eval1(instance, g)[1],
                 }
             ],
-            options={"maxiter": max_iter, "ftol": 1e-14},
+            options={"maxiter": 400, "ftol": 1e-14},
         )
     except (ValueError, np.linalg.LinAlgError):
         return gaps
@@ -388,65 +387,24 @@ def _draws(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.nd
 
 
 def _descend(instance, options, t_max, gaps, c) -> tuple:
-    """One restored start through descent, polish and the SQP rescue; the
-    record (status, cost, times, feasibility, KKT residual)."""
+    """One restored start through at most `SQP_ROUNDS` rounds of SLSQP and
+    Newton polish; the record (status, cost, times, feasibility, KKT
+    residual).  A round that ends short of the tolerances hands the
+    polished point to the next one."""
     w = instance.gap_weights
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
     if feas > 1e-6 * x0_scale:
         return INFEASIBLE, float(w @ gaps), np.cumsum(gaps), feas, float("inf")
-    bounds = [(0.0, t_max)] * instance.slot_count
-    _, J = _eval1(instance, gaps)
-    mult = _ls_multipliers(J, w, gaps)
-    mu = 1e3 * max(1.0, float(np.max(w)))
-    eta = 1e-4
-    gtol = 1e-9
-    budget = MAX_ITERATIONS
-    for _outer in range(15):
-        def augmented(g):
-            c, J = _eval1(instance, g)
-            shifted = mult + mu * c
-            value = float(w @ g + mult @ c + 0.5 * mu * (c @ c))
-            return value, w + J.T @ shifted
-
-        result = minimize(
-            augmented,
-            gaps,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": min(250, budget), "ftol": 1e-18, "gtol": gtol},
-        )
-        gaps = result.x
-        budget -= result.nit
-        c, J = _eval1(instance, gaps)
-        feas = float(np.max(np.abs(c)))
-        if feas <= eta:
-            mult = mult + mu * c
-            eta = max(eta * 0.1, 1e-10)
-            gtol = max(gtol * 0.2, 1e-12)
-        else:
-            mu = min(mu * 10.0, 1e12)
-        if feas <= 1e-8 or budget <= 0:
+    status = ITERATION_LIMIT
+    for _round in range(SQP_ROUNDS):
+        gaps = _slsqp(instance, gaps, t_max, w)
+        _, J = _eval1(instance, gaps)
+        mult = _ls_multipliers(J, w, gaps)
+        gaps, mult, feas, kkt = _polish(instance, w, gaps, mult, t_max, options.feas_tol)
+        if feas <= options.feas_tol and kkt <= KKT_TOL:
+            status = CONVERGED
             break
-    gaps, mult, feas, kkt = _polish(instance, w, gaps, mult, t_max, options.feas_tol)
-    converged = feas <= options.feas_tol and kkt <= KKT_TOL
-    if not converged and feas <= 1e-2 * x0_scale:
-        # near the manifold but stalled: the penalty valley of stiff
-        # instances can defeat the quasi-Newton inner loop, so hand the
-        # start to an SQP step
-        alt = _slsqp(instance, gaps, t_max, w)
-        _, J_alt = _eval1(instance, alt)
-        alt_mult = _ls_multipliers(J_alt, w, alt)
-        alt, alt_mult, feas_a, kkt_a = _polish(
-            instance, w, alt, alt_mult, t_max, options.feas_tol
-        )
-        if (feas_a <= options.feas_tol and kkt_a <= KKT_TOL) or (
-            feas_a + kkt_a < feas + kkt
-        ):
-            gaps, mult, feas, kkt = alt, alt_mult, feas_a, kkt_a
-            converged = feas <= options.feas_tol and kkt <= KKT_TOL
-    status = CONVERGED if converged else ITERATION_LIMIT
     return status, float(w @ gaps), np.cumsum(gaps), feas, kkt
 
 

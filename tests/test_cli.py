@@ -111,6 +111,13 @@ class TestSolve:
         assert code == 2
         assert "infeasible" in err.lower()
 
+    def test_directory_as_problem_exits_1(self, capsys, tmp_path):
+        # an OSError other than a missing file is an input error too
+        code, out, err = run(capsys, "solve", "--problem", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_solver_failure_exits_3(self, capsys, monkeypatch, example_problem_file):
         # a refusal that the LP contradicts is not reported as infeasible
         def fail(spec, options):
@@ -231,6 +238,8 @@ class TestSimulate:
             '{"breakpoints": [0.0, 1.0, 2.0], "levels": [0.6, 1]}',
             '{"breakpoints": [0.0, 1.0], "levels": [-1.9]}',
             '{"breakpoints": [0.0, 1.0], "levels": [true]}',
+            '{"breakpoints": [0.0, 1.0], "levels": 5}',
+            '{"breakpoints": [0.0, null], "levels": [1]}',
         ],
         ids=[
             "missing-levels",
@@ -240,6 +249,8 @@ class TestSimulate:
             "fractional-level",
             "negative-fractional-level",
             "boolean-level",
+            "non-list-levels",
+            "null-breakpoint",
         ],
     )
     def test_bad_schedule_exits_1(self, capsys, tmp_path, example_problem_file, text):
