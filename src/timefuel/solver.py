@@ -5,15 +5,16 @@ cumulative sums are the switching times, so ordering holds by construction)
 in two phases: a projected Levenberg-Marquardt restoration onto the
 reachability manifold, then up to `SQP_ROUNDS` rounds of SLSQP followed by
 an active-set Newton polish of the KKT system, each round starting from the
-previous polish.  Restoration handles all starts of a program as one stack
+previous polish.  `solve_nlp` restores all starts of a program as one stack
 on the fused reach/Jacobian kernel; every row gives the bits it would give
 alone.  The rounds run per start.  Aggregation re-simulates every converged
 solution before trusting it and is bitwise reproducible for a fixed seed.
 
 When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
 decides: with no feasible horizon the problem is infeasible; otherwise its
-input, rounded to a level word, seeds one more start of every program that
-contains the word, and a miss there is a solver failure, not infeasibility.
+input, rounded to a level word, is one more start, through `solve_nlp`, of
+every program that contains the word, and a miss there is a solver failure,
+not infeasibility.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 
-from .builder import NlpInstance, SignVector, build_all, build_nlp, fixed_template
+from .builder import NlpInstance, build_all
 from .model import ProblemSpec
 from .simulate import (
     SwitchingSchedule,
@@ -150,17 +151,8 @@ class SolveReport:
 
 
 def _gap_jacobian(time_jac: np.ndarray) -> np.ndarray:
-    # chain rule through t_j = sum_{m <= j} gap_m: reverse cumulative sum.
-    # The result is a reversed view of a C-ordered array.  matmul on it runs
-    # numpy's own loop, not BLAS, which rounds J^T J differently from 12
-    # slots up; reports depend on those bits, so row selections keep the
-    # layout through `_rows`.
+    # chain rule through t_j = sum_{m <= j} gap_m: reverse cumulative sum
     return np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
-
-
-def _rows(J: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows idx of a gap-Jacobian stack, in `_gap_jacobian`'s memory layout."""
-    return J[..., ::-1][idx][..., ::-1]
 
 
 def _eval(instance: NlpInstance, gaps: np.ndarray, jacobian: bool = True):
@@ -225,7 +217,7 @@ def _lm(instance, gaps, t_max, max_iter=150):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             return gaps, c
-        Ji = _rows(J, idx)
+        Ji = J[idx]
         JT = Ji.transpose(0, 2, 1)
         step, singular = _solve_rows(
             JT @ Ji + nu[idx, None, None] * eye, (-JT @ c[idx, :, None])[:, :, 0]
@@ -249,30 +241,20 @@ def _lm(instance, gaps, t_max, max_iter=150):
         live[attempts >= 40] = False
 
 
-def _restore(instance, draws, t_max):
-    """Pull every start of a program onto the reachability manifold at once.
-
-    Draws can land dozens of time constants out where the residual is
-    astronomically large and Newton steps barely move, so each gap vector is
-    first shrunk geometrically to its best overall scale (the first of 61
-    scales 0.7^k with the least residual), then restored by plain LM.  All
-    rows run as one stack.  Returns gaps (m, K) and residuals (m, n).
-    """
-    m, K = draws.shape
-    scales = np.cumprod(np.r_[1.0, np.full(60, 0.7)])
-    shrunk = (scales[None, :, None] * draws[:, None, :]).reshape(-1, K)
-    c, _ = _eval(instance, shrunk, jacobian=False)
-    norms = np.max(np.abs(c), axis=1).reshape(m, len(scales))
-    gaps = scales[np.argmin(norms, axis=1)][:, None] * draws
-    return _lm(instance, gaps, t_max)
-
-
 def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    free = gaps > _ACTIVE_EPS
-    if free.any():
-        mult, *_ = np.linalg.lstsq(J[:, free].T, -w[free], rcond=None)
+    """Least-squares multipliers on the free gaps; at a degenerate vertex
+    that fit can leave a negative reduced gradient on a zero gap, and the
+    fit is redone over all gaps with nonnegative bound multipliers."""
+    bound = gaps <= _ACTIVE_EPS
+    mult = np.zeros(J.shape[0])
+    if not bound.all():
+        mult, *_ = np.linalg.lstsq(J[:, ~bound].T, -w[~bound], rcond=None)
+    if np.all((w + J.T @ mult)[bound] >= -KKT_TOL):
         return mult
-    return np.zeros(J.shape[0])
+    A = np.hstack([J.T, -np.eye(len(gaps))[:, bound]])
+    lower = np.r_[np.full(len(mult), -np.inf), np.zeros(int(bound.sum()))]
+    fit = lsq_linear(A, -w, bounds=(lower, np.inf), method="bvls")
+    return fit.x[: len(mult)]
 
 
 def _kkt_state(instance, w, gaps, t_max, mult):
@@ -356,7 +338,7 @@ def _slsqp(instance, gaps, t_max, w):
             constraints=[
                 {
                     "type": "eq",
-                    "fun": lambda g: _eval1(instance, g)[0],
+                    "fun": lambda g: _eval(instance, g[None, :], jacobian=False)[0][0],
                     "jac": lambda g: _eval1(instance, g)[1],
                 }
             ],
@@ -373,10 +355,13 @@ def _start_seed(seed: int, instance_id: str, start: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, digest, start]))
 
 
-def _draws(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.ndarray:
-    """The (starts, K) exponential gap draws, one generator per start."""
+def _starts(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.ndarray:
+    """The (starts, K) blind start gaps: exponential draws, one generator
+    per start.  A draw can land dozens of time constants out, where Newton
+    steps barely move, so each is shrunk to the first of the 61 scales
+    0.7^k with the least residual."""
     mean_gap = t_max / (4.0 * instance.order)
-    return np.array(
+    draws = np.array(
         [
             _start_seed(options.seed, instance.instance_id, start).exponential(
                 mean_gap, instance.slot_count
@@ -384,6 +369,11 @@ def _draws(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.nd
             for start in range(options.starts)
         ]
     )
+    scales = np.cumprod(np.r_[1.0, np.full(60, 0.7)])
+    shrunk = (scales[None, :, None] * draws[:, None, :]).reshape(-1, instance.slot_count)
+    c, _ = _eval(instance, shrunk, jacobian=False)
+    norms = np.max(np.abs(c), axis=1).reshape(len(draws), len(scales))
+    return scales[np.argmin(norms, axis=1)][:, None] * draws
 
 
 def _descend(instance, options, t_max, gaps, c) -> tuple:
@@ -420,10 +410,15 @@ def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
     )
 
 
-def solve_nlp(instance: NlpInstance, options: SolverOptions) -> LocalSolution:
-    """Best local solution of one program over the deterministic starts."""
+def solve_nlp(
+    instance: NlpInstance, options: SolverOptions, starts: Optional[np.ndarray] = None
+) -> LocalSolution:
+    """Best local solution of one program over its starts (m, K), by
+    default `_starts`: all restored as one LM stack, each then descended."""
     t_max = options.horizon(instance)
-    restored, residuals = _restore(instance, _draws(instance, options, t_max), t_max)
+    if starts is None:
+        starts = _starts(instance, options, t_max)
+    restored, residuals = _lm(instance, starts, t_max)
     records = [
         _descend(instance, options, t_max, g, c) for g, c in zip(restored, residuals)
     ]
@@ -451,28 +446,22 @@ def _slots(levels: Sequence[int], word: Sequence[int]) -> Optional[list[int]]:
     return None if None in slots else slots
 
 
-def _lp_seeded(spec, instances, solutions, word, options, t_max):
+def _lp_seeded(instances, solutions, word, options):
     """Solutions after one more start, with the word's durations in the
     matching slots and gap 0 elsewhere, of each program that contains it.
 
-    The seed is far off the manifold in reach coordinates, where the shrink
-    of `_restore` would discard it, so plain LM restores it on the word's
-    own program: LM in the template would lift the empty slots to tiny gaps
-    that the polish then treats as free.  A solution is replaced when its
-    seeded start converges.
+    The seed skips the shrink of `_starts`, which would scale it off its
+    horizon.  A solution is replaced when its seeded start converges.
     """
-    template = fixed_template(word.levels, spec.order)
-    program = build_nlp(spec, template, SignVector((), template.variant))
-    seed, c = _lm(program, word.durations[None, :], t_max)
     out = []
     for inst, sol in zip(instances, solutions):
         slots = _slots(inst.levels, word.levels)
         if slots is not None:
-            gaps = np.zeros(inst.slot_count)
-            gaps[slots] = seed[0]
-            record = _descend(inst, options, t_max, gaps, c[0])
-            if record[0] == CONVERGED:
-                sol = _solution(inst, record)
+            seed = np.zeros((1, inst.slot_count))
+            seed[0, slots] = word.durations
+            seeded = solve_nlp(inst, options, seed)
+            if seeded.status == CONVERGED:
+                sol = seeded
         out.append(sol)
     return out
 
@@ -523,7 +512,7 @@ def solve_time_fuel(
         lp_cost, horizon, inputs = lp
         word = _lp_word(inputs, horizon)
         if word.levels:
-            solutions = _lp_seeded(spec, instances, solutions, word, options, t_max)
+            solutions = _lp_seeded(instances, solutions, word, options)
         verified = _verified(spec, instances, solutions, options)
         if not verified:
             raise SolverFailedError(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from timefuel import LtiSystem, build_spectrum, validate_problem
+from timefuel import LtiSystem, build_spectrum, parse_problem, solver, validate_problem
 from timefuel.builder import build_all, sequence_instance
 from timefuel.sequences import CandidateSequence
 from timefuel.simulate import (
@@ -21,12 +21,13 @@ from timefuel.solver import (
     InfeasibleProblemError,
     LocalSolution,
     SolverOptions,
-    _draws,
     _lm,
     _lp_seeded,
     _lp_word,
-    _restore,
+    _ls_multipliers,
+    _slots,
     _solve_rows,
+    _starts,
     _verified,
     solve_nlp,
     solve_time_fuel,
@@ -202,7 +203,7 @@ def lm_reference(instance, gaps, t_max, max_iter, tol=1e-12):
     def evaluate(g):
         times = np.cumsum(g)
         A = instance.constraint_jacobian(times)
-        J = np.flip(np.cumsum(np.flip(A, axis=1), axis=1), axis=1)
+        J = np.ascontiguousarray(np.flip(np.cumsum(np.flip(A, axis=1), axis=1), axis=1))
         return instance.constraint_residuals(times), J
 
     c, J = evaluate(gaps)
@@ -248,7 +249,7 @@ class TestStackedRestoration:
         )
         for inst in (inst for spec in specs for inst in build_all(spec)[:3]):
             t_max = options.horizon(inst)
-            gaps = 0.1 * _draws(inst, options, t_max)
+            gaps = _starts(inst, options, t_max)
             stacked, c = _lm(inst, gaps, t_max, max_iter=60)
             for i in range(len(gaps)):
                 ref_gaps, ref_c = lm_reference(inst, gaps[i], t_max, 60)
@@ -267,17 +268,27 @@ class TestStackedRestoration:
         ],
     )
     def test_stack_matches_single_rows(self, x0):
-        # restoring all draws of a program as one stack gives, row by row,
-        # the bits of restoring each draw alone
+        # restoring all starts of a program as one stack gives, row by row,
+        # the bits of restoring each start alone
         options = SolverOptions(starts=16, seed=0)
         for inst in build_all(make_spec(len(x0), x0=x0)):
             t_max = options.horizon(inst)
-            draws = _draws(inst, options, t_max)
-            gaps, c = _restore(inst, draws, t_max)
-            for i in range(len(draws)):
-                gaps_1, c_1 = _restore(inst, draws[i:i + 1], t_max)
+            starts = _starts(inst, options, t_max)
+            gaps, c = _lm(inst, starts, t_max)
+            for i in range(len(starts)):
+                gaps_1, c_1 = _lm(inst, starts[i:i + 1], t_max)
                 assert np.array_equal(gaps[i], gaps_1[0])
                 assert np.array_equal(c[i], c_1[0])
+
+    def test_starts_are_prefixes(self):
+        # start i does not depend on how many starts follow it
+        spec = make_spec(4, x0=[0.2, 0.15, 0.1, 0.05])
+        for inst in build_all(spec):
+            t_max = SolverOptions().horizon(inst)
+            starts = _starts(inst, SolverOptions(starts=16, seed=0), t_max)
+            for i in range(len(starts)):
+                fewer = _starts(inst, SolverOptions(starts=i + 1, seed=0), t_max)
+                assert np.array_equal(fewer[i], starts[i])
 
     def test_singular_system_falls_back_to_rows(self):
         rng = np.random.default_rng(3)
@@ -358,16 +369,45 @@ class TestLpRetry:
         # off the manifold into the residual-6.4e-3 valley around it
         spec = stable_spec(*self.COUNTEREXAMPLE)
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-        t_max = self.OPTIONS.horizon(instances[0])
         _cost, inputs = _lp_transfer(spec, horizon)
         word = _lp_word(inputs, horizon)
         placeholders = [
             LocalSolution(inst.instance_id, (), math.inf, math.inf, math.inf, INFEASIBLE)
             for inst in instances
         ]
-        solutions = _lp_seeded(spec, instances, placeholders, word, self.OPTIONS, t_max)
+        solutions = _lp_seeded(instances, placeholders, word, self.OPTIONS)
         verified = {v[3]: v[0] for v in _verified(spec, instances, solutions, self.OPTIONS)}
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
+
+    def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
+        # each of the 8 programs gets one blind solve, then each program
+        # that contains the LP word one seeded solve of a single start
+        calls, words = [], []
+
+        def counting_solve_nlp(instance, options, starts=None):
+            calls.append((instance.instance_id, starts))
+            return solve_nlp(instance, options, starts)
+
+        def recording_lp_word(inputs, horizon):
+            words.append(_lp_word(inputs, horizon))
+            return words[-1]
+
+        monkeypatch.setattr(solver, "solve_nlp", counting_solve_nlp)
+        monkeypatch.setattr(solver, "_lp_word", recording_lp_word)
+        spec = stable_spec(*self.COUNTEREXAMPLE)
+        solve_time_fuel(spec, self.OPTIONS)
+        instances = build_all(spec)
+        containing = {
+            inst.instance_id
+            for inst in instances
+            if _slots(inst.levels, words[0].levels) is not None
+        }
+        blind = [i for i, starts in calls if starts is None]
+        seeded = [i for i, starts in calls if starts is not None]
+        assert len(blind) == len(instances) == 8
+        assert sorted(blind) == sorted(inst.instance_id for inst in instances)
+        assert containing and sorted(seeded) == sorted(containing)
+        assert all(starts.shape[0] == 1 for _i, starts in calls if starts is not None)
 
     def test_counterexample_deterministic(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
@@ -389,3 +429,52 @@ class TestLpRetry:
             x0 = [round(float(v), 4) for v in rng.uniform(-0.5, 0.5, n)]
             spec = stable_spec(rates, x0)
             check_against_lp(spec, solve_time_fuel(spec, self.OPTIONS), self.OPTIONS)
+
+
+class TestDegenerateVertex:
+    """Multipliers where fewer gaps are free than there are constraints."""
+
+    def test_bound_multipliers_refit(self):
+        # one free gap, two constraints: the min-norm fit (-1, -1) leaves a
+        # reduced gradient of -0.5 on both zero gaps; mult (-2, 0) with
+        # bound multipliers 0.5 satisfies the KKT conditions exactly
+        J = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        w = np.array([0.5, 2.0, 0.5])
+        gaps = np.array([0.0, 0.5, 0.0])
+        grad_l = w + J.T @ _ls_multipliers(J, w, gaps)
+        assert grad_l[1] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(grad_l[[0, 2]] >= -KKT_TOL)
+
+    @pytest.mark.parametrize(
+        "problem, programs",
+        [
+            # every program that reaches x0 must converge; OP2-minus
+            # stalled at its degenerate optimum with KKT residual 0.59
+            (
+                {
+                    "eigenvalues": [[2, 1], [-3, 1]],
+                    "b": [-0.531220479216307, 1.942779820804103],
+                    "x0": [0.16786431775971433, -2.253232058707641],
+                    "k": 0.8174449620545059,
+                },
+                ("OP1-plus", "OP2-minus", "OP2-plus"),
+            ),
+            (
+                {
+                    "eigenvalues": [[-4, 1], [-3, 1]],
+                    "b": [-1.4941490313274313, 1.4048602055045576],
+                    "x0": [-1.525768026819704, 1.1173638558982293],
+                    "k": 0.8127108654952282,
+                },
+                # both stalled at their degenerate optima
+                ("OP2-minus", "OP2-plus"),
+            ),
+        ],
+        ids=["unstable-mode", "stable"],
+    )
+    def test_degenerate_optimum_converges(self, problem, programs):
+        report = solve_time_fuel(parse_problem(problem), SolverOptions(starts=24, seed=3))
+        statuses = {s.instance_id: s.status for s in report.per_instance}
+        for program in programs:
+            assert statuses[program] == CONVERGED
+        assert all(status in (CONVERGED, INFEASIBLE) for status in statuses.values())
