@@ -35,22 +35,25 @@ def reach_kernel(lam, b, levels, times, jacobian=True):
     """Transferred initial states and their time Jacobians for a stack.
 
     lam and b are the (n,) eigenvalue and gain arrays; times has shape
-    (m, K), one nondecreasing segment end-time vector per row.  Returns the (m, n) states reach(t) = -(b/lam) sum_j w_j e^(-lam t_j)
+    (m, K), one nondecreasing segment end-time vector per row, and levels
+    is one (K,) template for every row or one (m, K) template per row.
+    Returns the (m, n) states reach(t) = -(b/lam) sum_j w_j e^(-lam t_j)
     (t_0 = 0, w_j = v_{j+1} - v_j) and, when asked, the (m, n, K) derivatives
     d reach / d t_j = b e^(-lam t_j) (v_{j+1} - v_j), both from one set of
-    exponentials.  Every row is computed exactly as a stack of one would be.
+    exponentials.  Every row is computed exactly as a stack of one would be,
+    whatever the other rows' levels.
     """
     m, K = times.shape
-    v = np.asarray(levels, dtype=float)
+    v = np.broadcast_to(np.asarray(levels, dtype=float), (m, K))
     E = np.exp(np.clip(-lam[None, :, None] * times[:, None, :], -EXP_CLIP, EXP_CLIP))
     padded = np.empty((m, len(lam), K + 1))
     padded[:, :, 0] = 1.0
     padded[:, :, 1:] = E
-    reach = -(b / lam) * ((padded[:, :, :-1] - padded[:, :, 1:]) @ v)
+    reach = -(b / lam) * ((padded[:, :, :-1] - padded[:, :, 1:]) @ v[:, :, None])[:, :, 0]
     if not jacobian:
         return reach, None
-    vstep = np.concatenate([v[1:], [0.0]]) - v
-    return reach, b[None, :, None] * E * vstep
+    vstep = np.concatenate([v[:, 1:], np.zeros((m, 1))], axis=1) - v
+    return reach, b[None, :, None] * E * vstep[:, None, :]
 
 
 class OrderTooSmallError(ValueError):

@@ -5,9 +5,11 @@ cumulative sums are the switching times, so ordering holds by construction)
 in two phases: a projected Levenberg-Marquardt restoration onto the
 reachability manifold, then up to `SQP_ROUNDS` rounds of SLSQP followed by
 an active-set Newton polish of the KKT system, each round starting from the
-previous polish.  `solve_nlp` restores all starts of a program as one stack
-on the fused reach/Jacobian kernel; every row gives the bits it would give
-alone.  The rounds run per start.  Aggregation re-simulates every converged
+previous polish.  `solve_time_fuel` restores the blind starts of all
+programs with the same slot count as one stack on the fused reach/Jacobian
+kernel, each row under its own program's levels, and every row gives the
+bits it would give alone; `solve_nlp` then descends one program's restored
+starts.  The rounds run per start.  Aggregation re-simulates every converged
 solution before trusting it and is bitwise reproducible for a fixed seed.
 
 When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
-from .builder import NlpInstance, build_all
+from .builder import NlpInstance, build_all, reach_kernel
 from .model import ProblemSpec
 from .simulate import (
     SwitchingSchedule,
@@ -155,9 +157,12 @@ def _gap_jacobian(time_jac: np.ndarray) -> np.ndarray:
     return np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _eval(instance: NlpInstance, gaps: np.ndarray, jacobian: bool = True):
-    """Residuals (m, n) and gap Jacobians (m, n, K) of gap stack (m, K)."""
-    reach, time_jac = instance.reach_stack(np.cumsum(gaps, axis=-1), jacobian)
+def _eval(instance: NlpInstance, gaps: np.ndarray, jacobian: bool = True, levels=None):
+    """Residuals (m, n) and gap Jacobians (m, n, K) of gap stack (m, K),
+    under the program's levels or one (m, K) level row per gap row."""
+    times = np.cumsum(gaps, axis=-1)
+    v = instance._v if levels is None else levels
+    reach, time_jac = reach_kernel(instance._lam, instance._b, v, times, jacobian)
     c = reach - instance._x0
     return c, None if time_jac is None else _gap_jacobian(time_jac)
 
@@ -192,18 +197,20 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray):
         return step, singular
 
 
-def _lm(instance, gaps, t_max, max_iter=150):
+def _lm(instance, gaps, t_max, max_iter=150, levels=None):
     """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
 
-    The rows of gaps (m, K) are independent runs.  Each row keeps its
-    own damping and counters: an iteration opens with the tolerance check,
-    tries at most 40 damped steps, and the run ends when an iteration finds
-    no improvement or the damping passes 1e16 (a singular system only
-    raises the damping).
+    The rows of gaps (m, K) are independent runs, under the instance's
+    levels or, for rows of several programs with K slots, one (m, K) level
+    row each.  Each row keeps its own damping and counters: an iteration
+    opens with the tolerance check, tries at most 40 damped steps, and the
+    run ends when an iteration finds no improvement or the damping passes
+    1e16 (a singular system only raises the damping).
     """
     m, K = gaps.shape
     gaps = gaps.copy()
-    c, J = _eval(instance, gaps)
+    levels = np.broadcast_to(instance._v, gaps.shape) if levels is None else levels
+    c, J = _eval(instance, gaps, levels=levels)
     f = _half_sq(c)
     nu = np.full(m, 1e-3)
     iters = np.zeros(m, dtype=int)
@@ -226,7 +233,7 @@ def _lm(instance, gaps, t_max, max_iter=150):
         nu[idx[singular]] *= 10.0
         tried = idx[~singular]
         trial = np.clip(gaps[tried] + step[~singular], 0.0, t_max)
-        ct, Jt = _eval(instance, trial)
+        ct, Jt = _eval(instance, trial, levels=levels[tried])
         ft = _half_sq(ct)
         better = ft < f[tried]
         took = tried[better]
@@ -411,18 +418,40 @@ def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
 
 
 def solve_nlp(
-    instance: NlpInstance, options: SolverOptions, starts: Optional[np.ndarray] = None
+    instance: NlpInstance,
+    options: SolverOptions,
+    starts: Optional[np.ndarray] = None,
+    residuals: Optional[np.ndarray] = None,
 ) -> LocalSolution:
     """Best local solution of one program over its starts (m, K), by
-    default `_starts`: all restored as one LM stack, each then descended."""
+    default `_starts`, each descended.  Starts given with their residuals
+    (m, n) count as restored; otherwise they are restored as one LM stack."""
     t_max = options.horizon(instance)
     if starts is None:
         starts = _starts(instance, options, t_max)
-    restored, residuals = _lm(instance, starts, t_max)
+    if residuals is None:
+        starts, residuals = _lm(instance, starts, t_max)
     records = [
-        _descend(instance, options, t_max, g, c) for g, c in zip(restored, residuals)
+        _descend(instance, options, t_max, g, c) for g, c in zip(starts, residuals)
     ]
     return _solution(instance, min(records, key=_record_key))
+
+
+def _restored_starts(instances, options, t_max) -> list:
+    """(gaps, residuals) of every program's `_starts` after restoration,
+    with the starts of all programs of one slot count in one LM stack."""
+    out = [None] * len(instances)
+    for K in sorted({inst.slot_count for inst in instances}):
+        group = [i for i, inst in enumerate(instances) if inst.slot_count == K]
+        starts = [_starts(instances[i], options, t_max) for i in group]
+        levels = np.concatenate(
+            [np.broadcast_to(instances[i]._v, s.shape) for i, s in zip(group, starts)]
+        )
+        gaps, c = _lm(instances[group[0]], np.concatenate(starts), t_max, levels=levels)
+        ends = np.cumsum([len(s) for s in starts])[:-1]
+        for i, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
+            out[i] = (g, r)
+    return out
 
 
 def _record_key(record):
@@ -497,11 +526,14 @@ def solve_time_fuel(
     and one more start seeded from its input (see the module docstring).
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    solutions = [solve_nlp(i, options) for i in instances]
+    t_max = options.horizon(instances[0])
+    solutions = [
+        solve_nlp(inst, options, gaps, c)
+        for inst, (gaps, c) in zip(instances, _restored_starts(instances, options, t_max))
+    ]
     verified = _verified(spec, instances, solutions, options)
     if not verified:
         residual = min(s.constraint_residual for s in solutions)
-        t_max = options.horizon(instances[0])
         lp = lp_oracle(spec, t_max)
         refusal = f"no program verified (best constraint residual {residual:.3e})"
         if lp is None:

@@ -25,6 +25,7 @@ from timefuel.solver import (
     _lp_seeded,
     _lp_word,
     _ls_multipliers,
+    _restored_starts,
     _slots,
     _solve_rows,
     _starts,
@@ -280,6 +281,47 @@ class TestStackedRestoration:
                 assert np.array_equal(gaps[i], gaps_1[0])
                 assert np.array_equal(c[i], c_1[0])
 
+    @pytest.mark.parametrize(
+        "x0, max_switches, starts",
+        [
+            ([0.6, 0.4], None, 16),
+            # the n=4 counterexample
+            ([0.2, 0.15, 0.1, 0.05], None, 16),
+            # the n=4 problem of TestHigherOrder
+            ([0.1, 0.2, 0.4, 0.5], None, 16),
+            # n = 6: 12- and 13-slot programs
+            ([0.1, 0.2, 0.4, 0.5, 0.8, 1.0], None, 6),
+            # the reference problem with a switch budget: SEQ programs of
+            # one to four slots
+            ([0.6, 0.4], 3, 16),
+        ],
+        ids=["ref2", "counterexample", "n4", "n6", "ref2-ms3"],
+    )
+    def test_programs_share_a_stack(self, x0, max_switches, starts, monkeypatch):
+        # restoring every program of a slot count in one stack gives, row
+        # by row, the bits of restoring each program's starts alone
+        spec = make_spec(len(x0), x0=x0)
+        if max_switches is not None:
+            spec = validate_problem(spec.system, spec.x0, spec.k, max_switches)
+        options = SolverOptions(starts=starts, seed=0)
+        instances = build_all(spec)
+        t_max = options.horizon(instances[0])
+        stacks = []
+
+        def counting_lm(inst, gaps, *args, **kwargs):
+            stacks.append(len(gaps))
+            return _lm(inst, gaps, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_lm", counting_lm)
+        restored = _restored_starts(instances, options, t_max)
+        slot_counts = [inst.slot_count for inst in instances]
+        assert len(stacks) == len(set(slot_counts)) > 1
+        assert sorted(stacks) == sorted(starts * slot_counts.count(K) for K in set(slot_counts))
+        for inst, (gaps, c) in zip(instances, restored):
+            alone, c_alone = _lm(inst, _starts(inst, options, t_max), t_max)
+            assert np.array_equal(gaps, alone)
+            assert np.array_equal(c, c_alone)
+
     def test_starts_are_prefixes(self):
         # start i does not depend on how many starts follow it
         spec = make_spec(4, x0=[0.2, 0.15, 0.1, 0.05])
@@ -380,13 +422,14 @@ class TestLpRetry:
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
 
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
-        # each of the 8 programs gets one blind solve, then each program
-        # that contains the LP word one seeded solve of a single start
+        # each of the 8 programs gets one blind solve of its restored
+        # starts, then each program that contains the LP word one seeded
+        # solve of a single start, which it restores itself
         calls, words = [], []
 
-        def counting_solve_nlp(instance, options, starts=None):
-            calls.append((instance.instance_id, starts))
-            return solve_nlp(instance, options, starts)
+        def counting_solve_nlp(instance, options, starts=None, residuals=None):
+            calls.append((instance.instance_id, starts, residuals))
+            return solve_nlp(instance, options, starts, residuals)
 
         def recording_lp_word(inputs, horizon):
             words.append(_lp_word(inputs, horizon))
@@ -402,12 +445,12 @@ class TestLpRetry:
             for inst in instances
             if _slots(inst.levels, words[0].levels) is not None
         }
-        blind = [i for i, starts in calls if starts is None]
-        seeded = [i for i, starts in calls if starts is not None]
+        blind = [i for i, _starts, residuals in calls if residuals is not None]
+        seeded = [(i, starts) for i, starts, residuals in calls if residuals is None]
         assert len(blind) == len(instances) == 8
         assert sorted(blind) == sorted(inst.instance_id for inst in instances)
-        assert containing and sorted(seeded) == sorted(containing)
-        assert all(starts.shape[0] == 1 for _i, starts in calls if starts is not None)
+        assert containing and sorted(i for i, _ in seeded) == sorted(containing)
+        assert all(starts.shape[0] == 1 for _i, starts in seeded)
 
     def test_counterexample_deterministic(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
