@@ -23,11 +23,17 @@ from .model import LtiSystem, ProblemSpec
 #: Segments shorter than this are treated as zero length when condensing.
 COLLAPSE_TOL = 1e-6
 
-#: Equal input cells of one `lp_oracle` linear program.
+#: Equal input cells of one `lp_oracle` linear program, and of its coarse
+#: ones (a divisor, so that every coarse input is also a fine one).
 LP_CELLS = 400
+LP_COARSE_CELLS = 100
 
-#: Horizons of `lp_oracle`'s coarse scan over (0, t_max].
-LP_SCAN = 60
+#: `lp_oracle` brackets the shortest feasible horizon to this relative
+#: width in at most LP_HALVINGS halvings (x0 = 0 takes them all), then
+#: scans LP_SCAN coarse horizons from it.
+LP_BRACKET = 0.01
+LP_HALVINGS = 40
+LP_SCAN = 20
 
 
 class InvalidScheduleError(ValueError):
@@ -125,15 +131,6 @@ class Trajectory:
     terminal_state: np.ndarray
 
 
-def _pulse(lam: np.ndarray, dt: float) -> np.ndarray:
-    # (e^(lam dt) - 1) / lam, with the lam -> 0 limit dt
-    out = np.empty_like(lam)
-    nz = lam != 0.0
-    out[nz] = np.expm1(lam[nz] * dt) / lam[nz]
-    out[~nz] = dt
-    return out
-
-
 def propagate(
     system: LtiSystem,
     x0: Sequence[float],
@@ -157,7 +154,8 @@ def propagate(
         seg = bp[i + 1] - bp[i]
         for s in range(1, samples_per_segment + 1):
             dt = seg * s / samples_per_segment
-            xi = np.exp(lam * dt) * x + level * b * _pulse(lam, dt)
+            # eigenvalues are nonzero, so (e^(lam dt) - 1) / lam is finite
+            xi = np.exp(lam * dt) * x + level * b * (np.expm1(lam * dt) / lam)
             ts.append(bp[i] + dt)
             xs.append(xi)
         x = xs[-1]
@@ -203,17 +201,17 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
-def _lp_transfer(spec: ProblemSpec, horizon: float):
+def _lp_transfer(spec: ProblemSpec, horizon: float, n_cells: int = LP_CELLS):
     """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
 
-    The input is constant on LP_CELLS equal cells with |u| <= 1, written as
+    The input is constant on n_cells equal cells with |u| <= 1, written as
     u = u+ - u- so that the fuel is linear.  Returns (inf, None) when no
     such input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
-    h = horizon / LP_CELLS
-    starts = h * np.arange(LP_CELLS)
+    h = horizon / n_cells
+    starts = h * np.arange(n_cells)
     # row i: x0_i + sum_j u_j b_i int_{cell j} e^(-lam_i s) ds = 0, scaled by
     # e^(min(lam_i, 0) T) so that no entry grows with the horizon
     shift = np.minimum(lam, 0.0) * horizon
@@ -221,7 +219,7 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
         shift[:, None] - np.outer(lam, starts)
     )
     result = linprog(
-        np.full(2 * LP_CELLS, h),
+        np.full(2 * n_cells, h),
         A_eq=np.hstack([cells, -cells]),
         b_eq=-spec.x0 * np.exp(shift),
         bounds=(0.0, 1.0),
@@ -229,7 +227,7 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     )
     if result.status != 0:
         return math.inf, None
-    return spec.k * horizon + result.fun, result.x[:LP_CELLS] - result.x[LP_CELLS:]
+    return spec.k * horizon + result.fun, result.x[:n_cells] - result.x[n_cells:]
 
 
 def lp_oracle(
@@ -238,23 +236,37 @@ def lp_oracle(
     """Global reference (cost, horizon, cell inputs) at any order.
 
     At a fixed horizon T the least-fuel transfer over inputs constant on
-    LP_CELLS equal cells is a linear program (the L1/LP link of maximum
-    hands-off control).  The cost min_T k*T + fuel(T) comes from LP_SCAN
-    horizons evenly spaced on (0, t_max] and a bounded 1-D refinement
-    around the best one; the inputs are those of the horizon that gave it.
-    None when no scanned horizon is feasible.  The cell grid only restricts
-    the input, so up to HiGHS's feasibility tolerance the cost lies above
-    the optimum, by the discretization error.  Shares nothing with the
-    solver.
+    equal cells is a linear program (the L1/LP link of maximum hands-off
+    control).  Feasibility is monotone in T, since the input can idle at the
+    origin, so the LP at t_max decides it: None when it is infeasible.
+    Otherwise coarse LPs bisect for the shortest feasible horizon T_f, and
+    since J(T) >= k*T, LP_SCAN coarse horizons from T_f to min(t_max,
+    J(T_f)/k) plus a bounded 1-D refinement around the best one minimize
+    k*T + fuel(T); the inputs are those of the horizon that gave it.  The
+    cell grid only restricts the input, so up to HiGHS's feasibility
+    tolerance the cost lies above the optimum, by the discretization error.
+    Shares nothing with the solver.
     """
-    grid = t_max * np.arange(1, LP_SCAN + 1) / LP_SCAN
-    costs = [_lp_transfer(spec, horizon)[0] for horizon in grid]
-    i = int(np.argmin(costs))
-    if not math.isfinite(costs[i]):
+    cost, _inputs = _lp_transfer(spec, t_max)
+    if not math.isfinite(cost):
         return None
+    lo, hi = 0.0, t_max
+    for _ in range(LP_HALVINGS):
+        if hi - lo <= LP_BRACKET * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        mid_cost = _lp_transfer(spec, mid, LP_COARSE_CELLS)[0]
+        if math.isfinite(mid_cost):
+            hi, cost = mid, mid_cost
+        else:
+            lo = mid
+    grid = np.linspace(hi, min(t_max, cost / spec.k), LP_SCAN)
+    costs = [cost] + [_lp_transfer(spec, T, LP_COARSE_CELLS)[0] for T in grid[1:]]
+    i = int(np.argmin(costs))
     # the bounded search needs finite values: an infeasible horizon reads as
     # a penalty above every feasible cost (at most (k + 1) t_max) that falls
-    # toward longer horizons, where the feasible ones lie
+    # toward longer horizons, where the feasible ones lie; below the scan it
+    # reaches down to 0, as fine cells can reach before coarse ones
     refined = minimize_scalar(
         lambda T: min(_lp_transfer(spec, T)[0], (spec.k + 2.0) * t_max - T),
         bounds=(grid[i - 1] if i else 0.0, grid[min(i + 1, LP_SCAN - 1)]),

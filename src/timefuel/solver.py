@@ -437,21 +437,18 @@ def solve_nlp(
     return _solution(instance, min(records, key=_record_key))
 
 
-def _restored_starts(instances, options, t_max) -> list:
-    """(gaps, residuals) of every program's `_starts` after restoration,
+def _restored_starts(instances, options, t_max) -> dict:
+    """Program id -> (gaps, residuals) of its `_starts` after restoration,
     with the starts of all programs of one slot count in one LM stack."""
-    out = [None] * len(instances)
+    restored = {}
     for K in sorted({inst.slot_count for inst in instances}):
-        group = [i for i, inst in enumerate(instances) if inst.slot_count == K]
-        starts = [_starts(instances[i], options, t_max) for i in group]
-        levels = np.concatenate(
-            [np.broadcast_to(instances[i]._v, s.shape) for i, s in zip(group, starts)]
-        )
-        gaps, c = _lm(instances[group[0]], np.concatenate(starts), t_max, levels=levels)
-        ends = np.cumsum([len(s) for s in starts])[:-1]
-        for i, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
-            out[i] = (g, r)
-    return out
+        group = [inst for inst in instances if inst.slot_count == K]
+        starts = np.concatenate([_starts(inst, options, t_max) for inst in group])
+        levels = np.repeat([inst._v for inst in group], options.starts, axis=0)
+        gaps, c = _lm(group[0], starts, t_max, levels=levels)
+        for inst, g, r in zip(group, np.split(gaps, len(group)), np.split(c, len(group))):
+            restored[inst.instance_id] = (g, r)
+    return restored
 
 
 def _record_key(record):
@@ -527,10 +524,8 @@ def solve_time_fuel(
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     t_max = options.horizon(instances[0])
-    solutions = [
-        solve_nlp(inst, options, gaps, c)
-        for inst, (gaps, c) in zip(instances, _restored_starts(instances, options, t_max))
-    ]
+    restored = _restored_starts(instances, options, t_max)
+    solutions = [solve_nlp(i, options, *restored[i.instance_id]) for i in instances]
     verified = _verified(spec, instances, solutions, options)
     if not verified:
         residual = min(s.constraint_residual for s in solutions)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from timefuel import LtiSystem, build_spectrum, validate_problem
+from timefuel import LtiSystem, build_spectrum, parse_problem, simulate, validate_problem
 from timefuel.simulate import (
     LP_CELLS,
     InvalidScheduleError,
@@ -236,3 +237,35 @@ class TestLpOracle:
         system = LtiSystem(build_spectrum([(1, 1)]), (1.0,))
         spec = validate_problem(system, [2.0], 1.0)
         assert lp_oracle(spec, 5.0) is None
+
+    @pytest.mark.parametrize(
+        "eigenvalues, x0, k",
+        [
+            # the benchmark's unreachable mixed-3
+            ([1, 3, -2, 2], [0.1407, 0.466, 0.0978, -0.2646], 1),
+            # the two refusals of the random sweep
+            ([-5, 2, 3], [0.3739, -0.2274, 0.0801], 2),
+            ([1, 3, -5, -2], [-0.5061, 0.1377, 0.0521, -0.0594], 1),
+        ],
+        ids=["mixed-3", "sweep-a", "sweep-b"],
+    )
+    def test_infeasible_at_t_max_takes_one_lp(self, eigenvalues, x0, k, monkeypatch):
+        # feasibility is monotone in the horizon, so the LP at t_max (the
+        # solver's default, 50 slowest time constants) settles a refusal
+        spec = parse_problem(
+            {
+                "eigenvalues": [[c, 1] for c in eigenvalues],
+                "b": [1] * len(x0),
+                "x0": x0,
+                "k": k,
+            }
+        )
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "linprog", counting_linprog)
+        assert lp_oracle(spec, 50.0 / min(abs(c) for c in eigenvalues)) is None
+        assert len(calls) == 1
