@@ -183,21 +183,11 @@ def cmd_table(args) -> int:
     if args.format == "json":
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["k,cost,final_time,on_duration,sparsity,sequence"]
+        fields = ("k", "cost", "final_time", "on_duration", "sparsity")
+        lines = [",".join(fields) + ",sequence"]
         for r in rows:
             seq = " ".join(str(v) for v in r["sequence"])
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r["k"]),
-                        _fmt(r["cost"]),
-                        _fmt(r["final_time"]),
-                        _fmt(r["on_duration"]),
-                        _fmt(r["sparsity"]),
-                        seq,
-                    ]
-                )
-            )
+            lines.append(",".join([_fmt(r[f]) for f in fields] + [seq]))
         text = "\n".join(lines) + "\n"
     else:
         lines = [
