@@ -44,16 +44,17 @@ def reach_kernel(lam, b, levels, times, jacobian=True):
     whatever the other rows' levels.
     """
     m, K = times.shape
-    v = np.broadcast_to(np.asarray(levels, dtype=float), (m, K))
+    v = np.asarray(levels, dtype=float)
     E = np.exp(np.clip(-lam[None, :, None] * times[:, None, :], -EXP_CLIP, EXP_CLIP))
     padded = np.empty((m, len(lam), K + 1))
     padded[:, :, 0] = 1.0
     padded[:, :, 1:] = E
-    reach = -(b / lam) * ((padded[:, :, :-1] - padded[:, :, 1:]) @ v[:, :, None])[:, :, 0]
+    diff = padded[:, :, :-1] - padded[:, :, 1:]
+    reach = -(b / lam) * (diff @ v if v.ndim == 1 else (diff @ v[:, :, None])[:, :, 0])
     if not jacobian:
         return reach, None
-    vstep = np.concatenate([v[:, 1:], np.zeros((m, 1))], axis=1) - v
-    return reach, b[None, :, None] * E * vstep[:, None, :]
+    vstep = np.concatenate([v[..., 1:], np.zeros(v.shape[:-1] + (1,))], axis=-1) - v
+    return reach, b[None, :, None] * E * vstep[..., None, :]
 
 
 class OrderTooSmallError(ValueError):

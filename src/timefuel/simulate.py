@@ -263,10 +263,9 @@ def lp_oracle(
     grid = np.linspace(hi, min(t_max, cost / spec.k), LP_SCAN)
     costs = [cost] + [_lp_transfer(spec, T, LP_COARSE_CELLS)[0] for T in grid[1:]]
     i = int(np.argmin(costs))
-    # the bounded search needs finite values: an infeasible horizon reads as
-    # a penalty above every feasible cost (at most (k + 1) t_max) that falls
-    # toward longer horizons, where the feasible ones lie; below the scan it
-    # reaches down to 0, as fine cells can reach before coarse ones
+    # the bounded search needs finite values: infeasible horizons read as a
+    # penalty above every feasible cost (at most (k + 1) t_max) falling toward
+    # longer ones; below the scan it starts at 0, as fine cells reach sooner
     refined = minimize_scalar(
         lambda T: min(_lp_transfer(spec, T)[0], (spec.k + 2.0) * t_max - T),
         bounds=(grid[i - 1] if i else 0.0, grid[min(i + 1, LP_SCAN - 1)]),
