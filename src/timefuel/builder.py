@@ -49,8 +49,7 @@ def reach_kernel(lam, b, levels, times, jacobian=True):
     padded = np.empty((m, len(lam), K + 1))
     padded[:, :, 0] = 1.0
     padded[:, :, 1:] = E
-    diff = padded[:, :, :-1] - padded[:, :, 1:]
-    reach = -(b / lam) * (diff @ v if v.ndim == 1 else (diff @ v[:, :, None])[:, :, 0])
+    reach = -(b / lam) * ((padded[:, :, :-1] - padded[:, :, 1:]) @ v[..., None])[..., 0]
     if not jacobian:
         return reach, None
     vstep = np.concatenate([v[..., 1:], np.zeros(v.shape[:-1] + (1,))], axis=-1) - v
