@@ -418,22 +418,15 @@ def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
 
 
 def solve_nlp(
-    instance: NlpInstance,
-    options: SolverOptions,
-    starts: Optional[np.ndarray] = None,
-    residuals: Optional[np.ndarray] = None,
+    instance: NlpInstance, options: SolverOptions, restored: Optional[tuple] = None
 ) -> LocalSolution:
-    """Best local solution of one program over its starts (m, K), by
-    default `_starts`, each descended.  Starts given with their residuals
-    (m, n) count as restored; otherwise they are restored as one LM stack."""
+    """Best local solution of one program over its restored starts, the
+    (gaps (m, K), residuals (m, n)) pair of `_lm`, each descended; by
+    default its `_starts`, restored as one LM stack."""
     t_max = options.horizon(instance)
-    if starts is None:
-        starts = _starts(instance, options, t_max)
-    if residuals is None:
-        starts, residuals = _lm(instance, starts, t_max)
-    records = [
-        _descend(instance, options, t_max, g, c) for g, c in zip(starts, residuals)
-    ]
+    if restored is None:
+        restored = _lm(instance, _starts(instance, options, t_max), t_max)
+    records = [_descend(instance, options, t_max, g, c) for g, c in zip(*restored)]
     return _solution(instance, min(records, key=_record_key))
 
 
@@ -485,7 +478,7 @@ def _lp_seeded(instances, solutions, word, options):
         if slots is not None:
             seed = np.zeros((1, inst.slot_count))
             seed[0, slots] = word.durations
-            seeded = solve_nlp(inst, options, seed)
+            seeded = solve_nlp(inst, options, _lm(inst, seed, options.horizon(inst)))
             if seeded.status == CONVERGED:
                 sol = seeded
         out.append(sol)
@@ -525,7 +518,7 @@ def solve_time_fuel(
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     t_max = options.horizon(instances[0])
     restored = _restored_starts(instances, options, t_max)
-    solutions = [solve_nlp(i, options, *restored[i.instance_id]) for i in instances]
+    solutions = [solve_nlp(i, options, restored[i.instance_id]) for i in instances]
     verified = _verified(spec, instances, solutions, options)
     if not verified:
         residual = min(s.constraint_residual for s in solutions)

@@ -425,12 +425,12 @@ class TestLpRetry:
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
         # each of the 8 programs gets one blind solve of its restored
         # starts, then each program that contains the LP word one seeded
-        # solve of a single start, which it restores itself
+        # solve of a single restored start
         calls, words = [], []
 
-        def counting_solve_nlp(instance, options, starts=None, residuals=None):
-            calls.append((instance.instance_id, starts, residuals))
-            return solve_nlp(instance, options, starts, residuals)
+        def counting_solve_nlp(instance, options, restored=None):
+            calls.append((instance.instance_id, restored[0]))
+            return solve_nlp(instance, options, restored)
 
         def recording_lp_word(inputs, horizon):
             words.append(_lp_word(inputs, horizon))
@@ -446,12 +446,12 @@ class TestLpRetry:
             for inst in instances
             if _slots(inst.levels, words[0].levels) is not None
         }
-        blind = [i for i, _starts, residuals in calls if residuals is not None]
-        seeded = [(i, starts) for i, starts, residuals in calls if residuals is None]
+        blind = [i for i, gaps in calls if len(gaps) == self.OPTIONS.starts]
+        seeded = [i for i, gaps in calls if len(gaps) == 1]
+        assert self.OPTIONS.starts > 1 and len(blind) + len(seeded) == len(calls)
         assert len(blind) == len(instances) == 8
         assert sorted(blind) == sorted(inst.instance_id for inst in instances)
-        assert containing and sorted(i for i, _ in seeded) == sorted(containing)
-        assert all(starts.shape[0] == 1 for _i, starts in seeded)
+        assert containing and sorted(seeded) == sorted(containing)
 
     def test_counterexample_deterministic(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
