@@ -183,11 +183,21 @@ def cmd_table(args) -> int:
     if args.format == "json":
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        fields = ("k", "cost", "final_time", "on_duration", "sparsity")
-        lines = [",".join(fields) + ",sequence"]
+        lines = ["k,cost,final_time,on_duration,sparsity,sequence"]
         for r in rows:
             seq = " ".join(str(v) for v in r["sequence"])
-            lines.append(",".join([_fmt(r[f]) for f in fields] + [seq]))
+            lines.append(
+                ",".join(
+                    [
+                        _fmt(r["k"]),
+                        _fmt(r["cost"]),
+                        _fmt(r["final_time"]),
+                        _fmt(r["on_duration"]),
+                        _fmt(r["sparsity"]),
+                        seq,
+                    ]
+                )
+            )
         text = "\n".join(lines) + "\n"
     else:
         lines = [
