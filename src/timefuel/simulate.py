@@ -28,9 +28,11 @@ COLLAPSE_TOL = 1e-6
 LP_CELLS = 400
 LP_COARSE_CELLS = 100
 
-#: `lp_oracle` brackets the shortest feasible horizon to this relative
-#: width in at most LP_HALVINGS halvings (x0 = 0 takes them all), then
-#: scans LP_SCAN coarse horizons from it.
+#: `lp_oracle` refuses only when the LPs at t_max and at LP_CONFIRM halved
+#: horizons are infeasible, brackets the shortest feasible horizon to
+#: LP_BRACKET relative width in at most LP_HALVINGS halvings (x0 = 0 takes
+#: them all), then scans LP_SCAN coarse horizons from it.
+LP_CONFIRM = 6
 LP_BRACKET = 0.01
 LP_HALVINGS = 40
 LP_SCAN = 20
@@ -245,25 +247,35 @@ def lp_oracle(
 
     At a fixed horizon T the least-fuel transfer over inputs constant on
     equal cells is a linear program (the L1/LP link of maximum hands-off
-    control).  Feasibility is monotone in T, since the input can idle at the
-    origin, so the LP at t_max decides it: None when it is infeasible.
-    Otherwise coarse LPs bisect for the shortest feasible horizon T_f, and
-    since J(T) >= k*T, LP_SCAN coarse horizons from T_f to min(t_max,
-    J(T_f)/k) plus a bounded 1-D refinement around the best one minimize
-    k*T + fuel(T); the inputs are those of the horizon that gave it.  The
+    control).  For continuous inputs feasibility is monotone in T, since the
+    input can idle at the origin; on the cell grid it is only roughly so:
+    the cells are coarsest at t_max, at times too coarse for a fast mode
+    that the finer cells of a shorter horizon serve.  So the result is None
+    only when the LPs at t_max, t_max / 2, ..., t_max / 2^LP_CONFIRM are all
+    infeasible.  Otherwise LPs bisect below the first feasible one for the
+    shortest feasible horizon T_f, and since J(T) >= k*T, LP_SCAN coarse
+    horizons from T_f to min(t_max, J(T_f)/k) plus a bounded 1-D refinement
+    around the best one minimize k*T + fuel(T); the inputs are those of the
+    horizon that gave it.  The
     cell grid only restricts the input, so up to HiGHS's feasibility
     tolerance the cost lies above the optimum, by the discretization error.
     Shares nothing with the solver.
     """
-    cost, _inputs = _lp_transfer(spec, t_max)
+    hi = t_max
+    cost = _lp_transfer(spec, hi)[0]
+    for _ in range(LP_CONFIRM):
+        if math.isfinite(cost):
+            break
+        hi *= 0.5
+        cost = _lp_transfer(spec, hi)[0]
     if not math.isfinite(cost):
         return None
-    lo, hi = 0.0, t_max
+    lo = 0.0
     for _ in range(LP_HALVINGS):
         if hi - lo <= LP_BRACKET * hi:
             break
         mid = 0.5 * (lo + hi)
-        mid_cost = _lp_transfer(spec, mid, LP_COARSE_CELLS)[0]
+        mid_cost = _lp_transfer(spec, mid)[0]
         if math.isfinite(mid_cost):
             hi, cost = mid, mid_cost
         else:

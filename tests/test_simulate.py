@@ -7,8 +7,10 @@ from scipy.optimize import linprog
 from timefuel import LtiSystem, build_spectrum, parse_problem, simulate, validate_problem
 from timefuel.simulate import (
     LP_CELLS,
+    LP_CONFIRM,
     InvalidScheduleError,
     SwitchingSchedule,
+    _lp_transfer,
     evaluate_cost,
     lp_oracle,
     propagate,
@@ -249,9 +251,9 @@ class TestLpOracle:
         ],
         ids=["mixed-3", "sweep-a", "sweep-b"],
     )
-    def test_infeasible_at_t_max_takes_one_lp(self, eigenvalues, x0, k, monkeypatch):
-        # feasibility is monotone in the horizon, so the LP at t_max (the
-        # solver's default, 50 slowest time constants) settles a refusal
+    def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
+        # a refusal takes the LP at t_max (the solver's default, 50 slowest
+        # time constants) and one at each of LP_CONFIRM halved horizons
         spec = parse_problem(
             {
                 "eigenvalues": [[c, 1] for c in eigenvalues],
@@ -263,9 +265,28 @@ class TestLpOracle:
         calls = []
 
         def counting_linprog(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append(kwargs["A_eq"].shape[1])
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "linprog", counting_linprog)
         assert lp_oracle(spec, 50.0 / min(abs(c) for c in eigenvalues)) is None
-        assert len(calls) == 1
+        assert calls == [2 * LP_CELLS] * (1 + LP_CONFIRM)
+
+    def test_near_boundary_state_reached_at_a_shorter_horizon(self):
+        # x0 just inside the null-controllable set of the modes at 2 and 3:
+        # the 0.625-wide cells at t_max = 250 cannot reach it, the finer
+        # cells of shorter horizons can (a scan of 60 horizons over
+        # (0, t_max] gives 10.39235)
+        spec = parse_problem(
+            {
+                "eigenvalues": [[-1, 5], [2, 1], [3, 1]],
+                "b": [1, 1, 1],
+                "x0": [0.5, 0.048568, -0.061975],
+                "k": 1,
+            }
+        )
+        assert _lp_transfer(spec, 250.0)[0] == math.inf
+        cost, horizon, inputs = lp_oracle(spec, 250.0)
+        assert cost == pytest.approx(10.39235, rel=1e-4)
+        fuel = horizon / LP_CELLS * np.sum(np.abs(inputs))
+        assert spec.k * horizon + fuel == pytest.approx(cost, rel=1e-7)
