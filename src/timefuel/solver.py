@@ -3,7 +3,8 @@
 Each program is solved in gap coordinates (nonnegative segment lengths whose
 cumulative sums are the switching times, so ordering holds by construction)
 in two phases: a projected Levenberg-Marquardt restoration onto the
-reachability manifold, then up to `SQP_ROUNDS` rounds of SLSQP followed by
+reachability manifold, which holds the gaps pinned at a bound out of its
+steps, then up to `SQP_ROUNDS` rounds of SLSQP followed by
 an active-set Newton polish of the KKT system, each round starting from the
 previous polish.  `solve_time_fuel` restores the blind starts of all
 programs with the same slot count as one stack on the fused reach/Jacobian
@@ -205,7 +206,11 @@ def _lm(instance, gaps, t_max, max_iter=150, levels=None):
     row each.  Each row keeps its own damping and counters: an iteration
     opens with the tolerance check, tries at most 40 damped steps, and the
     run ends when an iteration finds no improvement or the damping passes
-    1e16 (a singular system only raises the damping).
+    1e16 (a singular system only raises the damping).  A gap at 0 whose
+    gradient J^T c is positive, or at t_max with a negative one, is held:
+    its row and column of the system become the identity's and its step is
+    0 (projected Newton, Bertsekas 1982), so a step that would push it out
+    of the box is not clipped to an almost null move.
     """
     m, K = gaps.shape
     gaps = gaps.copy()
@@ -226,8 +231,12 @@ def _lm(instance, gaps, t_max, max_iter=150, levels=None):
             return gaps, c
         Ji = J[idx]
         JT = Ji.transpose(0, 2, 1)
+        grad = (JT @ c[idx, :, None])[:, :, 0]
+        held = ((gaps[idx] <= 0.0) & (grad > 0.0)) | ((gaps[idx] >= t_max) & (grad < 0.0))
+        system = JT @ Ji + nu[idx, None, None] * eye
         step, singular = _solve_rows(
-            JT @ Ji + nu[idx, None, None] * eye, (-JT @ c[idx, :, None])[:, :, 0]
+            np.where(held[:, :, None] | held[:, None, :], eye, system),
+            np.where(held, 0.0, -grad),
         )
         attempts[idx] += 1
         nu[idx[singular]] *= 10.0
