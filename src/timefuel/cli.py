@@ -11,14 +11,13 @@ sorted keys and CSV uses '.' decimals with 9 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
 from .builder import build_all
-from .model import _is_number, load_problem
+from .model import _is_number, load_problem, validate_problem
 from .sequences import (
     brute_force_candidates,
     count_all_candidates,
@@ -161,13 +160,11 @@ def cmd_table(args) -> int:
     if not args.k:
         print("table: at least one --k value is required", file=sys.stderr)
         return USAGE_ERROR
-    if any(k <= 0 for k in args.k):
-        print("table: every --k must be positive", file=sys.stderr)
-        return USAGE_ERROR
     spec = load_problem(args.problem)
+    # every k is checked before the first solve
+    specs = [validate_problem(spec.system, spec.x0, k, spec.max_switches) for k in args.k]
     rows = []
-    for k in args.k:
-        kspec = dataclasses.replace(spec, time_weight=float(k))
+    for k, kspec in zip(args.k, specs):
         report = solve_time_fuel(kspec, _solver_options(args))
         best = report.best
         rows.append(

@@ -86,14 +86,10 @@ class SwitchingSchedule:
         return max(len(self.levels) - 1, 0)
 
 
-def schedule_from_times(
-    levels: Sequence[int],
-    times: Sequence[float],
-    collapse_tol: float = COLLAPSE_TOL,
-) -> SwitchingSchedule:
+def schedule_from_times(levels: Sequence[int], times: Sequence[float]) -> SwitchingSchedule:
     """Condense template levels and segment end times into a schedule.
 
-    Segments shorter than collapse_tol are dropped, adjacent equal levels are
+    Segments shorter than `COLLAPSE_TOL` are dropped, adjacent equal levels are
     merged, and trailing zero segments are cut (a trailing off period moves
     the final time but not the transferred state).
     """
@@ -106,7 +102,7 @@ def schedule_from_times(
     start = 0.0
     for level, end in zip(levels, times):
         end = max(end, start)
-        if end - start >= collapse_tol:
+        if end - start >= COLLAPSE_TOL:
             if merged and merged[-1][0] == level:
                 merged[-1] = (level, merged[-1][1], end)
             else:

@@ -6,18 +6,18 @@ in two phases: a projected Levenberg-Marquardt restoration onto the
 reachability manifold, which holds the gaps pinned at a bound out of its
 steps, then up to `SQP_ROUNDS` rounds of SLSQP followed by
 an active-set Newton polish of the KKT system, each round starting from the
-previous polish.  `solve_time_fuel` restores the blind starts of all
-programs with the same slot count as one stack on the fused reach/Jacobian
-kernel, each row under its own program's levels, and every row gives the
-bits it would give alone; `solve_nlp` then descends one program's restored
-starts.  The rounds run per start.  Aggregation re-simulates every converged
-solution before trusting it and is bitwise reproducible for a fixed seed.
+previous polish.  `_restore` runs the start rows of all programs with the
+same slot count as one stack on the fused reach/Jacobian kernel, each row
+under its own program's levels, and every row gives the bits it would give
+alone; `solve_nlp` then descends one program's restored starts.  The rounds
+run per start.  Aggregation re-simulates every converged solution before
+trusting it and is bitwise reproducible for a fixed seed.
 
 When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
 decides: with no feasible horizon the problem is infeasible; otherwise its
-input, rounded to a level word, is one more start, through `solve_nlp`, of
-every program that contains the word, and a miss there is a solver failure,
-not infeasibility.
+input, rounded to a level word, is one more start of every program that
+contains the word, restored and descended like the blind starts, and a
+miss there is a solver failure, not infeasibility.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
@@ -53,6 +53,9 @@ SQP_ROUNDS = 3
 #: Projected KKT residual a converged program must reach.
 KKT_TOL = 1e-8
 
+#: Levenberg-Marquardt iterations a restoration row gets.
+LM_ITERATIONS = 150
+
 _ACTIVE_EPS = 1e-9
 
 
@@ -66,18 +69,17 @@ class SolverFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Multi-start and tolerance knobs; defaults suit small systems."""
+    """Multi-start knobs; defaults suit small systems."""
 
     starts: int = 64
     seed: int = 0
-    feas_tol: float = 1e-8
     t_max: Optional[float] = None
+    #: Reach residual a converged program must reach (a constant, not a field).
+    feas_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.feas_tol <= 0:
-            raise ValueError("feas_tol must be positive")
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
@@ -198,19 +200,20 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray):
         return step, singular
 
 
-def _lm(instance, gaps, t_max, max_iter=150, levels=None):
+def _lm(instance, gaps, t_max, levels=None):
     """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
 
     The rows of gaps (m, K) are independent runs, under the instance's
     levels or, for rows of several programs with K slots, one (m, K) level
     row each.  Each row keeps its own damping and counters: an iteration
     opens with the tolerance check, tries at most 40 damped steps, and the
-    run ends when an iteration finds no improvement or the damping passes
-    1e16 (a singular system only raises the damping).  A gap at 0 whose
-    gradient J^T c is positive, or at t_max with a negative one, is held:
-    its row and column of the system become the identity's and its step is
-    0 (projected Newton, Bertsekas 1982), so a step that would push it out
-    of the box is not clipped to an almost null move.
+    run ends after `LM_ITERATIONS` iterations, when an iteration finds no
+    improvement or when the damping passes 1e16 (a singular system only
+    raises the damping).  A gap at 0 whose gradient J^T c is positive, or at
+    t_max with a negative one, is held: its row and column of the system
+    become the identity's and its step is 0 (projected Newton, Bertsekas
+    1982), so a step that would push it out of the box is not clipped to an
+    almost null move.
     """
     m, K = gaps.shape
     gaps = gaps.copy()
@@ -224,7 +227,7 @@ def _lm(instance, gaps, t_max, max_iter=150, levels=None):
     eye = np.eye(K)
     while True:
         opening = live & (attempts == 0)
-        stop = (iters >= max_iter) | (np.max(np.abs(c), axis=1) <= 1e-12)
+        stop = (iters >= LM_ITERATIONS) | (np.max(np.abs(c), axis=1) <= 1e-12)
         live &= ~(opening & stop)
         idx = np.flatnonzero(live)
         if idx.size == 0:
@@ -284,14 +287,14 @@ def _kkt_state(instance, w, gaps, t_max, mult):
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
-def _polish(instance, w, gaps, mult, t_max, feas_tol):
+def _polish(instance, w, gaps, mult, t_max):
     """Newton iterations on the active-set KKT system, merit safeguarded."""
     n = instance.order
     gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps.copy())
     feas, kkt = _kkt_state(instance, w, gaps, t_max, mult)
     best = (gaps.copy(), mult.copy(), feas, kkt)
     for _ in range(80):
-        if feas <= feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2:
+        if feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2:
             break
         reach, A = instance.reach_stack(np.cumsum(gaps)[None, :])
         c = reach[0] - instance._x0
@@ -392,7 +395,7 @@ def _starts(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.n
     return scales[np.argmin(norms, axis=1)][:, None] * draws
 
 
-def _descend(instance, options, t_max, gaps, c) -> tuple:
+def _descend(instance, t_max, gaps, c) -> tuple:
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP and
     Newton polish; the record (status, cost, times, feasibility, KKT
     residual).  A round that ends short of the tolerances hands the
@@ -407,8 +410,8 @@ def _descend(instance, options, t_max, gaps, c) -> tuple:
         gaps = _slsqp(instance, gaps, t_max, w)
         _, J = _eval1(instance, gaps)
         mult = _ls_multipliers(J, w, gaps)
-        gaps, mult, feas, kkt = _polish(instance, w, gaps, mult, t_max, options.feas_tol)
-        if feas <= options.feas_tol and kkt <= KKT_TOL:
+        gaps, mult, feas, kkt = _polish(instance, w, gaps, mult, t_max)
+        if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
             status = CONVERGED
             break
     return status, float(w @ gaps), np.cumsum(gaps), feas, kkt
@@ -426,29 +429,28 @@ def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
     )
 
 
-def solve_nlp(
-    instance: NlpInstance, options: SolverOptions, restored: Optional[tuple] = None
-) -> LocalSolution:
+def solve_nlp(instance: NlpInstance, options: SolverOptions, restored: tuple) -> LocalSolution:
     """Best local solution of one program over its restored starts, the
-    (gaps (m, K), residuals (m, n)) pair of `_lm`, each descended; by
-    default its `_starts`, restored as one LM stack."""
+    (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
+    descended."""
     t_max = options.horizon(instance)
-    if restored is None:
-        restored = _lm(instance, _starts(instance, options, t_max), t_max)
-    records = [_descend(instance, options, t_max, g, c) for g, c in zip(*restored)]
+    records = [_descend(instance, t_max, g, c) for g, c in zip(*restored)]
     return _solution(instance, min(records, key=_record_key))
 
 
-def _restored_starts(instances, options, t_max) -> dict:
-    """Program id -> (gaps, residuals) of its `_starts` after restoration,
-    with the starts of all programs of one slot count in one LM stack."""
+def _restore(instances, starts: dict, t_max: float) -> dict:
+    """Program id -> (gaps, residuals) of the (m, K) start rows that
+    `starts` maps its id to, restored with the rows of all programs of one
+    slot count in one `_lm` stack, each row under its own program's levels."""
+    programs = [inst for inst in instances if inst.instance_id in starts]
     restored = {}
-    for K in sorted({inst.slot_count for inst in instances}):
-        group = [inst for inst in instances if inst.slot_count == K]
-        starts = np.concatenate([_starts(inst, options, t_max) for inst in group])
-        levels = np.repeat([inst._v for inst in group], options.starts, axis=0)
-        gaps, c = _lm(group[0], starts, t_max, levels=levels)
-        for inst, g, r in zip(group, np.split(gaps, len(group)), np.split(c, len(group))):
+    for K in sorted({inst.slot_count for inst in programs}):
+        group = [inst for inst in programs if inst.slot_count == K]
+        rows = [starts[inst.instance_id] for inst in group]
+        levels = np.concatenate([np.broadcast_to(i._v, r.shape) for i, r in zip(group, rows)])
+        gaps, c = _lm(group[0], np.concatenate(rows), t_max, levels=levels)
+        ends = np.cumsum([len(r) for r in rows[:-1]])
+        for inst, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
             restored[inst.instance_id] = (g, r)
     return restored
 
@@ -474,27 +476,21 @@ def _slots(levels: Sequence[int], word: Sequence[int]) -> Optional[list[int]]:
     return None if None in slots else slots
 
 
-def _lp_seeded(instances, solutions, word, options):
-    """Solutions after one more start, with the word's durations in the
+def _lp_seeds(instances, word: SwitchingSchedule) -> dict:
+    """Program id -> one start row, with the word's durations in the
     matching slots and gap 0 elsewhere, of each program that contains it.
-
     The seed skips the shrink of `_starts`, which would scale it off its
-    horizon.  A solution is replaced when its seeded start converges.
-    """
-    out = []
-    for inst, sol in zip(instances, solutions):
+    horizon."""
+    seeds = {}
+    for inst in instances:
         slots = _slots(inst.levels, word.levels)
         if slots is not None:
-            seed = np.zeros((1, inst.slot_count))
-            seed[0, slots] = word.durations
-            seeded = solve_nlp(inst, options, _lm(inst, seed, options.horizon(inst)))
-            if seeded.status == CONVERGED:
-                sol = seeded
-        out.append(sol)
-    return out
+            seeds[inst.instance_id] = np.zeros((1, inst.slot_count))
+            seeds[inst.instance_id][0, slots] = word.durations
+    return seeds
 
 
-def _verified(spec, instances, solutions, options):
+def _verified(spec, instances, solutions):
     """(cost, switches, final time, id, schedule) of every converged
     solution whose schedule, propagated from x0, lands on the origin."""
     verified = []
@@ -503,7 +499,7 @@ def _verified(spec, instances, solutions, options):
             continue
         schedule = schedule_from_times(inst.levels, sol.times)
         terminal = propagate(spec.system, spec.x0, schedule).terminal_state
-        if float(np.max(np.abs(terminal), initial=0.0)) > 10.0 * options.feas_tol:
+        if float(np.max(np.abs(terminal), initial=0.0)) > 10.0 * SolverOptions.feas_tol:
             continue
         cost, _on, _sp = evaluate_cost(schedule, spec.k)
         verified.append(
@@ -520,15 +516,18 @@ def solve_time_fuel(
 
     A converged program only competes after its decoded schedule, propagated
     from x0, lands on the origin within 10x the feasibility tolerance.  Cost
-    ties are broken by fewer switchings, then smaller final time, then id.
+    ties are broken by fewer switchings, then by the least final time among
+    the tied programs on each level word, then by the word, then by id: the
+    programs that embed one word differ in final time only by rounding.
     When none verifies, the fixed-horizon LP decides between infeasibility
     and one more start seeded from its input (see the module docstring).
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     t_max = options.horizon(instances[0])
-    restored = _restored_starts(instances, options, t_max)
+    starts = {inst.instance_id: _starts(inst, options, t_max) for inst in instances}
+    restored = _restore(instances, starts, t_max)
     solutions = [solve_nlp(i, options, restored[i.instance_id]) for i in instances]
-    verified = _verified(spec, instances, solutions, options)
+    verified = _verified(spec, instances, solutions)
     if not verified:
         residual = min(s.constraint_residual for s in solutions)
         lp = lp_oracle(spec, t_max)
@@ -541,8 +540,13 @@ def solve_time_fuel(
         lp_cost, horizon, inputs = lp
         word = _lp_word(inputs, horizon)
         if word.levels:
-            solutions = _lp_seeded(instances, solutions, word, options)
-        verified = _verified(spec, instances, solutions, options)
+            seeded = _restore(instances, _lp_seeds(instances, word), t_max)
+            for j, inst in enumerate(instances):
+                if inst.instance_id in seeded:
+                    sol = solve_nlp(inst, options, seeded[inst.instance_id])
+                    if sol.status == CONVERGED:
+                        solutions[j] = sol
+        verified = _verified(spec, instances, solutions)
         if not verified:
             raise SolverFailedError(
                 f"{refusal}, although the fixed-horizon LP reaches the origin at "
@@ -550,10 +554,11 @@ def solve_time_fuel(
                 f"{','.join(map(str, word.levels))}); raising `starts` may help"
             )
     min_cost = min(v[0] for v in verified)
-    ties = sorted(
-        (v for v in verified if v[0] <= min_cost * (1.0 + TIE_REL_TOL) + 1e-300),
-        key=lambda v: (v[1], v[2], v[3]),
-    )
+    tied = [v for v in verified if v[0] <= min_cost * (1.0 + TIE_REL_TOL) + 1e-300]
+    word_t_f = {}
+    for v in tied:
+        word_t_f[v[4].levels] = min(v[2], word_t_f.get(v[4].levels, math.inf))
+    ties = sorted(tied, key=lambda v: (v[1], word_t_f[v[4].levels], v[4].levels, v[3]))
     *_, instance_id, schedule = ties[0]
     cost, on, sparsity = evaluate_cost(schedule, spec.k)
     best = BestSolution(

@@ -296,9 +296,10 @@ class TestTable:
         code, _, err = run(capsys, "table", "--problem", str(example_problem_file))
         assert code == 1
 
-    def test_nonpositive_k_usage_error(self, capsys, example_problem_file):
+    @pytest.mark.parametrize("k", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_k_usage_error(self, capsys, example_problem_file, k):
         code, _, _ = run(
-            capsys, "table", "--problem", str(example_problem_file), "--k", "0"
+            capsys, "table", "--problem", str(example_problem_file), "--k", k
         )
         assert code == 1
 

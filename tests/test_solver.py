@@ -19,13 +19,12 @@ from timefuel.solver import (
     INFEASIBLE,
     KKT_TOL,
     InfeasibleProblemError,
-    LocalSolution,
     SolverOptions,
     _lm,
-    _lp_seeded,
+    _lp_seeds,
     _lp_word,
     _ls_multipliers,
-    _restored_starts,
+    _restore,
     _slots,
     _solve_rows,
     _starts,
@@ -44,12 +43,24 @@ def scalar_spec(lam=-1.0, b=1.0, x0=0.5, k=1.0):
     return validate_problem(system, [x0], k)
 
 
+def blind_starts(instances, options):
+    """The `_starts` rows of every program, by id, and their time box."""
+    t_max = options.horizon(instances[0])
+    return {inst.instance_id: _starts(inst, options, t_max) for inst in instances}, t_max
+
+
+def restored_alone(inst, options=OPTS):
+    """One program's blind starts restored on their own, for `solve_nlp`."""
+    starts, t_max = blind_starts([inst], options)
+    return _restore([inst], starts, t_max)[inst.instance_id]
+
+
 class TestSolveNlp:
     def test_scalar_closed_form(self):
         # single negative bang: t_f = ln(1 + x0), J = (k + 1) t_f
         spec = scalar_spec()
         inst = sequence_instance(spec, CandidateSequence.from_levels((-1,)))
-        sol = solve_nlp(inst, OPTS)
+        sol = solve_nlp(inst, OPTS, restored_alone(inst))
         assert sol.status == CONVERGED
         expected = 2.0 * math.log(1.5)
         assert sol.cost == pytest.approx(expected, abs=1e-9)
@@ -59,7 +70,7 @@ class TestSolveNlp:
         inst = sequence_instance(
             example_spec, CandidateSequence.from_levels((-1, 0, 1))
         )
-        sol = solve_nlp(inst, OPTS)
+        sol = solve_nlp(inst, OPTS, restored_alone(inst))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(1.8940, abs=5e-4)
         assert sol.times[-1] == pytest.approx(1.1480, abs=5e-4)
@@ -67,13 +78,13 @@ class TestSolveNlp:
     def test_origin_start(self, example_spec):
         spec = validate_problem(example_spec.system, [0.0, 0.0], 1.0)
         inst = sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
-        sol = solve_nlp(inst, OPTS)
+        sol = solve_nlp(inst, OPTS, restored_alone(inst))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_solution_invariants(self, example_spec):
         for inst in build_all(example_spec):
-            sol = solve_nlp(inst, OPTS)
+            sol = solve_nlp(inst, OPTS, restored_alone(inst))
             if sol.status != CONVERGED:
                 continue
             assert sol.constraint_residual <= OPTS.feas_tol
@@ -198,7 +209,7 @@ class TestHigherOrder:
         assert report.best.schedule.levels == (-1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1)
 
 
-def lm_reference(instance, gaps, t_max, max_iter, tol=1e-12):
+def lm_reference(instance, gaps, t_max, iterations, tol=1e-12):
     """Start-by-start projected Levenberg-Marquardt with held gaps, the
     stacked `_lm`'s model."""
 
@@ -212,7 +223,7 @@ def lm_reference(instance, gaps, t_max, max_iter, tol=1e-12):
     f = 0.5 * float(c @ c)
     nu = 1e-3
     eye = np.eye(len(gaps))
-    for _ in range(max_iter):
+    for _ in range(iterations):
         if np.max(np.abs(c)) <= tol:
             break
         improved = False
@@ -242,8 +253,9 @@ def lm_reference(instance, gaps, t_max, max_iter, tol=1e-12):
 
 
 class TestStackedRestoration:
-    def test_lm_rows_match_reference(self, example_spec):
+    def test_lm_rows_match_reference(self, example_spec, monkeypatch):
         # each row of one stacked run is bitwise the start-by-start run
+        monkeypatch.setattr(solver, "LM_ITERATIONS", 60)
         options = SolverOptions(starts=16, seed=0)
         # n = 6 has 12- and 13-slot programs, where BLAS would round the
         # stacked J^T J differently from the plain loop
@@ -255,7 +267,7 @@ class TestStackedRestoration:
         for inst in (inst for spec in specs for inst in build_all(spec)[:3]):
             t_max = options.horizon(inst)
             gaps = _starts(inst, options, t_max)
-            stacked, c = _lm(inst, gaps, t_max, max_iter=60)
+            stacked, c = _lm(inst, gaps, t_max)
             for i in range(len(gaps)):
                 ref_gaps, ref_c = lm_reference(inst, gaps[i], t_max, 60)
                 assert np.array_equal(stacked[i], ref_gaps)
@@ -309,7 +321,7 @@ class TestStackedRestoration:
             spec = validate_problem(spec.system, spec.x0, spec.k, max_switches)
         options = SolverOptions(starts=starts, seed=0)
         instances = build_all(spec)
-        t_max = options.horizon(instances[0])
+        blind, t_max = blind_starts(instances, options)
         stacks = []
 
         def counting_lm(inst, gaps, *args, **kwargs):
@@ -317,21 +329,21 @@ class TestStackedRestoration:
             return _lm(inst, gaps, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restored_starts(instances, options, t_max)
+        restored = _restore(instances, blind, t_max)
         slot_counts = [inst.slot_count for inst in instances]
         per_count = [starts * slot_counts.count(K) for K in set(slot_counts)]
         assert len(per_count) > 1 and sorted(stacks) == sorted(per_count)
         for inst in instances:
             gaps, c = restored[inst.instance_id]
-            alone, c_alone = _lm(inst, _starts(inst, options, t_max), t_max)
+            alone, c_alone = _lm(inst, blind[inst.instance_id], t_max)
             assert np.array_equal(gaps, alone)
             assert np.array_equal(c, c_alone)
 
     def test_held_gaps_cut_restoration_passes(self, example_spec, monkeypatch):
         # a gap at a bound whose gradient points out of the box is held out
         # of the step, not clipped to a near-null move, so the runs no
-        # longer crawl along the bounds to max_iter: the two stacks of the
-        # reference problem take 74 passes, and 469 with clipped steps
+        # longer crawl along the bounds to `LM_ITERATIONS`: the two stacks
+        # of the reference problem take 74 passes, and 469 with clipped steps
         passes = []
 
         def counting_solve_rows(A, rhs):
@@ -339,9 +351,8 @@ class TestStackedRestoration:
             return _solve_rows(A, rhs)
 
         monkeypatch.setattr(solver, "_solve_rows", counting_solve_rows)
-        options = SolverOptions(starts=16, seed=0)
         instances = build_all(example_spec)
-        _restored_starts(instances, options, options.horizon(instances[0]))
+        _restore(instances, *blind_starts(instances, SolverOptions(starts=16, seed=0)))
         assert len(passes) <= 120
 
     def test_starts_are_prefixes(self):
@@ -433,13 +444,38 @@ class TestLpRetry:
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
         _cost, inputs = _lp_transfer(spec, horizon)
         word = _lp_word(inputs, horizon)
-        placeholders = [
-            LocalSolution(inst.instance_id, (), math.inf, math.inf, math.inf, INFEASIBLE)
-            for inst in instances
-        ]
-        solutions = _lp_seeded(instances, placeholders, word, self.OPTIONS)
-        verified = {v[3]: v[0] for v in _verified(spec, instances, solutions, self.OPTIONS)}
+        t_max = self.OPTIONS.horizon(instances[0])
+        restored = _restore(instances, _lp_seeds(instances, word), t_max)
+        seeded = [inst for inst in instances if inst.instance_id in restored]
+        solutions = [solve_nlp(i, self.OPTIONS, restored[i.instance_id]) for i in seeded]
+        verified = {v[3]: v[0] for v in _verified(spec, seeded, solutions)}
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
+
+    def test_seeds_share_a_stack(self, monkeypatch):
+        # the seeds of all programs that contain the LP word are restored
+        # in one stack per slot count, each row with the bits it gets alone
+        spec = stable_spec(*self.COUNTEREXAMPLE)
+        instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
+        word = schedule_from_times((1, 0, -1), [0.3, 0.5, 0.9])
+        seeds = _lp_seeds(instances, word)
+        slot_counts = {inst.slot_count for inst in instances if inst.instance_id in seeds}
+        assert len(seeds) > len(slot_counts)
+        t_max = self.OPTIONS.horizon(instances[0])
+        calls = []
+
+        def counting_lm(inst, gaps, *args, **kwargs):
+            calls.append(len(gaps))
+            return _lm(inst, gaps, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_lm", counting_lm)
+        restored = _restore(instances, seeds, t_max)
+        assert len(calls) == len(slot_counts) and sum(calls) == len(seeds)
+        for inst in instances:
+            if inst.instance_id in seeds:
+                gaps, c = restored[inst.instance_id]
+                alone, c_alone = _lm(inst, seeds[inst.instance_id], t_max)
+                assert np.array_equal(gaps, alone)
+                assert np.array_equal(c, c_alone)
 
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
         # each of the 8 programs gets one blind solve of its restored
@@ -447,7 +483,7 @@ class TestLpRetry:
         # solve of a single restored start
         calls, words = [], []
 
-        def counting_solve_nlp(instance, options, restored=None):
+        def counting_solve_nlp(instance, options, restored):
             calls.append((instance.instance_id, restored[0]))
             return solve_nlp(instance, options, restored)
 
@@ -575,3 +611,27 @@ class TestDegenerateVertex:
         for program in programs:
             assert statuses[program] == CONVERGED
         assert all(status in (CONVERGED, INFEASIBLE) for status in statuses.values())
+
+
+def test_same_word_ties_pick_the_lowest_id():
+    # `mixed-0` of the benchmark: three programs verify on the word
+    # 0,1,0,-1 with final times that differ only in the last bits, so the
+    # lowest id of the three wins, not the one whose rounding came out
+    # shortest (OP2-plus-- before)
+    spec = parse_problem(
+        {
+            "eigenvalues": [[-1, 1], [-2, 1], [2, 1]],
+            "b": [1, 1, 1],
+            "x0": [-0.060350566522978655, 0.16247352942414017, -0.06585192172897571],
+            "k": 1,
+        }
+    )
+    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    levels = {inst.instance_id: inst.levels for inst in build_all(spec)}
+    times = {s.instance_id: s.times for s in report.per_instance}
+    best_word = report.best.schedule.levels
+    on_word = [
+        i for i in report.ties if schedule_from_times(levels[i], times[i]).levels == best_word
+    ]
+    assert len(on_word) == 3
+    assert report.best.instance_id == min(on_word) == "OP1-plus-+-"
