@@ -379,15 +379,10 @@ def build_all(spec: ProblemSpec) -> list[NlpInstance]:
     higher orders the generic templates over all admissible sign vectors.
     """
     n = spec.order
-    if spec.max_switches is not None:
+    if spec.max_switches is not None or n == 1:
         seqs = sorted(
             enumerate_candidates(n, spec.max_switches),
             key=lambda s: (len(s.levels), s.levels),
-        )
-        return [sequence_instance(spec, s) for s in seqs]
-    if n == 1:
-        seqs = sorted(
-            enumerate_candidates(1), key=lambda s: (len(s.levels), s.levels)
         )
         return [sequence_instance(spec, s) for s in seqs]
     instances: list[NlpInstance] = []

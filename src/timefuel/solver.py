@@ -78,8 +78,14 @@ class SolverOptions:
     feas_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
+        for name in ("starts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
@@ -429,11 +435,10 @@ def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
     )
 
 
-def solve_nlp(instance: NlpInstance, options: SolverOptions, restored: tuple) -> LocalSolution:
+def solve_nlp(instance: NlpInstance, t_max: float, restored: tuple) -> LocalSolution:
     """Best local solution of one program over its restored starts, the
     (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
     descended."""
-    t_max = options.horizon(instance)
     records = [_descend(instance, t_max, g, c) for g, c in zip(*restored)]
     return _solution(instance, min(records, key=_record_key))
 
@@ -526,7 +531,7 @@ def solve_time_fuel(
     t_max = options.horizon(instances[0])
     starts = {inst.instance_id: _starts(inst, options, t_max) for inst in instances}
     restored = _restore(instances, starts, t_max)
-    solutions = [solve_nlp(i, options, restored[i.instance_id]) for i in instances]
+    solutions = [solve_nlp(i, t_max, restored[i.instance_id]) for i in instances]
     verified = _verified(spec, instances, solutions)
     if not verified:
         residual = min(s.constraint_residual for s in solutions)
@@ -543,7 +548,7 @@ def solve_time_fuel(
             seeded = _restore(instances, _lp_seeds(instances, word), t_max)
             for j, inst in enumerate(instances):
                 if inst.instance_id in seeded:
-                    sol = solve_nlp(inst, options, seeded[inst.instance_id])
+                    sol = solve_nlp(inst, t_max, seeded[inst.instance_id])
                     if sol.status == CONVERGED:
                         solutions[j] = sol
         verified = _verified(spec, instances, solutions)

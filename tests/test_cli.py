@@ -167,6 +167,14 @@ class TestSolve:
         assert code == 1
         assert "t_max" in err
 
+    def test_negative_seed_exits_1(self, capsys, example_problem_file):
+        code, _, err = run(
+            capsys, "solve", "--problem", str(example_problem_file),
+            "--starts", "2", "--seed", "-1",
+        )
+        assert code == 1
+        assert "seed" in err
+
     def test_same_seed_gives_same_bytes(self, capsys, tmp_path, example_problem_file):
         outputs = []
         for label in ("first", "second"):

@@ -55,12 +55,34 @@ def restored_alone(inst, options=OPTS):
     return _restore([inst], starts, t_max)[inst.instance_id]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("starts", True),
+        ("starts", 2.5),
+        ("starts", 0),
+        ("seed", False),
+        ("seed", 1.0),
+        ("seed", -1),
+        ("seed", np.int64(-1)),
+    ],
+)
+def test_malformed_options_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
+def test_numpy_integer_options_accepted():
+    options = SolverOptions(starts=np.int64(3), seed=np.uint32(5))
+    assert (options.starts, options.seed) == (3, 5)
+
+
 class TestSolveNlp:
     def test_scalar_closed_form(self):
         # single negative bang: t_f = ln(1 + x0), J = (k + 1) t_f
         spec = scalar_spec()
         inst = sequence_instance(spec, CandidateSequence.from_levels((-1,)))
-        sol = solve_nlp(inst, OPTS, restored_alone(inst))
+        sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
         assert sol.status == CONVERGED
         expected = 2.0 * math.log(1.5)
         assert sol.cost == pytest.approx(expected, abs=1e-9)
@@ -70,7 +92,7 @@ class TestSolveNlp:
         inst = sequence_instance(
             example_spec, CandidateSequence.from_levels((-1, 0, 1))
         )
-        sol = solve_nlp(inst, OPTS, restored_alone(inst))
+        sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(1.8940, abs=5e-4)
         assert sol.times[-1] == pytest.approx(1.1480, abs=5e-4)
@@ -78,13 +100,13 @@ class TestSolveNlp:
     def test_origin_start(self, example_spec):
         spec = validate_problem(example_spec.system, [0.0, 0.0], 1.0)
         inst = sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
-        sol = solve_nlp(inst, OPTS, restored_alone(inst))
+        sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_solution_invariants(self, example_spec):
         for inst in build_all(example_spec):
-            sol = solve_nlp(inst, OPTS, restored_alone(inst))
+            sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
             if sol.status != CONVERGED:
                 continue
             assert sol.constraint_residual <= OPTS.feas_tol
@@ -447,7 +469,7 @@ class TestLpRetry:
         t_max = self.OPTIONS.horizon(instances[0])
         restored = _restore(instances, _lp_seeds(instances, word), t_max)
         seeded = [inst for inst in instances if inst.instance_id in restored]
-        solutions = [solve_nlp(i, self.OPTIONS, restored[i.instance_id]) for i in seeded]
+        solutions = [solve_nlp(i, t_max, restored[i.instance_id]) for i in seeded]
         verified = {v[3]: v[0] for v in _verified(spec, seeded, solutions)}
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
 
@@ -483,9 +505,9 @@ class TestLpRetry:
         # solve of a single restored start
         calls, words = [], []
 
-        def counting_solve_nlp(instance, options, restored):
+        def counting_solve_nlp(instance, t_max, restored):
             calls.append((instance.instance_id, restored[0]))
-            return solve_nlp(instance, options, restored)
+            return solve_nlp(instance, t_max, restored)
 
         def recording_lp_word(inputs, horizon):
             words.append(_lp_word(inputs, horizon))
