@@ -495,9 +495,10 @@ def _lp_seeds(instances, word: SwitchingSchedule) -> dict:
     return seeds
 
 
-def _verified(spec, instances, solutions):
-    """(cost, switches, final time, id, schedule) of every converged
-    solution whose schedule, propagated from x0, lands on the origin."""
+def _verified(spec, instances, solutions) -> list[BestSolution]:
+    """The answer of every program whose converged solution, decoded to a
+    schedule and propagated from x0, lands on the origin; its cost,
+    on-duration and sparsity are the simulator's."""
     verified = []
     for inst, sol in zip(instances, solutions):
         if sol.status != CONVERGED:
@@ -506,9 +507,9 @@ def _verified(spec, instances, solutions):
         terminal = propagate(spec.system, spec.x0, schedule).terminal_state
         if float(np.max(np.abs(terminal), initial=0.0)) > 10.0 * SolverOptions.feas_tol:
             continue
-        cost, _on, _sp = evaluate_cost(schedule, spec.k)
+        cost, on, sparsity = evaluate_cost(schedule, spec.k)
         verified.append(
-            (cost, schedule.switch_count, schedule.final_time, inst.instance_id, schedule)
+            BestSolution(inst.instance_id, schedule, cost, schedule.final_time, on, sparsity)
         )
     return verified
 
@@ -558,24 +559,23 @@ def solve_time_fuel(
                 f"cost {lp_cost:.6f} (t_f {horizon:.6g}, word "
                 f"{','.join(map(str, word.levels))}); raising `starts` may help"
             )
-    min_cost = min(v[0] for v in verified)
-    tied = [v for v in verified if v[0] <= min_cost * (1.0 + TIE_REL_TOL) + 1e-300]
+    min_cost = min(v.cost for v in verified)
+    tied = [v for v in verified if v.cost <= min_cost * (1.0 + TIE_REL_TOL) + 1e-300]
     word_t_f = {}
     for v in tied:
-        word_t_f[v[4].levels] = min(v[2], word_t_f.get(v[4].levels, math.inf))
-    ties = sorted(tied, key=lambda v: (v[1], word_t_f[v[4].levels], v[4].levels, v[3]))
-    *_, instance_id, schedule = ties[0]
-    cost, on, sparsity = evaluate_cost(schedule, spec.k)
-    best = BestSolution(
-        instance_id=instance_id,
-        schedule=schedule,
-        cost=cost,
-        final_time=schedule.final_time,
-        on_duration=on,
-        sparsity=sparsity,
+        word = v.schedule.levels
+        word_t_f[word] = min(v.final_time, word_t_f.get(word, math.inf))
+    ties = sorted(
+        tied,
+        key=lambda v: (
+            v.schedule.switch_count,
+            word_t_f[v.schedule.levels],
+            v.schedule.levels,
+            v.instance_id,
+        ),
     )
     return SolveReport(
         per_instance=tuple(solutions),
-        best=best,
-        ties=tuple(v[3] for v in ties),
+        best=ties[0],
+        ties=tuple(v.instance_id for v in ties),
     )

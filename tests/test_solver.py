@@ -470,7 +470,7 @@ class TestLpRetry:
         restored = _restore(instances, _lp_seeds(instances, word), t_max)
         seeded = [inst for inst in instances if inst.instance_id in restored]
         solutions = [solve_nlp(i, t_max, restored[i.instance_id]) for i in seeded]
-        verified = {v[3]: v[0] for v in _verified(spec, seeded, solutions)}
+        verified = {v.instance_id: v.cost for v in _verified(spec, seeded, solutions)}
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
 
     def test_seeds_share_a_stack(self, monkeypatch):
