@@ -211,15 +211,18 @@ def _lm(instance, gaps, t_max, levels=None):
 
     The rows of gaps (m, K) are independent runs, under the instance's
     levels or, for rows of several programs with K slots, one (m, K) level
-    row each.  Each row keeps its own damping and counters: an iteration
-    opens with the tolerance check, tries at most 40 damped steps, and the
-    run ends after `LM_ITERATIONS` iterations, when an iteration finds no
-    improvement or when the damping passes 1e16 (a singular system only
-    raises the damping).  A gap at 0 whose gradient J^T c is positive, or at
-    t_max with a negative one, is held: its row and column of the system
-    become the identity's and its step is 0 (projected Newton, Bertsekas
-    1982), so a step that would push it out of the box is not clipped to an
-    almost null move.
+    row each.  Each row keeps its own damping and iteration count.  An
+    attempt that is rejected or meets a singular system multiplies the
+    damping by 10; an accepted step ends the iteration and multiplies it by
+    0.3, to no less than 1e-12.  A row stops at its residual tolerance,
+    after `LM_ITERATIONS` iterations, or once its damping passes 1e16.
+    That is the one stop of an iteration that finds no step, and since an
+    iteration opens at a damping of at least 1e-12 it comes within 29
+    attempts, so no attempt cap is needed.  A gap at 0 whose gradient J^T c is positive,
+    or at t_max with a negative one, is held: its row and column of the
+    system become the identity's and its step is 0 (projected Newton,
+    Bertsekas 1982), so a step that would push it out of the box is not
+    clipped to an almost null move.
     """
     m, K = gaps.shape
     gaps = gaps.copy()
@@ -228,13 +231,10 @@ def _lm(instance, gaps, t_max, levels=None):
     f = _half_sq(c)
     nu = np.full(m, 1e-3)
     iters = np.zeros(m, dtype=int)
-    attempts = np.zeros(m, dtype=int)
     live = np.ones(m, dtype=bool)
     eye = np.eye(K)
     while True:
-        opening = live & (attempts == 0)
-        stop = (iters >= LM_ITERATIONS) | (np.max(np.abs(c), axis=1) <= 1e-12)
-        live &= ~(opening & stop)
+        live &= (iters < LM_ITERATIONS) & (np.max(np.abs(c), axis=1) > 1e-12) & (nu <= 1e16)
         idx = np.flatnonzero(live)
         if idx.size == 0:
             return gaps, c
@@ -247,7 +247,6 @@ def _lm(instance, gaps, t_max, levels=None):
             np.where(held[:, :, None] | held[:, None, :], eye, system),
             np.where(held, 0.0, -grad),
         )
-        attempts[idx] += 1
         nu[idx[singular]] *= 10.0
         tried = idx[~singular]
         trial = np.clip(gaps[tried] + step[~singular], 0.0, t_max)
@@ -259,11 +258,7 @@ def _lm(instance, gaps, t_max, levels=None):
         J[took] = Jt[better]
         nu[took] = np.maximum(nu[took] * 0.3, 1e-12)
         iters[took] += 1
-        attempts[took] = 0
-        worse = tried[~better]
-        nu[worse] *= 10.0
-        live[worse[nu[worse] > 1e16]] = False
-        live[attempts >= 40] = False
+        nu[tried[~better]] *= 10.0
 
 
 def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarray:

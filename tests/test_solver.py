@@ -251,21 +251,22 @@ def lm_reference(instance, gaps, t_max, iterations, tol=1e-12):
         improved = False
         grad = J.T @ c
         held = ((gaps <= 0.0) & (grad > 0.0)) | ((gaps >= t_max) & (grad < 0.0))
-        for _attempt in range(40):
+        while True:
+            system = np.where(held[:, None] | held[None, :], eye, J.T @ J + nu * eye)
             try:
-                system = np.where(held[:, None] | held[None, :], eye, J.T @ J + nu * eye)
                 step = np.linalg.solve(system, np.where(held, 0.0, -grad))
             except np.linalg.LinAlgError:
-                nu *= 10.0
-                continue
-            trial = np.clip(gaps + step, 0.0, t_max)
-            ct, Jt = evaluate(trial)
-            ft = 0.5 * float(ct @ ct)
-            if ft < f:
-                gaps, c, J, f = trial, ct, Jt, ft
-                nu = max(nu * 0.3, 1e-12)
-                improved = True
-                break
+                step = None
+            if step is not None:
+                trial = np.clip(gaps + step, 0.0, t_max)
+                ct, Jt = evaluate(trial)
+                ft = 0.5 * float(ct @ ct)
+                if ft < f:
+                    gaps, c, J, f = trial, ct, Jt, ft
+                    nu = max(nu * 0.3, 1e-12)
+                    improved = True
+                    break
+            # a singular system, like a rejected step, only raises the damping
             nu *= 10.0
             if nu > 1e16:
                 break
@@ -376,6 +377,23 @@ class TestStackedRestoration:
         instances = build_all(example_spec)
         _restore(instances, *blind_starts(instances, SolverOptions(starts=16, seed=0)))
         assert len(passes) <= 120
+
+    def test_singular_systems_stop_at_the_damping_bound(self, example_spec, monkeypatch):
+        # a row whose every system is singular only raises its damping, from
+        # 1e-3 by 10 a pass, so the one damping stop ends it after 20 passes
+        # with its gaps unchanged (a 40-attempt cap ended it before)
+        passes = []
+
+        def singular_rows(A, rhs):
+            passes.append(len(A))
+            return np.zeros(rhs.shape), np.ones(len(A), dtype=bool)
+
+        monkeypatch.setattr(solver, "_solve_rows", singular_rows)
+        inst = build_all(example_spec)[0]
+        start = np.zeros((1, inst.slot_count))
+        gaps, _ = _lm(inst, start, SolverOptions().horizon(inst))
+        assert passes == [1] * 20
+        assert np.array_equal(gaps, start)
 
     def test_starts_are_prefixes(self):
         # start i does not depend on how many starts follow it
