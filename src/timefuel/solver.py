@@ -6,12 +6,16 @@ in two phases: a projected Levenberg-Marquardt restoration onto the
 reachability manifold, which holds the gaps pinned at a bound out of its
 steps, then up to `SQP_ROUNDS` rounds of SLSQP followed by
 an active-set Newton polish of the KKT system, each round starting from the
-previous polish.  `_restore` runs the start rows of all programs with the
-same slot count as one stack on the fused reach/Jacobian kernel, each row
-under its own program's levels, and every row gives the bits it would give
-alone; `solve_nlp` then descends one program's restored starts.  The rounds
-run per start.  Aggregation re-simulates every converged solution before
-trusting it and is bitwise reproducible for a fixed seed.
+previous polish.  Every phase forms the residual reach - x0 and its gap
+Jacobian through `_eval` alone.  `_restore` runs the start rows of all
+programs with the same slot count as one stack on the fused reach/Jacobian
+kernel, each row under its own program's levels, and every row gives the
+bits it would give alone; `solve_nlp` then descends one program's restored
+starts, each to a `LocalSolution`, and keeps the best.  The rounds run per
+start.  Aggregation re-simulates every converged solution before trusting
+it: each that lands on the origin becomes a `BestSolution` costed by the
+simulator, and the report names the first after the tie rules.  It is
+bitwise reproducible for a fixed seed.
 
 When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
 decides: with no feasible horizon the problem is infeasible; otherwise its
@@ -161,19 +165,16 @@ class SolveReport:
         }
 
 
-def _gap_jacobian(time_jac: np.ndarray) -> np.ndarray:
-    # chain rule through t_j = sum_{m <= j} gap_m: reverse cumulative sum
-    return np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
-
-
 def _eval(instance: NlpInstance, gaps: np.ndarray, jacobian: bool = True, levels=None):
     """Residuals (m, n) and gap Jacobians (m, n, K) of gap stack (m, K),
     under the program's levels or one (m, K) level row per gap row."""
     times = np.cumsum(gaps, axis=-1)
     v = instance._v if levels is None else levels
     reach, time_jac = reach_kernel(instance._lam, instance._b, v, times, jacobian)
-    c = reach - instance._x0
-    return c, None if time_jac is None else _gap_jacobian(time_jac)
+    # the gap Jacobian, by the chain rule through t_j = sum_{m <= j} gap_m,
+    # is the reverse cumulative sum of the time Jacobian
+    J = None if time_jac is None else np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
+    return reach - instance._x0, J
 
 
 def _eval1(instance: NlpInstance, gaps: np.ndarray):
@@ -218,11 +219,11 @@ def _lm(instance, gaps, t_max, levels=None):
     after `LM_ITERATIONS` iterations, or once its damping passes 1e16.
     That is the one stop of an iteration that finds no step, and since an
     iteration opens at a damping of at least 1e-12 it comes within 29
-    attempts, so no attempt cap is needed.  A gap at 0 whose gradient J^T c is positive,
-    or at t_max with a negative one, is held: its row and column of the
-    system become the identity's and its step is 0 (projected Newton,
-    Bertsekas 1982), so a step that would push it out of the box is not
-    clipped to an almost null move.
+    attempts, so no attempt cap is needed.  A gap at 0 whose gradient
+    J^T c is positive, or at t_max with a negative one, is held: its row
+    and column of the system become the identity's and its step is 0
+    (projected Newton, Bertsekas 1982), so a step that would push it out of
+    the box is not clipped to an almost null move.
     """
     m, K = gaps.shape
     gaps = gaps.copy()
@@ -277,8 +278,8 @@ def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarra
     return fit.x[: len(mult)]
 
 
-def _kkt_state(instance, w, gaps, t_max, mult):
-    c, J = _eval1(instance, gaps)
+def _kkt_state(c, J, w, gaps, t_max, mult):
+    """(feasibility, projected KKT residual) of an evaluated point."""
     grad_l = w + J.T @ mult
     projected = np.where(
         gaps <= _ACTIVE_EPS,
@@ -288,28 +289,35 @@ def _kkt_state(instance, w, gaps, t_max, mult):
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
-def _polish(instance, w, gaps, mult, t_max):
-    """Newton iterations on the active-set KKT system, merit safeguarded."""
+def _polish(instance, w, gaps, t_max):
+    """Newton iterations on the active-set KKT system, merit safeguarded;
+    the (gaps, feasibility, KKT residual) of the best point reached.
+
+    The multipliers start as the least-squares fit at the given point.
+    Gaps under `_ACTIVE_EPS` start at 0, and a trial's gaps under 1e-12
+    are set to 0 before it is evaluated; each accepted trial's residuals
+    and Jacobian serve the next Newton step.
+    """
     n = instance.order
-    gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps.copy())
-    feas, kkt = _kkt_state(instance, w, gaps, t_max, mult)
-    best = (gaps.copy(), mult.copy(), feas, kkt)
+    c, J = _eval1(instance, gaps)
+    mult = _ls_multipliers(J, w, gaps)
+    gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps)
+    c, J = _eval1(instance, gaps)
+    feas, kkt = _kkt_state(c, J, w, gaps, t_max, mult)
+    best = (gaps, feas, kkt)
     for _ in range(80):
         if feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2:
             break
-        reach, A = instance.reach_stack(np.cumsum(gaps)[None, :])
-        c = reach[0] - instance._x0
-        A = A[0]
-        J = _gap_jacobian(A)
         grad_l = w + J.T @ mult
         # free set: positive gaps plus bound coords pushed off the bound
         free = np.where((gaps > _ACTIVE_EPS) | (grad_l < -KKT_TOL * 1e-2))[0]
         if len(free) == 0:
             break
         rhs = -np.concatenate([grad_l[free], c])
-        # Hessian of mult . c is diagonal in time coordinates
-        h_t = (mult * (-instance._lam)) @ A
-        suffix = np.flip(np.cumsum(np.flip(h_t)))
+        # the Hessian of mult . c is diagonal in time coordinates, so in gap
+        # coordinates entry (i, j) is the suffix sum of that diagonal from
+        # max(i, j): the gap Jacobian's reverse cumulative sum
+        suffix = (mult * (-instance._lam)) @ J
         H = suffix[np.maximum.outer(free, free)]
         system = np.block(
             [[H, J[:, free].T], [J[:, free], np.zeros((n, n))]]
@@ -327,23 +335,24 @@ def _polish(instance, w, gaps, mult, t_max):
         for _bt in range(25):
             trial = gaps.copy()
             trial[free] = np.maximum(gaps[free] + alpha * d_gap, 0.0)
+            trial[trial < 1e-12] = 0.0
             trial_mult = mult + alpha * d_mult
-            f_t, k_t = _kkt_state(instance, w, trial, t_max, trial_mult)
+            c_t, J_t = _eval1(instance, trial)
+            f_t, k_t = _kkt_state(c_t, J_t, w, trial, t_max, trial_mult)
             scaled_now = max(feas, kkt * 1e-3)
             scaled_new = max(f_t, k_t * 1e-3)
             if scaled_new < scaled_now or (f_t + k_t) < (feas + kkt) * 0.999:
-                gaps, mult, feas, kkt = trial, trial_mult, f_t, k_t
+                gaps, mult, c, J, feas, kkt = trial, trial_mult, c_t, J_t, f_t, k_t
                 stepped = True
                 break
             alpha *= 0.5
         if not stepped:
             break
-        gaps = np.where(gaps < 1e-12, 0.0, gaps)
-        if feas + kkt < best[2] + best[3]:
-            best = (gaps.copy(), mult.copy(), feas, kkt)
-    if feas + kkt > best[2] + best[3]:
-        gaps, mult, feas, kkt = best
-    return gaps, mult, feas, kkt
+        if feas + kkt < best[1] + best[2]:
+            best = (gaps, feas, kkt)
+    if feas + kkt > best[1] + best[2]:
+        return best
+    return gaps, feas, kkt
 
 
 def _slsqp(instance, gaps, t_max, w):
@@ -396,30 +405,25 @@ def _starts(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.n
     return scales[np.argmin(norms, axis=1)][:, None] * draws
 
 
-def _descend(instance, t_max, gaps, c) -> tuple:
+def _descend(instance, t_max, gaps, c) -> LocalSolution:
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP and
-    Newton polish; the record (status, cost, times, feasibility, KKT
-    residual).  A round that ends short of the tolerances hands the
-    polished point to the next one."""
+    Newton polish, as the start's solution.  A round that ends short of the
+    tolerances hands the polished point to the next one; a start that
+    restoration left off the manifold is reported infeasible as it is."""
     w = instance.gap_weights
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
-    if feas > 1e-6 * x0_scale:
-        return INFEASIBLE, float(w @ gaps), np.cumsum(gaps), feas, float("inf")
-    status = ITERATION_LIMIT
-    for _round in range(SQP_ROUNDS):
-        gaps = _slsqp(instance, gaps, t_max, w)
-        _, J = _eval1(instance, gaps)
-        mult = _ls_multipliers(J, w, gaps)
-        gaps, mult, feas, kkt = _polish(instance, w, gaps, mult, t_max)
-        if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
-            status = CONVERGED
-            break
-    return status, float(w @ gaps), np.cumsum(gaps), feas, kkt
-
-
-def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
-    status, _cost, times, feas, kkt = record
+    kkt = math.inf
+    status = INFEASIBLE
+    if feas <= 1e-6 * x0_scale:
+        status = ITERATION_LIMIT
+        for _round in range(SQP_ROUNDS):
+            gaps = _slsqp(instance, gaps, t_max, w)
+            gaps, feas, kkt = _polish(instance, w, gaps, t_max)
+            if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
+                status = CONVERGED
+                break
+    times = np.cumsum(gaps)
     return LocalSolution(
         instance_id=instance.instance_id,
         times=tuple(float(t) for t in times),
@@ -431,11 +435,16 @@ def _solution(instance: NlpInstance, record: tuple) -> LocalSolution:
 
 
 def solve_nlp(instance: NlpInstance, t_max: float, restored: tuple) -> LocalSolution:
-    """Best local solution of one program over its restored starts, the
+    """Best solution of one program over its restored starts, the
     (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
-    descended."""
-    records = [_descend(instance, t_max, g, c) for g, c in zip(*restored)]
-    return _solution(instance, min(records, key=_record_key))
+    descended within the time box [0, t_max] per gap: the least-cost
+    converged one, or else the one with the least constraint residual; on
+    a tie the first start wins."""
+    solutions = [_descend(instance, t_max, g, c) for g, c in zip(*restored)]
+    converged = [s for s in solutions if s.status == CONVERGED]
+    if converged:
+        return min(converged, key=lambda s: s.cost)
+    return min(solutions, key=lambda s: s.constraint_residual)
 
 
 def _restore(instances, starts: dict, t_max: float) -> dict:
@@ -453,13 +462,6 @@ def _restore(instances, starts: dict, t_max: float) -> dict:
         for inst, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
             restored[inst.instance_id] = (g, r)
     return restored
-
-
-def _record_key(record):
-    status, cost, _times, feas, _kkt = record
-    # converged beats everything, then lowest cost; otherwise lowest residual
-    # (min keeps the first start of a tie)
-    return (status != CONVERGED, cost if status == CONVERGED else feas)
 
 
 def _lp_word(inputs: np.ndarray, horizon: float) -> SwitchingSchedule:

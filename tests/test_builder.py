@@ -17,7 +17,7 @@ from timefuel.builder import (
 )
 from timefuel.sequences import CandidateSequence
 from timefuel.simulate import evaluate_cost, reachability_x0, schedule_from_times
-from timefuel.solver import _gap_jacobian
+from timefuel.solver import _eval1
 
 from conftest import random_system
 
@@ -289,14 +289,13 @@ class TestInstanceCallbacks:
                 gaps = rng.uniform(0.1, 0.5, size=inst.slot_count)
                 times = np.cumsum(gaps)
                 time_jac = inst.constraint_jacobian(times)
-                # time coordinates, and gap coordinates through the solver's
-                # reverse cumulative sum
+                # time coordinates, and the solver's gap coordinates
                 for point, residuals, analytic in (
                     (times, inst.constraint_residuals, time_jac),
                     (
                         gaps,
                         lambda g: inst.constraint_residuals(np.cumsum(g)),
-                        _gap_jacobian(time_jac),
+                        _eval1(inst, gaps)[1],
                     ),
                 ):
                     fd = np.zeros_like(analytic)

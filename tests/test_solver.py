@@ -19,6 +19,7 @@ from timefuel.solver import (
     INFEASIBLE,
     KKT_TOL,
     InfeasibleProblemError,
+    SolverFailedError,
     SolverOptions,
     _lm,
     _lp_seeds,
@@ -602,6 +603,29 @@ def test_sixteen_starts_find_the_optimum():
     )
     report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SolverFailedError,
+    reason="converged but rejected: OP2-plus-- meets the reach residual at "
+    "1.3e-14, while the simulator's |x(t_f)| is 2.1e-5, rounding amplified "
+    "by e^(4 t_f) ~ 4e11 (ROADMAP item 1: terminal-state residuals)",
+)
+def test_unstable_optimum_passes_the_simulator():
+    # b = 1, lambda = -1/2, 1, 4: OP2-plus-- converges on word 1,0,-1,0,1
+    # at 12.169956 (t_f 6.6954), below the LP's 12.185535 on word 1,-1,0,1;
+    # the LP-seeded retry reaches the same point and is rejected alike
+    spec = parse_problem(
+        {
+            "eigenvalues": [[-1, 2], [1, 1], [4, 1]],
+            "b": [1, 1, 1],
+            "x0": [0.2, 0.2109, -0.1805],
+            "k": 1,
+        }
+    )
+    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert report.best.cost == pytest.approx(12.169956, rel=1e-6)
 
 
 class TestDegenerateVertex:
