@@ -382,7 +382,7 @@ class TestStackedRestoration:
     def test_singular_systems_stop_at_the_damping_bound(self, example_spec, monkeypatch):
         # a row whose every system is singular only raises its damping, from
         # 1e-3 by 10 a pass, so the one damping stop ends it after 20 passes
-        # with its gaps unchanged (a 40-attempt cap ended it before)
+        # with its gaps unchanged
         passes = []
 
         def singular_rows(A, rhs):
