@@ -89,8 +89,10 @@ class SwitchingSchedule:
 def schedule_from_times(levels: Sequence[int], times: Sequence[float]) -> SwitchingSchedule:
     """Condense template levels and segment end times into a schedule.
 
-    Segments shorter than `COLLAPSE_TOL` are dropped, adjacent equal levels are
-    merged, and trailing zero segments are cut (a trailing off period moves
+    A segment at the level of the last kept one extends it, whatever its
+    length, so the condensed schedule keeps a tail that zero-length
+    segments split off; any other segment shorter than `COLLAPSE_TOL` is
+    dropped.  Trailing zero segments are cut (a trailing off period moves
     the final time but not the transferred state).
     """
     times = [float(t) for t in times]
@@ -102,11 +104,10 @@ def schedule_from_times(levels: Sequence[int], times: Sequence[float]) -> Switch
     start = 0.0
     for level, end in zip(levels, times):
         end = max(end, start)
-        if end - start >= COLLAPSE_TOL:
-            if merged and merged[-1][0] == level:
-                merged[-1] = (level, merged[-1][1], end)
-            else:
-                merged.append((int(level), start, end))
+        if merged and merged[-1][0] == level:
+            merged[-1] = (level, merged[-1][1], end)
+        elif end - start >= COLLAPSE_TOL:
+            merged.append((int(level), start, end))
         start = end
     while merged and merged[-1][0] == 0:
         merged.pop()

@@ -4,10 +4,13 @@ Each program is solved in gap coordinates (nonnegative segment lengths whose
 cumulative sums are the switching times, so ordering holds by construction)
 in two phases: a projected Levenberg-Marquardt restoration onto the
 reachability manifold, which holds the gaps pinned at a bound out of its
-steps, then up to `SQP_ROUNDS` rounds of SLSQP followed by
-an active-set Newton polish of the KKT system, each round starting from the
-previous polish.  Every phase forms the residual reach - x0 and its gap
-Jacobian through `_eval` alone.  `_restore` runs the start rows of all
+steps, then up to `SQP_ROUNDS` rounds of SLSQP followed by an active-set
+Newton polish of the KKT system, each round starting from the previous
+polish.  SLSQP stops at the feasibility tolerance, which is enough to find
+the active set; the polish, with the exact Hessian, gives the last digits
+(the split of Byrd, Gould, Nocedal & Waltz, Math. Prog. 100, 2004).  Every
+phase forms the residual reach - x0 and its gap Jacobian through `_eval`
+alone.  `_restore` runs the start rows of all
 programs with the same slot count as one stack on the fused reach/Jacobian
 kernel, each row under its own program's levels, and every row gives the
 bits it would give alone; `solve_nlp` then descends one program's restored
@@ -27,6 +30,7 @@ miss there is a solver failure, not infeasibility.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -90,7 +94,11 @@ class SolverOptions:
             raise ValueError("starts must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0):
+        if self.t_max is None:
+            return
+        if isinstance(self.t_max, bool) or not isinstance(self.t_max, numbers.Real):
+            raise ValueError(f"t_max must be a real number, got {self.t_max!r}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
     def horizon(self, instance: NlpInstance) -> float:
@@ -293,6 +301,10 @@ def _polish(instance, w, gaps, t_max):
     """Newton iterations on the active-set KKT system, merit safeguarded;
     the (gaps, feasibility, KKT residual) of the best point reached.
 
+    A point that meets the tolerances (`feas_tol` and `KKT_TOL`, each
+    times 1e-2) gets one more Newton step, which is kept only if the merit
+    falls on its first trial, with no backtracking; then the polish stops.
+    That step takes the SLSQP point, good to `feas_tol`, to rounding level.
     The multipliers start as the least-squares fit at the given point.
     Gaps under `_ACTIVE_EPS` start at 0, and a trial's gaps under 1e-12
     are set to 0 before it is evaluated; each accepted trial's residuals
@@ -306,8 +318,7 @@ def _polish(instance, w, gaps, t_max):
     feas, kkt = _kkt_state(c, J, w, gaps, t_max, mult)
     best = (gaps, feas, kkt)
     for _ in range(80):
-        if feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2:
-            break
+        finishing = feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2
         grad_l = w + J.T @ mult
         # free set: positive gaps plus bound coords pushed off the bound
         free = np.where((gaps > _ACTIVE_EPS) | (grad_l < -KKT_TOL * 1e-2))[0]
@@ -332,7 +343,7 @@ def _polish(instance, w, gaps, t_max):
         if shrinking.any():
             alpha = min(1.0, float(np.min(-gaps[free][shrinking] / d_gap[shrinking])))
         stepped = False
-        for _bt in range(25):
+        for _bt in range(1 if finishing else 25):
             trial = gaps.copy()
             trial[free] = np.maximum(gaps[free] + alpha * d_gap, 0.0)
             trial[trial < 1e-12] = 0.0
@@ -346,17 +357,29 @@ def _polish(instance, w, gaps, t_max):
                 stepped = True
                 break
             alpha *= 0.5
-        if not stepped:
-            break
         if feas + kkt < best[1] + best[2]:
             best = (gaps, feas, kkt)
+        if finishing or not stepped:
+            break
     if feas + kkt > best[1] + best[2]:
         return best
     return gaps, feas, kkt
 
 
 def _slsqp(instance, gaps, t_max, w):
-    """SLSQP on min w . gaps subject to reach(gaps) = x0 within the box."""
+    """SLSQP on min w . gaps subject to reach(gaps) = x0 within the box,
+    stopped at `feas_tol`: it has to find the active set, not the last
+    digits, which `_polish` supplies.  SLSQP asks for the Jacobian at the
+    point whose residual it just took, so the two share one `_eval1`."""
+    last = {}
+
+    def evaluated(g):
+        key = g.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _eval1(instance, g)
+        return last[key]
+
     try:
         result = minimize(
             lambda g: float(w @ g),
@@ -367,11 +390,11 @@ def _slsqp(instance, gaps, t_max, w):
             constraints=[
                 {
                     "type": "eq",
-                    "fun": lambda g: _eval(instance, g[None, :], jacobian=False)[0][0],
-                    "jac": lambda g: _eval1(instance, g)[1],
+                    "fun": lambda g: evaluated(g)[0],
+                    "jac": lambda g: evaluated(g)[1],
                 }
             ],
-            options={"maxiter": 400, "ftol": 1e-14},
+            options={"maxiter": 400, "ftol": SolverOptions.feas_tol},
         )
     except (ValueError, np.linalg.LinAlgError):
         return gaps
@@ -406,8 +429,9 @@ def _starts(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.n
 
 
 def _descend(instance, t_max, gaps, c) -> LocalSolution:
-    """One restored start through at most `SQP_ROUNDS` rounds of SLSQP and
-    Newton polish, as the start's solution.  A round that ends short of the
+    """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
+    stopped at the feasibility tolerance, and a Newton polish that finishes
+    to rounding level, as the start's solution.  A round that ends short of the
     tolerances hands the polished point to the next one; a start that
     restoration left off the manifold is reported infeasible as it is."""
     w = instance.gap_weights

@@ -25,3 +25,47 @@ def test_comparison_set():
     options = SolverOptions(starts=16, seed=0)
     direct = json.dumps(solve_time_fuel(reference, options).as_dict(), sort_keys=True)
     assert tool.report_line("ref2-k1", *problems["ref2-k1"]) == f"ref2-k1\t{direct}"
+
+
+def report(best_id, word, cost, ties, programs):
+    """A report dict with one program per (id, status, residual)."""
+    return {
+        "best": {"instance_id": best_id, "sequence": word, "cost": cost},
+        "ties": ties,
+        "instances": [
+            {"instance_id": i, "status": status, "constraint_residual": residual}
+            for i, status, residual in programs
+        ],
+    }
+
+
+def test_compare(tmp_path):
+    # one line per changed problem, old -> new where a field moved
+    old = {
+        "same": report("A", [1], 2.0, ["A"], [("A", "converged", 1e-12)]),
+        "moved": report(
+            "A", [1], 2.0, ["A"], [("A", "converged", 1e-12), ("B", "converged", 1e-9)]
+        ),
+        "failed": "SolverFailedError: t_f 1.5",
+    }
+    new = dict(old)
+    new["moved"] = report(
+        "B",
+        [-1, 0, 1],
+        2.0 * (1 + 3e-11),
+        ["B", "A"],
+        [("A", "infeasible", 0.1), ("B", "converged", 5e-17)],
+    )
+    new["failed"] = "SolverFailedError: t_f 1.25"
+    paths = []
+    for name, reports in (("old.txt", old), ("new.txt", new)):
+        path = tmp_path / name
+        lines = [f"{k}\t{v if isinstance(v, str) else json.dumps(v)}" for k, v in reports.items()]
+        path.write_text("\n".join(lines) + "\n")
+        paths.append(path)
+    assert load_tool().compare(*paths) == [
+        "moved\texit solved\tbest A [1] -> B [-1,0,1]\tcost +3.0e-11"
+        "\tstatus A converged -> infeasible\tties A -> B,A\tresidual 1.0e-09 -> 5.0e-17",
+        "failed\texit SolverFailedError\tbest -\tcost -\tstatus -\tties -\tresidual -",
+        "2 of 3 problems changed",
+    ]

@@ -82,6 +82,12 @@ class TestSchedule:
         assert s.levels == (1,)
         assert s.breakpoints == (0.0, 0.7)
 
+    def test_from_times_keeps_a_sliver_that_continues_its_level(self):
+        # a tail shorter than COLLAPSE_TOL, split off by a zero-length segment
+        s = schedule_from_times((1, 0, 1), [0.26, 0.26, 0.26 + 5.7e-8])
+        assert s.levels == (1,)
+        assert s.breakpoints == (0.0, 0.26 + 5.7e-8)
+
 
 class TestPropagate:
     def test_equilibrium(self, stable_system):

@@ -66,6 +66,8 @@ def restored_alone(inst, options=OPTS):
         ("seed", 1.0),
         ("seed", -1),
         ("seed", np.int64(-1)),
+        ("t_max", True),
+        ("t_max", "5"),
     ],
 )
 def test_malformed_options_rejected(field, value):
@@ -74,8 +76,8 @@ def test_malformed_options_rejected(field, value):
 
 
 def test_numpy_integer_options_accepted():
-    options = SolverOptions(starts=np.int64(3), seed=np.uint32(5))
-    assert (options.starts, options.seed) == (3, 5)
+    options = SolverOptions(starts=np.int64(3), seed=np.uint32(5), t_max=np.float32(2.5))
+    assert (options.starts, options.seed, options.t_max) == (3, 5, 2.5)
 
 
 class TestSolveNlp:
@@ -699,3 +701,106 @@ def test_same_word_ties_pick_the_lowest_id():
     ]
     assert len(on_word) == 3
     assert report.best.instance_id == min(on_word) == "OP1-plus-+-"
+
+
+#: `mixed-2` of the benchmark: b = 1, lambda = -3, -4, 2; the optimum is a
+#: single bang of u = -1.
+MIXED_2 = {
+    "eigenvalues": [[-3, 1], [-4, 1], [2, 1]],
+    "b": [1, 1, 1],
+    "x0": [0.4032081458358405, 0.46950082211106703, 0.20526998824584447],
+    "k": 1,
+}
+
+
+def test_sliver_tail_keeps_its_program_verified():
+    # OP1-minus--+ converges at reach residual 1.4e-14 with its single bang
+    # split by zero-length segments; dropping the 1.1e-7 tail after them
+    # ended the schedule early and the simulator rejected the program
+    report = solve_time_fuel(parse_problem(MIXED_2), SolverOptions(starts=16, seed=0))
+    assert "OP1-minus--+" in report.ties
+    assert report.best.schedule.levels == (-1,)
+
+
+class TestDescentLayer:
+    """SLSQP stops at the feasibility tolerance; the polish gives the digits."""
+
+    def test_slsqp_work_is_bounded(self, monkeypatch):
+        # SLSQP chasing ftol 1e-14 took 794 iterations on mixed-2
+        iterations = []
+        real_minimize = solver.minimize
+
+        def counted(*args, **kwargs):
+            result = real_minimize(*args, **kwargs)
+            iterations.append(result.nit)
+            return result
+
+        monkeypatch.setattr(solver, "minimize", counted)
+        solve_time_fuel(parse_problem(MIXED_2), SolverOptions(starts=16, seed=0))
+        assert 0 < sum(iterations) <= 400
+
+    def test_reference_cost_to_rounding(self, example_spec):
+        # the optimum of word -1, 0, 1 from its KKT conditions at 50 digits:
+        # reach(t) = x0, and the Lagrangian of k t_f + t_1 + (t_f - t_2) is
+        # stationary in t_1, t_2, t_f, where psi(s) = mu . e^(-lam s) must be
+        # 1 at t_1, -1 at t_2 and -(k + 1) at t_f; x0 is taken as the
+        # doubles the solver reads, not the decimals 0.6 and 0.4
+        import mpmath as mp
+
+        report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        assert report.best.schedule.levels == (-1, 0, 1)
+        lam, x0, k = (-1, -2), (mp.mpf(0.6), mp.mpf(0.4)), 1
+
+        def psi(mu, s):
+            return sum(m * mp.exp(-l * s) for m, l in zip(mu, lam))
+
+        def kkt(t1, t2, tf, mu1, mu2):
+            ends = (0, t1, t2, tf)
+            reach = [
+                x0[i]
+                + sum(
+                    u * (mp.exp(-l * a) - mp.exp(-l * b)) / l
+                    for u, a, b in zip((-1, 0, 1), ends, ends[1:])
+                )
+                for i, l in enumerate(lam)
+            ]
+            mu = (mu1, mu2)
+            return reach + [1 - psi(mu, t1), -1 - psi(mu, t2), k + 1 + psi(mu, tf)]
+
+        t1, t2, tf = report.best.schedule.breakpoints[1:]
+        mu = np.linalg.solve(np.exp(-np.outer((t1, t2), lam)), [1.0, -1.0])
+        with mp.workdps(50):
+            root = mp.findroot(kkt, (t1, t2, tf, *mu))
+            optimum = k * root[2] + root[0] + (root[2] - root[1])
+            assert mp.nstr(optimum, 18) == "1.89397904421243217"
+        assert abs(report.best.cost - float(optimum)) <= 2e-15 * float(optimum)
+
+    def test_slsqp_evaluates_each_point_once(self, example_spec, monkeypatch):
+        # the constraint's value and Jacobian share one kernel call a point
+        inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
+        gaps, c = restored_alone(inst)
+        start = gaps[int(np.argmin(np.max(np.abs(c), axis=1)))]
+        received, evaluated = set(), []
+        real_minimize, real_eval = solver.minimize, solver._eval
+
+        def recorded(f):
+            def g(x):
+                received.add(x.tobytes())
+                return f(x)
+
+            return g
+
+        def watched(fun, x0, constraints, **kwargs):
+            (con,) = constraints
+            con = {**con, "fun": recorded(con["fun"]), "jac": recorded(con["jac"])}
+            return real_minimize(fun, x0, constraints=[con], **kwargs)
+
+        def counted(instance, gaps, *args, **kwargs):
+            evaluated.extend(row.tobytes() for row in gaps)
+            return real_eval(instance, gaps, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "minimize", watched)
+        monkeypatch.setattr(solver, "_eval", counted)
+        solver._slsqp(inst, start, OPTS.horizon(inst), inst.gap_weights)
+        assert len(received) > 1
+        assert sorted(evaluated) == sorted(received)

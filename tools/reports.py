@@ -7,6 +7,10 @@ output:
 
     python3 tools/reports.py > reports.txt
 
+or, one line per changed problem and a count line, by
+
+    python3 tools/reports.py --compare old.txt new.txt
+
 The set, in this order:
 
 - the 14 benchmark problems of `bench/workloads.py`, at 16 starts, seed 0;
@@ -24,6 +28,7 @@ The benchmark's problem sets and the test helpers are imported read-only.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -116,6 +121,73 @@ def report_line(name, spec, options) -> str:
     return f"{name}\t{text}"
 
 
+def _read(path) -> dict:
+    """Problem name -> report dict, or the exception line of a failed solve."""
+    reports = {}
+    for line in Path(path).read_text().splitlines():
+        name, text = line.split("\t", 1)
+        reports[name] = json.loads(text) if text.startswith("{") else text
+    return reports
+
+
+def _summary(report) -> dict:
+    """The fields a comparison line shows, as strings; None for a missing line."""
+    if not isinstance(report, dict):
+        kind = "absent" if report is None else report.split(":", 1)[0]
+        return {"exit": kind, "best": "-", "ties": "-", "residual": "-"}
+    best = report["best"]
+    residuals = [
+        s["constraint_residual"] for s in report["instances"] if s["status"] == "converged"
+    ]
+    return {
+        "exit": "solved",
+        "best": f"{best['instance_id']} [{','.join(map(str, best['sequence']))}]",
+        "ties": ",".join(report["ties"]),
+        "residual": f"{max(residuals):.1e}" if residuals else "-",
+    }
+
+
+def _change(old: str, new: str) -> str:
+    return old if old == new else f"{old} -> {new}"
+
+
+def compare_line(name: str, old, new) -> str:
+    """Exit kind, best id and word, best cost's relative change, program
+    status changes, ties and largest converged constraint residual, old -> new."""
+    a, b = _summary(old), _summary(new)
+    cost = status = "-"
+    if isinstance(old, dict) and isinstance(new, dict):
+        before, after = old["best"]["cost"], new["best"]["cost"]
+        cost = f"{(after - before) / abs(before):+.1e}"
+        was = {s["instance_id"]: s["status"] for s in old["instances"]}
+        moved = [
+            f"{s['instance_id']} {was.get(s['instance_id'])} -> {s['status']}"
+            for s in new["instances"]
+            if was.get(s["instance_id"]) != s["status"]
+        ]
+        status = ", ".join(moved) or "none"
+    return (
+        f"{name}\texit {_change(a['exit'], b['exit'])}\tbest {_change(a['best'], b['best'])}"
+        f"\tcost {cost}\tstatus {status}\tties {_change(a['ties'], b['ties'])}"
+        f"\tresidual {_change(a['residual'], b['residual'])}"
+    )
+
+
+def compare(old_path, new_path) -> list[str]:
+    """One `compare_line` per problem whose line differs, then a count line."""
+    old, new = _read(old_path), _read(new_path)
+    names = list(old) + [name for name in new if name not in old]
+    changed = [name for name in names if old.get(name) != new.get(name)]
+    lines = [compare_line(name, old.get(name), new.get(name)) for name in changed]
+    return lines + [f"{len(changed)} of {len(names)} problems changed"]
+
+
 if __name__ == "__main__":
-    for problem in problems():
-        print(report_line(*problem), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+    else:
+        for problem in problems():
+            print(report_line(*problem), flush=True)
