@@ -59,8 +59,6 @@ def _solver_options(args) -> SolverOptions:
         kwargs["starts"] = args.starts
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "max_time", None) is not None:
-        kwargs["t_max"] = args.max_time
     return SolverOptions(**kwargs)
 
 
@@ -238,7 +236,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-time", type=float, default=None, help="horizon bound")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_solve)
 
@@ -254,7 +251,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, action="append", default=[])
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-time", type=float, default=None)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)

@@ -3,34 +3,34 @@
 Each program is solved in gap coordinates (nonnegative segment lengths whose
 cumulative sums are the switching times, so ordering holds by construction)
 in two phases: a projected Levenberg-Marquardt restoration onto the
-reachability manifold, which holds the gaps pinned at a bound out of its
-steps, then up to `SQP_ROUNDS` rounds of SLSQP followed by an active-set
-Newton polish of the KKT system, each round starting from the previous
-polish.  SLSQP stops at the feasibility tolerance, which is enough to find
-the active set; the polish, with the exact Hessian, gives the last digits
-(the split of Byrd, Gould, Nocedal & Waltz, Math. Prog. 100, 2004).  Every
-phase forms the residual reach - x0 and its gap Jacobian through `_eval`
-alone.  `_restore` runs the start rows of all
-programs with the same slot count as one stack on the fused reach/Jacobian
-kernel, each row under its own program's levels, and every row gives the
-bits it would give alone; `solve_nlp` then descends one program's restored
-starts, each to a `LocalSolution`, and keeps the best.  The rounds run per
-start.  Aggregation re-simulates every converged solution before trusting
-it: each that lands on the origin becomes a `BestSolution` costed by the
-simulator, and the report names the first after the tie rules.  It is
-bitwise reproducible for a fixed seed.
+reachability manifold, which holds the gaps pinned at 0 out of its steps,
+then up to `SQP_ROUNDS` rounds of SLSQP followed by an active-set Newton
+polish of the KKT system, each round starting from the previous polish.
+SLSQP stops at the feasibility tolerance, which is enough to find the active
+set; the polish, with the exact Hessian, gives the last digits (the split of
+Byrd, Gould, Nocedal & Waltz, Math. Prog. 100, 2004).  Every phase forms
+the residual reach - x0 and its gap Jacobian through `_eval` alone.
+`_restore` runs the start rows of all programs with the same slot count as
+one stack on the fused reach/Jacobian kernel, each row under its own
+program's levels, and every row gives the bits it would give alone;
+`solve_nlp` then descends one program's restored starts, each to a
+`LocalSolution`, and keeps the best.  The rounds run per start.  Aggregation
+re-simulates every converged solution before trusting it: each that lands on
+the origin becomes a `BestSolution` costed by the simulator, and the report
+names the first after the tie rules.  It is bitwise reproducible for a fixed
+seed.  The gaps have no upper bound: the final time is free, as in the
+paper's static programs.
 
-When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`
-decides: with no feasible horizon the problem is infeasible; otherwise its
-input, rounded to a level word, is one more start of every program that
-contains the word, restored and descended like the blind starts, and a
-miss there is a solver failure, not infeasibility.
+When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`,
+searched up to `horizon`, decides: with no feasible horizon the problem is
+infeasible; otherwise its input, rounded to a level word, is one more start
+of every program that contains the word, restored and descended like the
+blind starts, and a miss there is a solver failure, not infeasibility.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import zlib
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -68,7 +68,7 @@ _ACTIVE_EPS = 1e-9
 
 
 class InfeasibleProblemError(RuntimeError):
-    """No verified transfer, and no fixed-horizon LP transfer within the time box."""
+    """No verified transfer, and no fixed-horizon LP transfer up to `horizon`."""
 
 
 class SolverFailedError(RuntimeError):
@@ -81,7 +81,6 @@ class SolverOptions:
 
     starts: int = 64
     seed: int = 0
-    t_max: Optional[float] = None
     #: Reach residual a converged program must reach (a constant, not a field).
     feas_tol: ClassVar[float] = 1e-8
 
@@ -94,19 +93,14 @@ class SolverOptions:
             raise ValueError("starts must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.t_max is None:
-            return
-        if isinstance(self.t_max, bool) or not isinstance(self.t_max, numbers.Real):
-            raise ValueError(f"t_max must be a real number, got {self.t_max!r}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
 
-    def horizon(self, instance: NlpInstance) -> float:
-        """Time box: 50 slowest-mode time constants unless overridden."""
-        if self.t_max is not None:
-            return self.t_max
-        slowest = min(abs(c) for c in instance.scaled_numerators)
-        return 50.0 * instance.common_denominator / slowest
+
+def horizon(instance: NlpInstance) -> float:
+    """50 time constants of the problem's slowest mode, which every program
+    shares: the scale of the blind start draws and the longest horizon
+    `lp_oracle` tries."""
+    slowest = min(abs(c) for c in instance.scaled_numerators)
+    return 50.0 * instance.common_denominator / slowest
 
 
 @dataclass(frozen=True)
@@ -215,7 +209,7 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray):
         return step, singular
 
 
-def _lm(instance, gaps, t_max, levels=None):
+def _lm(instance, gaps, levels=None):
     """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
 
     The rows of gaps (m, K) are independent runs, under the instance's
@@ -228,10 +222,9 @@ def _lm(instance, gaps, t_max, levels=None):
     That is the one stop of an iteration that finds no step, and since an
     iteration opens at a damping of at least 1e-12 it comes within 29
     attempts, so no attempt cap is needed.  A gap at 0 whose gradient
-    J^T c is positive, or at t_max with a negative one, is held: its row
-    and column of the system become the identity's and its step is 0
-    (projected Newton, Bertsekas 1982), so a step that would push it out of
-    the box is not clipped to an almost null move.
+    J^T c is positive is held: its row and column of the system become the
+    identity's and its step is 0 (projected Newton, Bertsekas 1982), so a
+    step that would push it below 0 is not clipped to an almost null move.
     """
     m, K = gaps.shape
     gaps = gaps.copy()
@@ -250,7 +243,7 @@ def _lm(instance, gaps, t_max, levels=None):
         Ji = J[idx]
         JT = Ji.transpose(0, 2, 1)
         grad = (JT @ c[idx, :, None])[:, :, 0]
-        held = ((gaps[idx] <= 0.0) & (grad > 0.0)) | ((gaps[idx] >= t_max) & (grad < 0.0))
+        held = (gaps[idx] <= 0.0) & (grad > 0.0)
         system = JT @ Ji + nu[idx, None, None] * eye
         step, singular = _solve_rows(
             np.where(held[:, :, None] | held[:, None, :], eye, system),
@@ -258,7 +251,7 @@ def _lm(instance, gaps, t_max, levels=None):
         )
         nu[idx[singular]] *= 10.0
         tried = idx[~singular]
-        trial = np.clip(gaps[tried] + step[~singular], 0.0, t_max)
+        trial = np.maximum(gaps[tried] + step[~singular], 0.0)
         ct, Jt = _eval(instance, trial, levels=levels[tried])
         ft = _half_sq(ct)
         better = ft < f[tried]
@@ -286,20 +279,16 @@ def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarra
     return fit.x[: len(mult)]
 
 
-def _kkt_state(c, J, w, gaps, t_max, mult):
+def _kkt_state(c, J, w, gaps, mult):
     """(feasibility, projected KKT residual) of an evaluated point."""
     grad_l = w + J.T @ mult
-    projected = np.where(
-        gaps <= _ACTIVE_EPS,
-        np.minimum(grad_l, 0.0),
-        np.where(gaps >= t_max - _ACTIVE_EPS, np.maximum(grad_l, 0.0), grad_l),
-    )
+    projected = np.where(gaps <= _ACTIVE_EPS, np.minimum(grad_l, 0.0), grad_l)
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
-def _polish(instance, w, gaps, t_max):
+def _polish(instance, w, gaps):
     """Newton iterations on the active-set KKT system, merit safeguarded;
-    the (gaps, feasibility, KKT residual) of the best point reached.
+    the (gaps, feasibility, KKT residual) of the last accepted point.
 
     A point that meets the tolerances (`feas_tol` and `KKT_TOL`, each
     times 1e-2) gets one more Newton step, which is kept only if the merit
@@ -315,8 +304,7 @@ def _polish(instance, w, gaps, t_max):
     mult = _ls_multipliers(J, w, gaps)
     gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps)
     c, J = _eval1(instance, gaps)
-    feas, kkt = _kkt_state(c, J, w, gaps, t_max, mult)
-    best = (gaps, feas, kkt)
+    feas, kkt = _kkt_state(c, J, w, gaps, mult)
     for _ in range(80):
         finishing = feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2
         grad_l = w + J.T @ mult
@@ -349,7 +337,7 @@ def _polish(instance, w, gaps, t_max):
             trial[trial < 1e-12] = 0.0
             trial_mult = mult + alpha * d_mult
             c_t, J_t = _eval1(instance, trial)
-            f_t, k_t = _kkt_state(c_t, J_t, w, trial, t_max, trial_mult)
+            f_t, k_t = _kkt_state(c_t, J_t, w, trial, trial_mult)
             scaled_now = max(feas, kkt * 1e-3)
             scaled_new = max(f_t, k_t * 1e-3)
             if scaled_new < scaled_now or (f_t + k_t) < (feas + kkt) * 0.999:
@@ -357,17 +345,13 @@ def _polish(instance, w, gaps, t_max):
                 stepped = True
                 break
             alpha *= 0.5
-        if feas + kkt < best[1] + best[2]:
-            best = (gaps, feas, kkt)
         if finishing or not stepped:
             break
-    if feas + kkt > best[1] + best[2]:
-        return best
     return gaps, feas, kkt
 
 
-def _slsqp(instance, gaps, t_max, w):
-    """SLSQP on min w . gaps subject to reach(gaps) = x0 within the box,
+def _slsqp(instance, gaps, w):
+    """SLSQP on min w . gaps subject to reach(gaps) = x0 and gaps >= 0,
     stopped at `feas_tol`: it has to find the active set, not the last
     digits, which `_polish` supplies.  SLSQP asks for the Jacobian at the
     point whose residual it just took, so the two share one `_eval1`."""
@@ -386,7 +370,7 @@ def _slsqp(instance, gaps, t_max, w):
             gaps,
             jac=lambda g: w,
             method="SLSQP",
-            bounds=[(0.0, t_max)] * len(gaps),
+            bounds=[(0.0, None)] * len(gaps),
             constraints=[
                 {
                     "type": "eq",
@@ -398,7 +382,7 @@ def _slsqp(instance, gaps, t_max, w):
         )
     except (ValueError, np.linalg.LinAlgError):
         return gaps
-    out = np.clip(result.x, 0.0, t_max)
+    out = np.maximum(result.x, 0.0)
     return out if np.all(np.isfinite(out)) else gaps
 
 
@@ -407,12 +391,12 @@ def _start_seed(seed: int, instance_id: str, start: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, digest, start]))
 
 
-def _starts(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.ndarray:
-    """The (starts, K) blind start gaps: exponential draws, one generator
-    per start.  A draw can land dozens of time constants out, where Newton
-    steps barely move, so each is shrunk to the first of the 61 scales
-    0.7^k with the least residual."""
-    mean_gap = t_max / (4.0 * instance.order)
+def _starts(instance: NlpInstance, options: SolverOptions, longest: float) -> np.ndarray:
+    """The (starts, K) blind start gaps: exponential draws of mean
+    longest / (4 n), one generator per start.  A draw can land dozens of time
+    constants out, where Newton steps barely move, so each is shrunk to the
+    first of the 61 scales 0.7^k with the least residual."""
+    mean_gap = longest / (4.0 * instance.order)
     draws = np.array(
         [
             _start_seed(options.seed, instance.instance_id, start).exponential(
@@ -428,7 +412,7 @@ def _starts(instance: NlpInstance, options: SolverOptions, t_max: float) -> np.n
     return scales[np.argmin(norms, axis=1)][:, None] * draws
 
 
-def _descend(instance, t_max, gaps, c) -> LocalSolution:
+def _descend(instance, gaps, c) -> LocalSolution:
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
     stopped at the feasibility tolerance, and a Newton polish that finishes
     to rounding level, as the start's solution.  A round that ends short of the
@@ -442,8 +426,8 @@ def _descend(instance, t_max, gaps, c) -> LocalSolution:
     if feas <= 1e-6 * x0_scale:
         status = ITERATION_LIMIT
         for _round in range(SQP_ROUNDS):
-            gaps = _slsqp(instance, gaps, t_max, w)
-            gaps, feas, kkt = _polish(instance, w, gaps, t_max)
+            gaps = _slsqp(instance, gaps, w)
+            gaps, feas, kkt = _polish(instance, w, gaps)
             if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
                 status = CONVERGED
                 break
@@ -458,20 +442,19 @@ def _descend(instance, t_max, gaps, c) -> LocalSolution:
     )
 
 
-def solve_nlp(instance: NlpInstance, t_max: float, restored: tuple) -> LocalSolution:
+def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     """Best solution of one program over its restored starts, the
     (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
-    descended within the time box [0, t_max] per gap: the least-cost
-    converged one, or else the one with the least constraint residual; on
-    a tie the first start wins."""
-    solutions = [_descend(instance, t_max, g, c) for g, c in zip(*restored)]
+    descended over gaps >= 0: the least-cost converged one, or else the one
+    with the least constraint residual; on a tie the first start wins."""
+    solutions = [_descend(instance, g, c) for g, c in zip(*restored)]
     converged = [s for s in solutions if s.status == CONVERGED]
     if converged:
         return min(converged, key=lambda s: s.cost)
     return min(solutions, key=lambda s: s.constraint_residual)
 
 
-def _restore(instances, starts: dict, t_max: float) -> dict:
+def _restore(instances, starts: dict) -> dict:
     """Program id -> (gaps, residuals) of the (m, K) start rows that
     `starts` maps its id to, restored with the rows of all programs of one
     slot count in one `_lm` stack, each row under its own program's levels."""
@@ -481,7 +464,7 @@ def _restore(instances, starts: dict, t_max: float) -> dict:
         group = [inst for inst in programs if inst.slot_count == K]
         rows = [starts[inst.instance_id] for inst in group]
         levels = np.concatenate([np.broadcast_to(i._v, r.shape) for i, r in zip(group, rows)])
-        gaps, c = _lm(group[0], np.concatenate(rows), t_max, levels=levels)
+        gaps, c = _lm(group[0], np.concatenate(rows), levels=levels)
         ends = np.cumsum([len(r) for r in rows[:-1]])
         for inst, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
             restored[inst.instance_id] = (g, r)
@@ -550,34 +533,37 @@ def solve_time_fuel(
     and one more start seeded from its input (see the module docstring).
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    t_max = options.horizon(instances[0])
-    starts = {inst.instance_id: _starts(inst, options, t_max) for inst in instances}
-    restored = _restore(instances, starts, t_max)
-    solutions = [solve_nlp(i, t_max, restored[i.instance_id]) for i in instances]
+    longest = horizon(instances[0])
+    starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
+    restored = _restore(instances, starts)
+    solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
     verified = _verified(spec, instances, solutions)
     if not verified:
-        residual = min(s.constraint_residual for s in solutions)
-        lp = lp_oracle(spec, t_max)
-        refusal = f"no program verified (best constraint residual {residual:.3e})"
+        closest = min(solutions, key=lambda s: s.constraint_residual)
+        lp = lp_oracle(spec, longest)
+        refusal = (
+            f"no program verified (best constraint residual "
+            f"{closest.constraint_residual:.3e} ({closest.instance_id}))"
+        )
         if lp is None:
             raise InfeasibleProblemError(
                 f"{refusal}, and the fixed-horizon LP found no input reaching "
-                f"the origin within t_max = {t_max:.6g}"
+                f"the origin at any horizon up to {longest:.6g}"
             )
-        lp_cost, horizon, inputs = lp
-        word = _lp_word(inputs, horizon)
+        lp_cost, lp_t_f, inputs = lp
+        word = _lp_word(inputs, lp_t_f)
         if word.levels:
-            seeded = _restore(instances, _lp_seeds(instances, word), t_max)
+            seeded = _restore(instances, _lp_seeds(instances, word))
             for j, inst in enumerate(instances):
                 if inst.instance_id in seeded:
-                    sol = solve_nlp(inst, t_max, seeded[inst.instance_id])
+                    sol = solve_nlp(inst, seeded[inst.instance_id])
                     if sol.status == CONVERGED:
                         solutions[j] = sol
         verified = _verified(spec, instances, solutions)
         if not verified:
             raise SolverFailedError(
                 f"{refusal}, although the fixed-horizon LP reaches the origin at "
-                f"cost {lp_cost:.6f} (t_f {horizon:.6g}, word "
+                f"cost {lp_cost:.6f} (t_f {lp_t_f:.6g}, word "
                 f"{','.join(map(str, word.levels))}); raising `starts` may help"
             )
     min_cost = min(v.cost for v in verified)

@@ -158,14 +158,16 @@ class TestSolve:
         assert code == 1
         assert "error" in err.lower()
 
-    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-1", "1.1"])
     def test_bad_max_time_exits_1(self, capsys, example_problem_file, value):
-        code, _, err = run(
-            capsys, "solve", "--problem", str(example_problem_file),
-            "--starts", "2", "--max-time", value,
-        )
-        assert code == 1
-        assert "t_max" in err
+        # the final time is free: neither command takes a horizon bound
+        for command in ("solve", "table"):
+            code, _, err = run(
+                capsys, command, "--problem", str(example_problem_file),
+                "--starts", "2", "--max-time", value,
+            )
+            assert code == 1
+            assert "--max-time" in err
 
     def test_negative_seed_exits_1(self, capsys, example_problem_file):
         code, _, err = run(

@@ -39,8 +39,15 @@ def report(best_id, word, cost, ties, programs):
     }
 
 
-def test_compare(tmp_path):
-    # one line per changed problem, old -> new where a field moved
+def write_reports(path, reports):
+    lines = [f"{k}\t{v if isinstance(v, str) else json.dumps(v)}" for k, v in reports.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_compare(tmp_path, capsys):
+    # one line per changed problem, old -> new where a field moved; the
+    # tool exits 1 when an exit kind, best, tie or status moves
     old = {
         "same": report("A", [1], 2.0, ["A"], [("A", "converged", 1e-12)]),
         "moved": report(
@@ -57,15 +64,35 @@ def test_compare(tmp_path):
         [("A", "infeasible", 0.1), ("B", "converged", 5e-17)],
     )
     new["failed"] = "SolverFailedError: t_f 1.25"
-    paths = []
-    for name, reports in (("old.txt", old), ("new.txt", new)):
-        path = tmp_path / name
-        lines = [f"{k}\t{v if isinstance(v, str) else json.dumps(v)}" for k, v in reports.items()]
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    assert load_tool().compare(*paths) == [
+    paths = [write_reports(tmp_path / "old.txt", old), write_reports(tmp_path / "new.txt", new)]
+    expected = [
         "moved\texit solved\tbest A [1] -> B [-1,0,1]\tcost +3.0e-11"
         "\tstatus A converged -> infeasible\tties A -> B,A\tresidual 1.0e-09 -> 5.0e-17",
         "failed\texit SolverFailedError\tbest -\tcost -\tstatus -\tties -\tresidual -",
         "2 of 3 problems changed",
     ]
+    tool = load_tool()
+    assert tool.compare(*paths) == (expected, True)
+    assert tool.main(["--compare", *paths]) == 1
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    # floats and exception messages alone: the same lines, exit 0
+    floats = dict(old)
+    floats["moved"] = report(
+        "A",
+        [1],
+        2.0 * (1 - 1e-13),
+        ["A"],
+        [("A", "converged", 3e-12), ("B", "converged", 1e-10)],
+    )
+    floats["failed"] = "SolverFailedError: t_f 1.25"
+    paths[1] = write_reports(tmp_path / "floats.txt", floats)
+    expected = [
+        "moved\texit solved\tbest A [1]\tcost -1.0e-13\tstatus none\tties A"
+        "\tresidual 1.0e-09 -> 1.0e-10",
+        "failed\texit SolverFailedError\tbest -\tcost -\tstatus -\tties -\tresidual -",
+        "2 of 3 problems changed",
+    ]
+    assert tool.compare(*paths) == (expected, False)
+    assert tool.main(["--compare", *paths]) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"

@@ -258,7 +258,7 @@ class TestLpOracle:
         ids=["mixed-3", "sweep-a", "sweep-b"],
     )
     def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
-        # a refusal takes the LP at t_max (the solver's default, 50 slowest
+        # a refusal takes the LP at t_max (the solver's `horizon`, 50 slowest
         # time constants) and one at each of LP_CONFIRM halved horizons
         spec = parse_problem(
             {

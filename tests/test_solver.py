@@ -30,6 +30,7 @@ from timefuel.solver import (
     _solve_rows,
     _starts,
     _verified,
+    horizon,
     solve_nlp,
     solve_time_fuel,
 )
@@ -45,15 +46,14 @@ def scalar_spec(lam=-1.0, b=1.0, x0=0.5, k=1.0):
 
 
 def blind_starts(instances, options):
-    """The `_starts` rows of every program, by id, and their time box."""
-    t_max = options.horizon(instances[0])
-    return {inst.instance_id: _starts(inst, options, t_max) for inst in instances}, t_max
+    """The `_starts` rows of every program, by id."""
+    scale = horizon(instances[0])
+    return {inst.instance_id: _starts(inst, options, scale) for inst in instances}
 
 
 def restored_alone(inst, options=OPTS):
     """One program's blind starts restored on their own, for `solve_nlp`."""
-    starts, t_max = blind_starts([inst], options)
-    return _restore([inst], starts, t_max)[inst.instance_id]
+    return _restore([inst], blind_starts([inst], options))[inst.instance_id]
 
 
 @pytest.mark.parametrize(
@@ -66,8 +66,6 @@ def restored_alone(inst, options=OPTS):
         ("seed", 1.0),
         ("seed", -1),
         ("seed", np.int64(-1)),
-        ("t_max", True),
-        ("t_max", "5"),
     ],
 )
 def test_malformed_options_rejected(field, value):
@@ -76,8 +74,14 @@ def test_malformed_options_rejected(field, value):
 
 
 def test_numpy_integer_options_accepted():
-    options = SolverOptions(starts=np.int64(3), seed=np.uint32(5), t_max=np.float32(2.5))
-    assert (options.starts, options.seed, options.t_max) == (3, 5, 2.5)
+    options = SolverOptions(starts=np.int64(3), seed=np.uint32(5))
+    assert (options.starts, options.seed) == (3, 5)
+
+
+def test_no_time_box_option():
+    # the final time is free: the solver takes no horizon bound
+    with pytest.raises(TypeError, match="t_max"):
+        SolverOptions(t_max=1.0)
 
 
 class TestSolveNlp:
@@ -85,7 +89,7 @@ class TestSolveNlp:
         # single negative bang: t_f = ln(1 + x0), J = (k + 1) t_f
         spec = scalar_spec()
         inst = sequence_instance(spec, CandidateSequence.from_levels((-1,)))
-        sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
+        sol = solve_nlp(inst, restored_alone(inst))
         assert sol.status == CONVERGED
         expected = 2.0 * math.log(1.5)
         assert sol.cost == pytest.approx(expected, abs=1e-9)
@@ -95,7 +99,7 @@ class TestSolveNlp:
         inst = sequence_instance(
             example_spec, CandidateSequence.from_levels((-1, 0, 1))
         )
-        sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
+        sol = solve_nlp(inst, restored_alone(inst))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(1.8940, abs=5e-4)
         assert sol.times[-1] == pytest.approx(1.1480, abs=5e-4)
@@ -103,13 +107,13 @@ class TestSolveNlp:
     def test_origin_start(self, example_spec):
         spec = validate_problem(example_spec.system, [0.0, 0.0], 1.0)
         inst = sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
-        sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
+        sol = solve_nlp(inst, restored_alone(inst))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_solution_invariants(self, example_spec):
         for inst in build_all(example_spec):
-            sol = solve_nlp(inst, OPTS.horizon(inst), restored_alone(inst))
+            sol = solve_nlp(inst, restored_alone(inst))
             if sol.status != CONVERGED:
                 continue
             assert sol.constraint_residual <= OPTS.feas_tol
@@ -234,7 +238,7 @@ class TestHigherOrder:
         assert report.best.schedule.levels == (-1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1)
 
 
-def lm_reference(instance, gaps, t_max, iterations, tol=1e-12):
+def lm_reference(instance, gaps, iterations, tol=1e-12):
     """Start-by-start projected Levenberg-Marquardt with held gaps, the
     stacked `_lm`'s model."""
 
@@ -253,7 +257,7 @@ def lm_reference(instance, gaps, t_max, iterations, tol=1e-12):
             break
         improved = False
         grad = J.T @ c
-        held = ((gaps <= 0.0) & (grad > 0.0)) | ((gaps >= t_max) & (grad < 0.0))
+        held = (gaps <= 0.0) & (grad > 0.0)
         while True:
             system = np.where(held[:, None] | held[None, :], eye, J.T @ J + nu * eye)
             try:
@@ -261,7 +265,7 @@ def lm_reference(instance, gaps, t_max, iterations, tol=1e-12):
             except np.linalg.LinAlgError:
                 step = None
             if step is not None:
-                trial = np.clip(gaps + step, 0.0, t_max)
+                trial = np.maximum(gaps + step, 0.0)
                 ct, Jt = evaluate(trial)
                 ft = 0.5 * float(ct @ ct)
                 if ft < f:
@@ -291,11 +295,10 @@ class TestStackedRestoration:
             make_spec(6, x0=[0.1, 0.2, 0.4, 0.5, 0.8, 1.0]),
         )
         for inst in (inst for spec in specs for inst in build_all(spec)[:3]):
-            t_max = options.horizon(inst)
-            gaps = _starts(inst, options, t_max)
-            stacked, c = _lm(inst, gaps, t_max)
+            gaps = _starts(inst, options, horizon(inst))
+            stacked, c = _lm(inst, gaps)
             for i in range(len(gaps)):
-                ref_gaps, ref_c = lm_reference(inst, gaps[i], t_max, 60)
+                ref_gaps, ref_c = lm_reference(inst, gaps[i], 60)
                 assert np.array_equal(stacked[i], ref_gaps)
                 assert np.array_equal(c[i], ref_c)
 
@@ -315,11 +318,10 @@ class TestStackedRestoration:
         # the bits of restoring each start alone
         options = SolverOptions(starts=16, seed=0)
         for inst in build_all(make_spec(len(x0), x0=x0)):
-            t_max = options.horizon(inst)
-            starts = _starts(inst, options, t_max)
-            gaps, c = _lm(inst, starts, t_max)
+            starts = _starts(inst, options, horizon(inst))
+            gaps, c = _lm(inst, starts)
             for i in range(len(starts)):
-                gaps_1, c_1 = _lm(inst, starts[i:i + 1], t_max)
+                gaps_1, c_1 = _lm(inst, starts[i:i + 1])
                 assert np.array_equal(gaps[i], gaps_1[0])
                 assert np.array_equal(c[i], c_1[0])
 
@@ -347,7 +349,7 @@ class TestStackedRestoration:
             spec = validate_problem(spec.system, spec.x0, spec.k, max_switches)
         options = SolverOptions(starts=starts, seed=0)
         instances = build_all(spec)
-        blind, t_max = blind_starts(instances, options)
+        blind = blind_starts(instances, options)
         stacks = []
 
         def counting_lm(inst, gaps, *args, **kwargs):
@@ -355,20 +357,20 @@ class TestStackedRestoration:
             return _lm(inst, gaps, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restore(instances, blind, t_max)
+        restored = _restore(instances, blind)
         slot_counts = [inst.slot_count for inst in instances]
         per_count = [starts * slot_counts.count(K) for K in set(slot_counts)]
         assert len(per_count) > 1 and sorted(stacks) == sorted(per_count)
         for inst in instances:
             gaps, c = restored[inst.instance_id]
-            alone, c_alone = _lm(inst, blind[inst.instance_id], t_max)
+            alone, c_alone = _lm(inst, blind[inst.instance_id])
             assert np.array_equal(gaps, alone)
             assert np.array_equal(c, c_alone)
 
     def test_held_gaps_cut_restoration_passes(self, example_spec, monkeypatch):
-        # a gap at a bound whose gradient points out of the box is held out
-        # of the step, not clipped to a near-null move, so the runs no
-        # longer crawl along the bounds to `LM_ITERATIONS`: the two stacks
+        # a gap at 0 whose gradient points below 0 is held out of the
+        # step, not clipped to a near-null move, so the runs no longer
+        # crawl along the bound to `LM_ITERATIONS`: the two stacks
         # of the reference problem take 74 passes, and 469 with clipped steps
         passes = []
 
@@ -378,7 +380,7 @@ class TestStackedRestoration:
 
         monkeypatch.setattr(solver, "_solve_rows", counting_solve_rows)
         instances = build_all(example_spec)
-        _restore(instances, *blind_starts(instances, SolverOptions(starts=16, seed=0)))
+        _restore(instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
         assert len(passes) <= 120
 
     def test_singular_systems_stop_at_the_damping_bound(self, example_spec, monkeypatch):
@@ -394,7 +396,7 @@ class TestStackedRestoration:
         monkeypatch.setattr(solver, "_solve_rows", singular_rows)
         inst = build_all(example_spec)[0]
         start = np.zeros((1, inst.slot_count))
-        gaps, _ = _lm(inst, start, SolverOptions().horizon(inst))
+        gaps, _ = _lm(inst, start)
         assert passes == [1] * 20
         assert np.array_equal(gaps, start)
 
@@ -402,10 +404,10 @@ class TestStackedRestoration:
         # start i does not depend on how many starts follow it
         spec = make_spec(4, x0=[0.2, 0.15, 0.1, 0.05])
         for inst in build_all(spec):
-            t_max = SolverOptions().horizon(inst)
-            starts = _starts(inst, SolverOptions(starts=16, seed=0), t_max)
+            scale = horizon(inst)
+            starts = _starts(inst, SolverOptions(starts=16, seed=0), scale)
             for i in range(len(starts)):
-                fewer = _starts(inst, SolverOptions(starts=i + 1, seed=0), t_max)
+                fewer = _starts(inst, SolverOptions(starts=i + 1, seed=0), scale)
                 assert np.array_equal(fewer[i], starts[i])
 
     def test_singular_system_falls_back_to_rows(self):
@@ -487,10 +489,9 @@ class TestLpRetry:
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
         _cost, inputs = _lp_transfer(spec, horizon)
         word = _lp_word(inputs, horizon)
-        t_max = self.OPTIONS.horizon(instances[0])
-        restored = _restore(instances, _lp_seeds(instances, word), t_max)
+        restored = _restore(instances, _lp_seeds(instances, word))
         seeded = [inst for inst in instances if inst.instance_id in restored]
-        solutions = [solve_nlp(i, t_max, restored[i.instance_id]) for i in seeded]
+        solutions = [solve_nlp(i, restored[i.instance_id]) for i in seeded]
         verified = {v.instance_id: v.cost for v in _verified(spec, seeded, solutions)}
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
 
@@ -503,7 +504,6 @@ class TestLpRetry:
         seeds = _lp_seeds(instances, word)
         slot_counts = {inst.slot_count for inst in instances if inst.instance_id in seeds}
         assert len(seeds) > len(slot_counts)
-        t_max = self.OPTIONS.horizon(instances[0])
         calls = []
 
         def counting_lm(inst, gaps, *args, **kwargs):
@@ -511,12 +511,12 @@ class TestLpRetry:
             return _lm(inst, gaps, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restore(instances, seeds, t_max)
+        restored = _restore(instances, seeds)
         assert len(calls) == len(slot_counts) and sum(calls) == len(seeds)
         for inst in instances:
             if inst.instance_id in seeds:
                 gaps, c = restored[inst.instance_id]
-                alone, c_alone = _lm(inst, seeds[inst.instance_id], t_max)
+                alone, c_alone = _lm(inst, seeds[inst.instance_id])
                 assert np.array_equal(gaps, alone)
                 assert np.array_equal(c, c_alone)
 
@@ -526,9 +526,9 @@ class TestLpRetry:
         # solve of a single restored start
         calls, words = [], []
 
-        def counting_solve_nlp(instance, t_max, restored):
+        def counting_solve_nlp(instance, restored):
             calls.append((instance.instance_id, restored[0]))
-            return solve_nlp(instance, t_max, restored)
+            return solve_nlp(instance, restored)
 
         def recording_lp_word(inputs, horizon):
             words.append(_lp_word(inputs, horizon))
@@ -801,6 +801,6 @@ class TestDescentLayer:
 
         monkeypatch.setattr(solver, "minimize", watched)
         monkeypatch.setattr(solver, "_eval", counted)
-        solver._slsqp(inst, start, OPTS.horizon(inst), inst.gap_weights)
+        solver._slsqp(inst, start, inst.gap_weights)
         assert len(received) > 1
         assert sorted(evaluated) == sorted(received)

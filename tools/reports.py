@@ -11,6 +11,9 @@ or, one line per changed problem and a count line, by
 
     python3 tools/reports.py --compare old.txt new.txt
 
+which exits 1 when an exit kind, a best id or word, a tie list or a
+program status changes, and 0 when only floats or exception messages do.
+
 The set, in this order:
 
 - the 14 benchmark problems of `bench/workloads.py`, at 16 starts, seed 0;
@@ -173,21 +176,38 @@ def compare_line(name: str, old, new) -> str:
     )
 
 
-def compare(old_path, new_path) -> list[str]:
-    """One `compare_line` per problem whose line differs, then a count line."""
+def _outcome(report):
+    """What a comparison must not change: exit kind, best id and word,
+    ties and every program's status."""
+    summary = _summary(report)
+    programs = report["instances"] if isinstance(report, dict) else []
+    statuses = {s["instance_id"]: s["status"] for s in programs}
+    return summary["exit"], summary["best"], summary["ties"], statuses
+
+
+def compare(old_path, new_path) -> tuple[list[str], bool]:
+    """One `compare_line` per problem whose line differs, then a count
+    line; and whether any problem's `_outcome` changed."""
     old, new = _read(old_path), _read(new_path)
     names = list(old) + [name for name in new if name not in old]
     changed = [name for name in names if old.get(name) != new.get(name)]
     lines = [compare_line(name, old.get(name), new.get(name)) for name in changed]
-    return lines + [f"{len(changed)} of {len(names)} problems changed"]
+    moved = any(_outcome(old.get(name)) != _outcome(new.get(name)) for name in changed)
+    return lines + [f"{len(changed)} of {len(names)} problems changed"], moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        lines, moved = compare(*args.compare)
+        print("\n".join(lines))
+        return 1 if moved else 0
+    for problem in problems():
+        print(report_line(*problem), flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
-    args = parser.parse_args()
-    if args.compare:
-        print("\n".join(compare(*args.compare)))
-    else:
-        for problem in problems():
-            print(report_line(*problem), flush=True)
+    raise SystemExit(main())
