@@ -8,11 +8,8 @@ schedule.
 """
 
 from .builder import (
-    ControlTemplate,
     NlpInstance,
-    SignVector,
     build_all,
-    build_nlp,
     count_nlps,
     sequence_instance,
     sign_vectors,
@@ -59,7 +56,6 @@ from .solver import (
 
 __all__ = [
     "CandidateSequence",
-    "ControlTemplate",
     "FamilyId",
     "InfeasibleProblemError",
     "LocalSolution",
@@ -68,14 +64,12 @@ __all__ = [
     "ProblemSpec",
     "RationalSpectrum",
     "SegmentCounts",
-    "SignVector",
     "SolveReport",
     "SolverFailedError",
     "SolverOptions",
     "SwitchingSchedule",
     "Trajectory",
     "build_all",
-    "build_nlp",
     "build_spectrum",
     "brute_force_candidates",
     "conjugate",

@@ -1,24 +1,23 @@
 """Static optimization problems for each candidate control shape.
 
-Every instance fixes a level template (one input level per time slot) and
-asks for nondecreasing segment end times t_1 <= ... <= t_K minimizing
-k*t_K + on-duration subject to the reachability equalities that make the
-template transfer x0 to the origin.  The cost is linear in the times and each
-equality is a sum of exponentials, evaluated for stacks of time vectors by
-the one fused kernel `reach_kernel`.  The `build` JSON carries the integer
-data (common denominator l, scaled numerators c_i, cost exponents) from
-which the polynomial form under a_j = exp(t_j / l) follows; the package
-itself works in time only.
+Every instance fixes a level word (one input level of +1, 0 or -1 per time
+slot) and asks for nondecreasing segment end times t_1 <= ... <= t_K
+minimizing k*t_K + on-duration subject to the reachability equalities that
+make the word transfer x0 to the origin.  The cost is linear in the times
+and each equality is a sum of exponentials, evaluated for stacks of time
+vectors by the one fused kernel `reach_kernel`.  The `build` JSON carries
+the integer data (common denominator l, scaled numerators c_i, cost
+exponents) from which the polynomial form under a_j = exp(t_j / l) follows;
+the package itself works in time only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ def reach_kernel(lam, b, levels, times, jacobian=True):
 
     lam and b are the (n,) eigenvalue and gain arrays; times has shape
     (m, K), one nondecreasing segment end-time vector per row, and levels
-    is one (K,) template for every row or one (m, K) template per row.
+    is one (K,) level word for every row or one (m, K) word per row.
     Returns the (m, n) states reach(t) = -(b/lam) sum_j w_j e^(-lam t_j)
     (t_0 = 0, w_j = v_{j+1} - v_j) and, when asked, the (m, n, K) derivatives
     d reach / d t_j = b e^(-lam t_j) (v_{j+1} - v_j), both from one set of
@@ -60,105 +59,26 @@ class OrderTooSmallError(ValueError):
     pass
 
 
-class InconsistentSignsError(ValueError):
-    pass
+def template_levels(
+    n: int, variant: Variant, start_sign: Sign, signs: Sequence[int] = ()
+) -> tuple[int, ...]:
+    """Level word of a generic program with its interior signs filled in.
 
-
-@dataclass(frozen=True)
-class ControlTemplate:
-    """A level pattern with optional interior sign placeholders.
-
-    The generic bang-first template has 2n+1 slots (+1, 0, s_1, 0, ...,
-    s_{n-1}, 0, (-1)^n for the plus start); the zero-lead template has 2n
-    slots (0, +1, 0, s_1, ..., s_{n-2}, 0, -(-1)^n).  Fixed templates carry
-    no placeholders.
+    The bang-first (OP1) word has 2n+1 slots (+1, 0, s_1, 0, ..., s_{n-1},
+    0, (-1)^n for the plus start); the zero-lead (OP2) word has 2n slots
+    (0, +1, 0, s_1, 0, ..., s_{n-2}, 0, -(-1)^n).  The minus start negates
+    the fixed levels; the signs fill the interior slots as given.
     """
-
-    variant: Variant
-    start_sign: Sign
-    order: int
-    level_pattern: tuple[object, ...]
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.level_pattern)
-
-    @property
-    def placeholder_count(self) -> int:
-        return sum(1 for v in self.level_pattern if isinstance(v, str))
-
-    def resolve(self, signs: Sequence[int]) -> tuple[int, ...]:
-        signs = list(signs)
-        if len(signs) != self.placeholder_count:
-            raise InconsistentSignsError(
-                f"template needs {self.placeholder_count} signs, got {len(signs)}"
-            )
-        it = iter(signs)
-        return tuple(
-            int(next(it)) if isinstance(v, str) else int(v)
-            for v in self.level_pattern
-        )
-
-
-def op1_template(n: int, start_sign: Sign) -> ControlTemplate:
-    """Bang-first template: 2n+1 slots, n-1 interior sign placeholders."""
-    if n < 3:
-        raise OrderTooSmallError("generic templates need order >= 3")
+    count = n - 1 if variant == "OP1" else n - 2
+    if len(signs) != count:
+        raise ValueError(f"{variant} at order {n} needs {count} signs, got {len(signs)}")
     flip = 1 if start_sign == "plus" else -1
-    pattern: list[object] = [flip, 0]
-    for m in range(1, n):
-        pattern += [f"s{m}", 0]
-    pattern.append(flip * (-1) ** n)
-    return ControlTemplate("OP1", start_sign, n, tuple(pattern))
+    head = (flip, 0) if variant == "OP1" else (0, flip, 0)
+    last = flip * (-1) ** n if variant == "OP1" else -flip * (-1) ** n
+    return head + tuple(v for s in signs for v in (int(s), 0)) + (last,)
 
 
-def op2_template(n: int, start_sign: Sign) -> ControlTemplate:
-    """Zero-lead template: 2n slots, n-2 interior sign placeholders."""
-    if n < 2:
-        raise OrderTooSmallError("zero-lead templates need order >= 2")
-    flip = 1 if start_sign == "plus" else -1
-    pattern: list[object] = [0, flip, 0]
-    for m in range(1, n - 1):
-        pattern += [f"s{m}", 0]
-    pattern.append(-flip * (-1) ** n)
-    return ControlTemplate("OP2", start_sign, n, tuple(pattern))
-
-
-def fixed_template(levels: Sequence[int], order: int) -> ControlTemplate:
-    """Template with no free signs, one slot per level of the sequence."""
-    levels = tuple(int(v) for v in levels)
-    variant: Variant = "OP1" if levels[0] != 0 else "OP2"
-    first = next(v for v in levels if v != 0)
-    return ControlTemplate(variant, "plus" if first > 0 else "minus", order, levels)
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """One admissible assignment of the interior sign placeholders."""
-
-    entries: tuple[int, ...]
-    variant: Variant
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.entries):
-            raise InconsistentSignsError("sign entries must be +1 or -1")
-
-
-def _sign_sum_target(n: int, variant: Variant, start_sign: Sign) -> int:
-    if variant == "OP1":
-        target = -1 if n % 2 == 0 else 0
-    else:
-        target = 0 if n % 2 == 0 else -1
-    return -target if start_sign == "minus" else target
-
-
-def _alternating(m: int, start_sign: Sign) -> tuple[int, ...]:
-    # interior signs of the fully alternating word: s_m = (-1)^m for a plus start
-    vec = tuple((-1) ** m for m in range(1, m + 1))
-    return vec if start_sign == "plus" else tuple(-s for s in vec)
-
-
-def sign_vectors(n: int, variant: Variant, start_sign: Sign) -> list[SignVector]:
+def sign_vectors(n: int, variant: Variant, start_sign: Sign) -> list[tuple[int, ...]]:
     """All admissible interior sign assignments, lexicographically ordered.
 
     The parity constraint fixes the sum of the signs; for the bang-first
@@ -168,12 +88,15 @@ def sign_vectors(n: int, variant: Variant, start_sign: Sign) -> list[SignVector]
     if n < 3:
         raise OrderTooSmallError("generic sign vectors need order >= 3")
     m = n - 1 if variant == "OP1" else n - 2
-    target = _sign_sum_target(n, variant, start_sign)
+    flip = 1 if start_sign == "plus" else -1
+    # -1 for a plus-start OP1 word at even n or OP2 word at odd n, else 0
+    target = -flip if (n % 2 == 0) == (variant == "OP1") else 0
     vectors = [v for v in product((-1, 1), repeat=m) if sum(v) == target]
     if variant == "OP1":
-        banned = _alternating(m, start_sign)
-        vectors = [v for v in vectors if v != banned]
-    return [SignVector(v, variant) for v in vectors]
+        # s_i = (-1)^i for a plus start
+        alternating = tuple(flip * (-1) ** i for i in range(1, m + 1))
+        vectors = [v for v in vectors if v != alternating]
+    return vectors
 
 
 def count_nlps(n: int) -> int:
@@ -190,26 +113,22 @@ def count_nlps(n: int) -> int:
 
 @dataclass(frozen=True)
 class NlpInstance:
-    """One static program: template, resolved levels and evaluation callbacks.
+    """One static program: its level word, interior signs and callbacks.
 
-    Carries one reachability equality per state, slot_count - 1 ordering
-    inequalities t_j <= t_{j+1} and the t_1 >= 0 bound.  All callbacks are
-    pure functions of the frozen fields.
+    `signs` holds the interior signs of a generic word and is empty for the
+    SEQ programs and at order <= 2.  Carries one reachability equality per
+    state, slot_count - 1 ordering inequalities t_j <= t_{j+1} and the
+    t_1 >= 0 bound.  All callbacks are pure functions of the frozen fields.
     """
 
     instance_id: str
-    template: ControlTemplate
-    signs: SignVector
     levels: tuple[int, ...]
+    signs: tuple[int, ...]
     scaled_numerators: tuple[int, ...]
     input_gains: tuple[float, ...]
     common_denominator: int
     x0: tuple[float, ...]
     k: float
-
-    def __post_init__(self):
-        if len(self.levels) != self.template.slot_count:
-            raise InconsistentSignsError("levels must fill every template slot")
 
     @property
     def slot_count(self) -> int:
@@ -221,11 +140,11 @@ class NlpInstance:
 
     @property
     def variant(self) -> Variant:
-        return self.template.variant
+        return "OP1" if self.levels[0] != 0 else "OP2"
 
     @property
     def start_sign(self) -> Sign:
-        return self.template.start_sign
+        return "plus" if next(v for v in self.levels if v != 0) > 0 else "minus"
 
     @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -297,7 +216,7 @@ class NlpInstance:
             "id": self.instance_id,
             "variant": self.variant,
             "start_sign": self.start_sign,
-            "signs": list(self.signs.entries),
+            "signs": list(self.signs),
             "n_vars": self.slot_count,
             "constraint_spec": {
                 "levels": list(self.levels),
@@ -318,42 +237,14 @@ class NlpInstance:
         }
 
 
-def _sign_bits(entries: Iterable[int]) -> str:
-    return "".join("+" if s > 0 else "-" for s in entries)
-
-
-def _instance_id(template: ControlTemplate, signs: SignVector) -> str:
-    base = f"{template.variant}-{template.start_sign}"
-    bits = _sign_bits(signs.entries)
-    return f"{base}-{bits}" if bits else base
-
-
-def build_nlp(
-    spec: ProblemSpec, template: ControlTemplate, signs: SignVector
+def _instance(
+    spec: ProblemSpec, instance_id: str, levels: Sequence[int], signs: tuple[int, ...] = ()
 ) -> NlpInstance:
-    """Instantiate one program from a template and a sign assignment."""
-    if signs.variant != template.variant:
-        raise InconsistentSignsError(
-            f"sign vector for {signs.variant} used with a {template.variant} template"
-        )
-    if len(signs.entries) != template.placeholder_count:
-        raise InconsistentSignsError(
-            f"template needs {template.placeholder_count} signs, "
-            f"got {len(signs.entries)}"
-        )
-    if template.placeholder_count:
-        target = _sign_sum_target(template.order, template.variant, template.start_sign)
-        if sum(signs.entries) != target:
-            raise InconsistentSignsError(
-                f"sign sum {sum(signs.entries)} violates the parity target {target}"
-            )
-    levels = template.resolve(signs.entries)
     system = spec.system
     return NlpInstance(
-        instance_id=_instance_id(template, signs),
-        template=template,
+        instance_id=instance_id,
+        levels=tuple(int(v) for v in levels),
         signs=signs,
-        levels=levels,
         scaled_numerators=system.spectrum.scaled_numerators,
         input_gains=system.input_gains,
         common_denominator=system.spectrum.common_denominator,
@@ -363,11 +254,9 @@ def build_nlp(
 
 
 def sequence_instance(spec: ProblemSpec, sequence: CandidateSequence) -> NlpInstance:
-    """Program whose template is a single fixed level sequence."""
-    template = fixed_template(sequence.levels, spec.order)
-    inst = build_nlp(spec, template, SignVector((), template.variant))
-    seq_id = "SEQ-" + "_".join(str(v) for v in sequence.levels)
-    return dataclasses.replace(inst, instance_id=seq_id)
+    """Program over a single fixed level sequence."""
+    instance_id = "SEQ-" + "_".join(str(v) for v in sequence.levels)
+    return _instance(spec, instance_id, sequence.levels)
 
 
 def build_all(spec: ProblemSpec) -> list[NlpInstance]:
@@ -376,7 +265,7 @@ def build_all(spec: ProblemSpec) -> list[NlpInstance]:
     With a switch budget the programs come from the restricted sequence
     enumeration; order 1 uses the full sequence enumeration, order 2 the two
     zero-lead programs plus the two fixed bang-off-bang substitutes, and
-    higher orders the generic templates over all admissible sign vectors.
+    higher orders the generic words over all admissible sign vectors.
     """
     n = spec.order
     if spec.max_switches is not None or n == 1:
@@ -386,19 +275,17 @@ def build_all(spec: ProblemSpec) -> list[NlpInstance]:
         )
         return [sequence_instance(spec, s) for s in seqs]
     instances: list[NlpInstance] = []
-    if n == 2:
-        for start in ("plus", "minus"):
+    for start in ("plus", "minus"):
+        if n == 2:
             flip = 1 if start == "plus" else -1
-            bang = fixed_template((flip, 0, flip), 2)
-            instances.append(build_nlp(spec, bang, SignVector((), "OP1")))
-            instances.append(
-                build_nlp(spec, op2_template(2, start), SignVector((), "OP2"))
-            )
-    else:
-        for variant, make in (("OP1", op1_template), ("OP2", op2_template)):
-            for start in ("plus", "minus"):
-                template = make(n, start)
-                for signs in sign_vectors(n, variant, start):  # type: ignore[arg-type]
-                    instances.append(build_nlp(spec, template, signs))
+            instances.append(_instance(spec, f"OP1-{start}", (flip, 0, flip)))
+            levels = template_levels(2, "OP2", start)
+            instances.append(_instance(spec, f"OP2-{start}", levels))
+            continue
+        for variant in ("OP1", "OP2"):
+            for signs in sign_vectors(n, variant, start):
+                bits = "".join("+" if v > 0 else "-" for v in signs)
+                levels = template_levels(n, variant, start, signs)
+                instances.append(_instance(spec, f"{variant}-{start}-{bits}", levels, signs))
     instances.sort(key=lambda inst: inst.instance_id)
     return instances

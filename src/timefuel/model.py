@@ -78,6 +78,8 @@ class LtiSystem:
                 f"{len(self.input_gains)} input gains for "
                 f"{len(self.spectrum)} eigenvalues"
             )
+        if any(_is_bool(g) for g in self.input_gains):
+            raise ProblemError("every input gain b_i must be a number, not a boolean")
         if not all(math.isfinite(g) for g in self.input_gains):
             raise ProblemError("every input gain b_i must be finite")
         if any(g == 0.0 for g in self.input_gains):
@@ -160,6 +162,8 @@ def validate_problem(
     max_switches: Optional[int] = None,
 ) -> ProblemSpec:
     """Check problem data against the type invariants and freeze it."""
+    if _is_bool(k):
+        raise ProblemError(f"time weight k must be a number, got {k!r}")
     if not math.isfinite(k):
         raise ProblemError(f"time weight k must be finite, got {k}")
     if k <= 0:
@@ -168,6 +172,8 @@ def validate_problem(
             "free, the transfer time is unbounded and the infimum cost is "
             "not attained (t_f -> infinity)"
         )
+    if any(_is_bool(v) for v in x0):
+        raise ProblemError("every x0 component must be a number, not a boolean")
     x0 = tuple(float(v) for v in x0)
     if not all(math.isfinite(v) for v in x0):
         raise ProblemError("every x0 component must be finite")
@@ -184,6 +190,11 @@ def validate_problem(
                 f"got {max_switches}"
             )
     return ProblemSpec(system, x0, float(k), max_switches)
+
+
+def _is_bool(value) -> bool:
+    # bool is a subclass of int: True and False would pass as 1 and 0
+    return isinstance(value, (bool, np.bool_))
 
 
 def _is_number(value) -> bool:

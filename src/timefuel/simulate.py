@@ -258,6 +258,8 @@ def lp_oracle(
     tolerance the cost lies above the optimum, by the discretization error.
     Shares nothing with the solver.
     """
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     hi = t_max
     cost = _lp_transfer(spec, hi)[0]
     for _ in range(LP_CONFIRM):

@@ -135,14 +135,14 @@ def test_criterion_05_nlp_counts():
         )
         assert len(build_all(spec4)) == 8
         assert len(build_all(spec6)) == 30
-        assert {v.entries for v in sign_vectors(4, "OP1", "plus")} == SUPPLEMENT_OP1_N4
-        assert {v.entries for v in sign_vectors(4, "OP2", "plus")} == SUPPLEMENT_OP2_N4
-        assert {v.entries for v in sign_vectors(6, "OP1", "plus")} == SUPPLEMENT_OP1_N6
-        assert {v.entries for v in sign_vectors(6, "OP2", "plus")} == SUPPLEMENT_OP2_N6
+        assert set(sign_vectors(4, "OP1", "plus")) == SUPPLEMENT_OP1_N4
+        assert set(sign_vectors(4, "OP2", "plus")) == SUPPLEMENT_OP2_N4
+        assert set(sign_vectors(6, "OP1", "plus")) == SUPPLEMENT_OP1_N6
+        assert set(sign_vectors(6, "OP2", "plus")) == SUPPLEMENT_OP2_N6
         for n, plus_sets in ((4, (SUPPLEMENT_OP1_N4, SUPPLEMENT_OP2_N4)),
                              (6, (SUPPLEMENT_OP1_N6, SUPPLEMENT_OP2_N6))):
             for variant, plus_set in zip(("OP1", "OP2"), plus_sets):
-                minus = {v.entries for v in sign_vectors(n, variant, "minus")}
+                minus = set(sign_vectors(n, variant, "minus"))
                 assert minus == {tuple(-s for s in v) for v in plus_set}
 
 

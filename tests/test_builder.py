@@ -4,16 +4,12 @@ import pytest
 from timefuel import LtiSystem, build_spectrum, validate_problem
 from timefuel.builder import (
     EXP_CLIP,
-    InconsistentSignsError,
     OrderTooSmallError,
-    SignVector,
     build_all,
-    build_nlp,
     count_nlps,
-    op1_template,
-    op2_template,
     sequence_instance,
     sign_vectors,
+    template_levels,
 )
 from timefuel.sequences import CandidateSequence
 from timefuel.simulate import evaluate_cost, reachability_x0, schedule_from_times
@@ -55,26 +51,26 @@ def make_spec(n, k=1.0, x0=None):
 
 class TestSignVectors:
     def test_n4_op1_matches_listing(self):
-        got = {v.entries for v in sign_vectors(4, "OP1", "plus")}
+        got = set(sign_vectors(4, "OP1", "plus"))
         assert got == SUPPLEMENT_OP1_N4
-        minus = {v.entries for v in sign_vectors(4, "OP1", "minus")}
+        minus = set(sign_vectors(4, "OP1", "minus"))
         assert minus == {tuple(-s for s in v) for v in SUPPLEMENT_OP1_N4}
 
     def test_n4_op2_matches_listing(self):
-        got = {v.entries for v in sign_vectors(4, "OP2", "plus")}
+        got = set(sign_vectors(4, "OP2", "plus"))
         assert got == SUPPLEMENT_OP2_N4
 
     def test_n6_op1_matches_listing(self):
-        got = {v.entries for v in sign_vectors(6, "OP1", "plus")}
+        got = set(sign_vectors(6, "OP1", "plus"))
         assert got == SUPPLEMENT_OP1_N6
 
     def test_n6_op2_matches_listing(self):
-        got = {v.entries for v in sign_vectors(6, "OP2", "plus")}
+        got = set(sign_vectors(6, "OP2", "plus"))
         assert got == SUPPLEMENT_OP2_N6
 
     def test_deterministic_order(self):
         assert sign_vectors(4, "OP1", "plus") == sign_vectors(4, "OP1", "plus")
-        entries = [v.entries for v in sign_vectors(6, "OP1", "plus")]
+        entries = sign_vectors(6, "OP1", "plus")
         assert entries == sorted(entries)
 
     def test_order_guard(self):
@@ -123,37 +119,20 @@ class TestCounts:
 
 class TestTemplates:
     def test_op1_shape(self):
-        t = op1_template(4, "plus")
-        assert t.slot_count == 9
-        assert t.placeholder_count == 3
-        levels = t.resolve((1, -1, -1))
+        levels = template_levels(4, "OP1", "plus", (1, -1, -1))
         assert levels == (1, 0, 1, 0, -1, 0, -1, 0, 1)
 
     def test_op2_shape(self):
-        t = op2_template(4, "plus")
-        assert t.slot_count == 8
-        levels = t.resolve((1, -1))
+        levels = template_levels(4, "OP2", "plus", (1, -1))
         assert levels == (0, 1, 0, 1, 0, -1, 0, -1)
 
     def test_op2_n2_has_no_placeholders(self):
-        t = op2_template(2, "plus")
-        assert t.resolve(()) == (0, 1, 0, -1)
+        assert template_levels(2, "OP2", "plus") == (0, 1, 0, -1)
 
     def test_minus_templates_negated(self):
-        plus = op1_template(3, "plus").resolve((1, -1))
-        minus = op1_template(3, "minus").resolve((-1, 1))
+        plus = template_levels(3, "OP1", "plus", (1, -1))
+        minus = template_levels(3, "OP1", "minus", (-1, 1))
         assert minus == tuple(-v for v in plus)
-
-    def test_inconsistent_signs_rejected(self):
-        spec = make_spec(4)
-        t = op1_template(4, "plus")
-        with pytest.raises(InconsistentSignsError):
-            build_nlp(spec, t, SignVector((1, -1), "OP1"))
-        with pytest.raises(InconsistentSignsError):
-            build_nlp(spec, t, SignVector((1, -1, -1), "OP2"))
-        with pytest.raises(InconsistentSignsError):
-            # sum violates the parity target
-            build_nlp(spec, t, SignVector((1, 1, 1), "OP1"))
 
 
 class TestInstanceCallbacks:
@@ -338,3 +317,34 @@ class TestInstanceCallbacks:
         assert set(d) == {"id", "variant", "start_sign", "signs", "n_vars", "constraint_spec"}
         assert d["n_vars"] == inst.slot_count
         assert len(d["constraint_spec"]["states"]) == 4
+
+    def test_as_dict_headers(self):
+        # (id, variant, start_sign, signs, levels) of every program at n = 2,
+        # 3 and 4 and of one SEQ program, as the `build` JSON writes them
+        expected = [
+            ("OP1-minus", "OP1", "minus", [], [-1, 0, -1]),
+            ("OP1-plus", "OP1", "plus", [], [1, 0, 1]),
+            ("OP2-minus", "OP2", "minus", [], [0, -1, 0, 1]),
+            ("OP2-plus", "OP2", "plus", [], [0, 1, 0, -1]),
+            ("OP1-minus--+", "OP1", "minus", [-1, 1], [-1, 0, -1, 0, 1, 0, 1]),
+            ("OP1-plus-+-", "OP1", "plus", [1, -1], [1, 0, 1, 0, -1, 0, -1]),
+            ("OP2-minus-+", "OP2", "minus", [1], [0, -1, 0, 1, 0, -1]),
+            ("OP2-plus--", "OP2", "plus", [-1], [0, 1, 0, -1, 0, 1]),
+            ("OP1-minus-++-", "OP1", "minus", [1, 1, -1], [-1, 0, 1, 0, 1, 0, -1, 0, -1]),
+            ("OP1-minus--++", "OP1", "minus", [-1, 1, 1], [-1, 0, -1, 0, 1, 0, 1, 0, -1]),
+            ("OP1-plus-+--", "OP1", "plus", [1, -1, -1], [1, 0, 1, 0, -1, 0, -1, 0, 1]),
+            ("OP1-plus---+", "OP1", "plus", [-1, -1, 1], [1, 0, -1, 0, -1, 0, 1, 0, 1]),
+            ("OP2-minus-+-", "OP2", "minus", [1, -1], [0, -1, 0, 1, 0, -1, 0, 1]),
+            ("OP2-minus--+", "OP2", "minus", [-1, 1], [0, -1, 0, -1, 0, 1, 0, 1]),
+            ("OP2-plus-+-", "OP2", "plus", [1, -1], [0, 1, 0, 1, 0, -1, 0, -1]),
+            ("OP2-plus--+", "OP2", "plus", [-1, 1], [0, 1, 0, -1, 0, 1, 0, -1]),
+            ("SEQ-0_-1_0_1", "OP2", "minus", [], [0, -1, 0, 1]),
+        ]
+        seq = CandidateSequence.from_levels((0, -1, 0, 1))
+        instances = [i for n in (2, 3, 4) for i in build_all(make_spec(n))]
+        instances.append(sequence_instance(make_spec(3), seq))
+        got = [
+            (d["id"], d["variant"], d["start_sign"], d["signs"], d["constraint_spec"]["levels"])
+            for d in (inst.as_dict() for inst in instances)
+        ]
+        assert got == expected

@@ -108,6 +108,24 @@ class TestValidateProblem:
         with pytest.raises(ProblemError):
             validate_problem(system, [0.6, 0.4], 1.0, max_switches=0)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_gain_rejected(self, flag):
+        # True would otherwise pass as the gain 1 and be written as "gain": true
+        with pytest.raises(ProblemError, match="boolean"):
+            LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, flag))
+
+    @pytest.mark.parametrize("flag", [True, False, np.False_])
+    def test_boolean_x0_rejected(self, flag):
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+        with pytest.raises(ProblemError, match="boolean"):
+            validate_problem(system, [0.6, flag], 1.0)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_time_weight_rejected(self, flag):
+        system = LtiSystem(build_spectrum([(-1, 1)]), (1.0,))
+        with pytest.raises(ProblemError, match="number"):
+            validate_problem(system, [0.5], flag)
+
 
 class TestProblemFile:
     def test_roundtrip(self):

@@ -240,6 +240,14 @@ class TestLpOracle:
         assert word.levels == (-1, 0, 1, 0, -1, 0, 1)
         assert word.final_time == pytest.approx(horizon)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_horizon_rejected(self, t_max):
+        # None would read as "unreachable"; nan and inf would reach linprog
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+        spec = validate_problem(system, [0.6, 0.4], 1.0)
+        with pytest.raises(ValueError, match="t_max"):
+            lp_oracle(spec, t_max)
+
     def test_infeasible_returns_none(self):
         # unstable scalar mode: the reachable set is (-1, 1) at any horizon
         system = LtiSystem(build_spectrum([(1, 1)]), (1.0,))
