@@ -113,22 +113,20 @@ def count_nlps(n: int) -> int:
 
 @dataclass(frozen=True)
 class NlpInstance:
-    """One static program: its level word, interior signs and callbacks.
+    """One static program: its level word over the problem's data.
 
     `signs` holds the interior signs of a generic word and is empty for the
-    SEQ programs and at order <= 2.  Carries one reachability equality per
-    state, slot_count - 1 ordering inequalities t_j <= t_{j+1} and the
-    t_1 >= 0 bound.  All callbacks are pure functions of the frozen fields.
+    SEQ programs and at order <= 2.  Every program of a problem holds the
+    same `spec`, which alone owns the system and x0.  Carries one
+    reachability equality per state, slot_count - 1 ordering inequalities
+    t_j <= t_{j+1} and the t_1 >= 0 bound.  All callbacks are pure
+    functions of the frozen fields.
     """
 
     instance_id: str
     levels: tuple[int, ...]
     signs: tuple[int, ...]
-    scaled_numerators: tuple[int, ...]
-    input_gains: tuple[float, ...]
-    common_denominator: int
-    x0: tuple[float, ...]
-    k: float
+    spec: ProblemSpec
 
     @property
     def slot_count(self) -> int:
@@ -136,7 +134,15 @@ class NlpInstance:
 
     @property
     def order(self) -> int:
-        return len(self.scaled_numerators)
+        return self.spec.order
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.spec.x0
+
+    @property
+    def k(self) -> float:
+        return self.spec.k
 
     @property
     def variant(self) -> Variant:
@@ -145,23 +151,6 @@ class NlpInstance:
     @property
     def start_sign(self) -> Sign:
         return "plus" if next(v for v in self.levels if v != 0) > 0 else "minus"
-
-    @cached_property
-    def eigenvalues(self) -> tuple[float, ...]:
-        l = self.common_denominator
-        return tuple(c / l for c in self.scaled_numerators)
-
-    @cached_property
-    def _lam(self) -> np.ndarray:
-        return np.array(self.eigenvalues)
-
-    @cached_property
-    def _b(self) -> np.ndarray:
-        return np.array(self.input_gains)
-
-    @cached_property
-    def _x0(self) -> np.ndarray:
-        return np.array(self.x0)
 
     @cached_property
     def _v(self) -> np.ndarray:
@@ -193,25 +182,25 @@ class NlpInstance:
     def cost_value(self, times: Sequence[float]) -> float:
         return float(np.dot(self.cost_exponents, np.asarray(times, dtype=float)))
 
-    def reach_stack(self, times: np.ndarray, jacobian: bool = True):
-        """Fused kernel on a stack of time vectors; see `reach_kernel`."""
-        return reach_kernel(self._lam, self._b, self._v, times, jacobian)
-
     def reach(self, times: Sequence[float]) -> np.ndarray:
         """Initial state transferred to the origin by these segment times."""
+        system = self.spec.system
         t = np.asarray(times, dtype=float)[None, :]
-        return self.reach_stack(t, jacobian=False)[0][0]
+        return reach_kernel(system.eigenvalues, system.gains, self._v, t, jacobian=False)[0][0]
 
     def constraint_residuals(self, times: Sequence[float]) -> np.ndarray:
-        return self.reach(times) - self._x0
+        return self.reach(times) - self.spec.x0
 
     def constraint_jacobian(self, times: Sequence[float]) -> np.ndarray:
         """d residual_i / d t_j, shape (order, slot_count)."""
-        return self.reach_stack(np.asarray(times, dtype=float)[None, :])[1][0]
+        system = self.spec.system
+        t = np.asarray(times, dtype=float)[None, :]
+        return reach_kernel(system.eigenvalues, system.gains, self._v, t)[1][0]
 
     def as_dict(self) -> dict:
         # w_j = v_{j+1} - v_j over the zero-padded level word, j = 0..K
         coefficients = [b - a for a, b in zip((0,) + self.levels, self.levels + (0,))]
+        system = self.spec.system
         return {
             "id": self.instance_id,
             "variant": self.variant,
@@ -221,42 +210,25 @@ class NlpInstance:
             "constraint_spec": {
                 "levels": list(self.levels),
                 "time_weight": self.k,
-                "common_denominator": self.common_denominator,
+                "common_denominator": system.spectrum.common_denominator,
                 "cost_kind": "J1" if self.levels[0] != 0 else "J2",
                 "cost_exponents": list(self.cost_exponents),
                 "states": [
-                    {
-                        "x0": self.x0[i],
-                        "gain": self.input_gains[i],
-                        "scaled_numerator": self.scaled_numerators[i],
-                        "coefficients": coefficients,
-                    }
-                    for i in range(self.order)
+                    {"x0": x, "gain": b, "scaled_numerator": c, "coefficients": coefficients}
+                    for x, b, c in zip(
+                        self.spec.initial_state,
+                        system.input_gains,
+                        system.spectrum.scaled_numerators,
+                    )
                 ],
             },
         }
 
 
-def _instance(
-    spec: ProblemSpec, instance_id: str, levels: Sequence[int], signs: tuple[int, ...] = ()
-) -> NlpInstance:
-    system = spec.system
-    return NlpInstance(
-        instance_id=instance_id,
-        levels=tuple(int(v) for v in levels),
-        signs=signs,
-        scaled_numerators=system.spectrum.scaled_numerators,
-        input_gains=system.input_gains,
-        common_denominator=system.spectrum.common_denominator,
-        x0=spec.initial_state,
-        k=spec.k,
-    )
-
-
 def sequence_instance(spec: ProblemSpec, sequence: CandidateSequence) -> NlpInstance:
     """Program over a single fixed level sequence."""
     instance_id = "SEQ-" + "_".join(str(v) for v in sequence.levels)
-    return _instance(spec, instance_id, sequence.levels)
+    return NlpInstance(instance_id, sequence.levels, (), spec)
 
 
 def build_all(spec: ProblemSpec) -> list[NlpInstance]:
@@ -278,14 +250,14 @@ def build_all(spec: ProblemSpec) -> list[NlpInstance]:
     for start in ("plus", "minus"):
         if n == 2:
             flip = 1 if start == "plus" else -1
-            instances.append(_instance(spec, f"OP1-{start}", (flip, 0, flip)))
+            instances.append(NlpInstance(f"OP1-{start}", (flip, 0, flip), (), spec))
             levels = template_levels(2, "OP2", start)
-            instances.append(_instance(spec, f"OP2-{start}", levels))
+            instances.append(NlpInstance(f"OP2-{start}", levels, (), spec))
             continue
         for variant in ("OP1", "OP2"):
             for signs in sign_vectors(n, variant, start):
                 bits = "".join("+" if v > 0 else "-" for v in signs)
                 levels = template_levels(n, variant, start, signs)
-                instances.append(_instance(spec, f"{variant}-{start}-{bits}", levels, signs))
+                instances.append(NlpInstance(f"{variant}-{start}-{bits}", levels, signs, spec))
     instances.sort(key=lambda inst: inst.instance_id)
     return instances

@@ -53,15 +53,6 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _solver_options(args) -> SolverOptions:
-    kwargs = {}
-    if args.starts is not None:
-        kwargs["starts"] = args.starts
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return SolverOptions(**kwargs)
-
-
 def _sorted_sequences(seqs):
     return sorted(seqs, key=lambda s: (len(s.levels), s.levels))
 
@@ -97,7 +88,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = load_problem(args.problem)
-    report = solve_time_fuel(spec, _solver_options(args))
+    report = solve_time_fuel(spec, SolverOptions(args.starts, args.seed))
     payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -163,7 +154,7 @@ def cmd_table(args) -> int:
     specs = [validate_problem(spec.system, spec.x0, k, spec.max_switches) for k in args.k]
     rows = []
     for k, kspec in zip(args.k, specs):
-        report = solve_time_fuel(kspec, _solver_options(args))
+        report = solve_time_fuel(kspec, SolverOptions(args.starts, args.seed))
         best = report.best
         rows.append(
             {
@@ -234,8 +225,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the time-fuel problem")
     p.add_argument("--problem", required=True)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--starts", type=int, default=SolverOptions.starts)
+    p.add_argument("--seed", type=int, default=SolverOptions.seed)
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_solve)
 
@@ -249,8 +240,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="performance table over several k values")
     p.add_argument("--problem", required=True)
     p.add_argument("--k", type=float, action="append", default=[])
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--starts", type=int, default=SolverOptions.starts)
+    p.add_argument("--seed", type=int, default=SolverOptions.seed)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)

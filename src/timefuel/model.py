@@ -4,7 +4,8 @@ Systems are accepted only in diagonal form with nonzero, distinct, rational
 eigenvalues given as exact integer pairs.  Each eigenvalue n_i/d_i is rewritten
 over the common denominator l = lcm(d_1, ..., d_n) as c_i/l with integer c_i;
 every static program reports the integers (c_i, l), which give the
-polynomial form of its reachability constraints.
+polynomial form of its reachability constraints.  The eigenvalue, gain and
+x0 arrays are made once, on first read, and are read-only.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,9 +62,9 @@ class RationalSpectrum:
     def __len__(self) -> int:
         return len(self.scaled_numerators)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.array(self.scaled_numerators, dtype=float) / self.common_denominator
+        return _read_only(np.array(self.scaled_numerators, dtype=float) / self.common_denominator)
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,9 @@ class LtiSystem:
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum.eigenvalues
 
-    @property
+    @cached_property
     def gains(self) -> np.ndarray:
-        return np.array(self.input_gains, dtype=float)
+        return _read_only(np.array(self.input_gains, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,9 @@ class ProblemSpec:
     def order(self) -> int:
         return self.system.order
 
-    @property
+    @cached_property
     def x0(self) -> np.ndarray:
-        return np.array(self.initial_state, dtype=float)
+        return _read_only(np.array(self.initial_state, dtype=float))
 
     @property
     def k(self) -> float:
@@ -190,6 +192,11 @@ def validate_problem(
                 f"got {max_switches}"
             )
     return ProblemSpec(system, x0, float(k), max_switches)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _is_bool(value) -> bool:

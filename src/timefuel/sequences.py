@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
+from .model import _is_bool
+
 Sign = Literal["plus", "minus"]
 
 #: Number of switches contributed to (p, q) by each grammar unit.  A unit
@@ -296,9 +298,9 @@ def enumerate_candidates(
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if max_switches is not None and not 1 <= max_switches <= 2 * n:
+    if max_switches is not None and (_is_bool(max_switches) or not 1 <= max_switches <= 2 * n):
         raise ValueError(
-            f"max_switches must lie in [1, {2 * n}], got {max_switches}"
+            f"max_switches must be an integer in [1, {2 * n}], got {max_switches!r}"
         )
     if max_switches is None:
         pairs = [(p, q) for p in range(n + 1) for q in range(n + 1)]

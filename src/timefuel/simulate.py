@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from .builder import EXP_CLIP
-from .model import LtiSystem, ProblemSpec
+from .model import LtiSystem, ProblemSpec, _is_bool
 
 #: Segments shorter than this are treated as zero length when condensing.
 COLLAPSE_TOL = 1e-6
@@ -62,7 +62,7 @@ class SwitchingSchedule:
         if any(b >= a for a, b in zip(bp[1:], bp)):
             raise InvalidScheduleError("breakpoints must increase strictly")
         # JSON true is a Python bool, which equals 1
-        if any(v not in (-1, 0, 1) or isinstance(v, bool) for v in lv):
+        if any(v not in (-1, 0, 1) or _is_bool(v) for v in lv):
             raise InvalidScheduleError("levels must lie in {-1, 0, +1}")
         if any(a == b for a, b in zip(lv, lv[1:])):
             raise InvalidScheduleError("adjacent intervals must differ in level")
@@ -146,8 +146,8 @@ def propagate(
     samples_per_segment: int = 1,
 ) -> Trajectory:
     """Closed-form state evolution of the schedule from x0 (no ODE stepping)."""
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be at least 1")
+    if _is_bool(samples_per_segment) or samples_per_segment < 1:
+        raise ValueError("samples_per_segment must be an integer of at least 1")
     lam = system.eigenvalues
     b = system.gains
     x = np.array(x0, dtype=float)
@@ -258,7 +258,7 @@ def lp_oracle(
     tolerance the cost lies above the optimum, by the discretization error.
     Shares nothing with the solver.
     """
-    if not 0.0 < t_max < math.inf:
+    if _is_bool(t_max) or not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     hi = t_max
     cost = _lp_transfer(spec, hi)[0]

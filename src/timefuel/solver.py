@@ -9,7 +9,8 @@ polish of the KKT system, each round starting from the previous polish.
 SLSQP stops at the feasibility tolerance, which is enough to find the active
 set; the polish, with the exact Hessian, gives the last digits (the split of
 Byrd, Gould, Nocedal & Waltz, Math. Prog. 100, 2004).  Every phase forms
-the residual reach - x0 and its gap Jacobian through `_eval` alone.
+the residual reach - x0 and its gap Jacobian through `_eval` alone, from
+the problem's spec and a level word.
 `_restore` runs the start rows of all programs with the same slot count as
 one stack on the fused reach/Jacobian kernel, each row under its own
 program's levels, and every row gives the bits it would give alone;
@@ -95,12 +96,12 @@ class SolverOptions:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def horizon(instance: NlpInstance) -> float:
-    """50 time constants of the problem's slowest mode, which every program
-    shares: the scale of the blind start draws and the longest horizon
-    `lp_oracle` tries."""
-    slowest = min(abs(c) for c in instance.scaled_numerators)
-    return 50.0 * instance.common_denominator / slowest
+def horizon(spec: ProblemSpec) -> float:
+    """50 time constants of the problem's slowest mode: the scale of the
+    blind start draws and the longest horizon `lp_oracle` tries."""
+    spectrum = spec.system.spectrum
+    slowest = min(abs(c) for c in spectrum.scaled_numerators)
+    return 50.0 * spectrum.common_denominator / slowest
 
 
 @dataclass(frozen=True)
@@ -167,21 +168,21 @@ class SolveReport:
         }
 
 
-def _eval(instance: NlpInstance, gaps: np.ndarray, jacobian: bool = True, levels=None):
+def _eval(spec: ProblemSpec, levels, gaps: np.ndarray, jacobian: bool = True):
     """Residuals (m, n) and gap Jacobians (m, n, K) of gap stack (m, K),
-    under the program's levels or one (m, K) level row per gap row."""
+    under one (K,) level word or one (m, K) level row per gap row."""
     times = np.cumsum(gaps, axis=-1)
-    v = instance._v if levels is None else levels
-    reach, time_jac = reach_kernel(instance._lam, instance._b, v, times, jacobian)
+    system = spec.system
+    reach, time_jac = reach_kernel(system.eigenvalues, system.gains, levels, times, jacobian)
     # the gap Jacobian, by the chain rule through t_j = sum_{m <= j} gap_m,
     # is the reverse cumulative sum of the time Jacobian
     J = None if time_jac is None else np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
-    return reach - instance._x0, J
+    return reach - spec.x0, J
 
 
 def _eval1(instance: NlpInstance, gaps: np.ndarray):
-    """`_eval` of a single gap vector."""
-    c, J = _eval(instance, gaps[None, :])
+    """`_eval` of a single gap vector under the program's levels."""
+    c, J = _eval(instance.spec, instance._v, gaps[None, :])
     return c[0], J[0]
 
 
@@ -209,11 +210,11 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray):
         return step, singular
 
 
-def _lm(instance, gaps, levels=None):
+def _lm(spec, gaps, levels):
     """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
 
-    The rows of gaps (m, K) are independent runs, under the instance's
-    levels or, for rows of several programs with K slots, one (m, K) level
+    The rows of gaps (m, K) are independent runs, under one (K,) level
+    word or, for rows of several programs with K slots, one (m, K) level
     row each.  Each row keeps its own damping and iteration count.  An
     attempt that is rejected or meets a singular system multiplies the
     damping by 10; an accepted step ends the iteration and multiplies it by
@@ -228,8 +229,8 @@ def _lm(instance, gaps, levels=None):
     """
     m, K = gaps.shape
     gaps = gaps.copy()
-    levels = np.broadcast_to(instance._v, gaps.shape) if levels is None else levels
-    c, J = _eval(instance, gaps, levels=levels)
+    levels = np.broadcast_to(levels, gaps.shape)
+    c, J = _eval(spec, levels, gaps)
     f = _half_sq(c)
     nu = np.full(m, 1e-3)
     iters = np.zeros(m, dtype=int)
@@ -252,7 +253,7 @@ def _lm(instance, gaps, levels=None):
         nu[idx[singular]] *= 10.0
         tried = idx[~singular]
         trial = np.maximum(gaps[tried] + step[~singular], 0.0)
-        ct, Jt = _eval(instance, trial, levels=levels[tried])
+        ct, Jt = _eval(spec, levels[tried], trial)
         ft = _half_sq(ct)
         better = ft < f[tried]
         took = tried[better]
@@ -286,7 +287,7 @@ def _kkt_state(c, J, w, gaps, mult):
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
-def _polish(instance, w, gaps):
+def _polish(instance, gaps):
     """Newton iterations on the active-set KKT system, merit safeguarded;
     the (gaps, feasibility, KKT residual) of the last accepted point.
 
@@ -300,6 +301,7 @@ def _polish(instance, w, gaps):
     and Jacobian serve the next Newton step.
     """
     n = instance.order
+    w = instance.gap_weights
     c, J = _eval1(instance, gaps)
     mult = _ls_multipliers(J, w, gaps)
     gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps)
@@ -316,7 +318,7 @@ def _polish(instance, w, gaps):
         # the Hessian of mult . c is diagonal in time coordinates, so in gap
         # coordinates entry (i, j) is the suffix sum of that diagonal from
         # max(i, j): the gap Jacobian's reverse cumulative sum
-        suffix = (mult * (-instance._lam)) @ J
+        suffix = (mult * (-instance.spec.system.eigenvalues)) @ J
         H = suffix[np.maximum.outer(free, free)]
         system = np.block(
             [[H, J[:, free].T], [J[:, free], np.zeros((n, n))]]
@@ -350,11 +352,12 @@ def _polish(instance, w, gaps):
     return gaps, feas, kkt
 
 
-def _slsqp(instance, gaps, w):
+def _slsqp(instance, gaps):
     """SLSQP on min w . gaps subject to reach(gaps) = x0 and gaps >= 0,
     stopped at `feas_tol`: it has to find the active set, not the last
     digits, which `_polish` supplies.  SLSQP asks for the Jacobian at the
     point whose residual it just took, so the two share one `_eval1`."""
+    w = instance.gap_weights
     last = {}
 
     def evaluated(g):
@@ -407,7 +410,7 @@ def _starts(instance: NlpInstance, options: SolverOptions, longest: float) -> np
     )
     scales = np.cumprod(np.r_[1.0, np.full(60, 0.7)])
     shrunk = (scales[None, :, None] * draws[:, None, :]).reshape(-1, instance.slot_count)
-    c, _ = _eval(instance, shrunk, jacobian=False)
+    c, _ = _eval(instance.spec, instance._v, shrunk, jacobian=False)
     norms = np.max(np.abs(c), axis=1).reshape(len(draws), len(scales))
     return scales[np.argmin(norms, axis=1)][:, None] * draws
 
@@ -418,7 +421,6 @@ def _descend(instance, gaps, c) -> LocalSolution:
     to rounding level, as the start's solution.  A round that ends short of the
     tolerances hands the polished point to the next one; a start that
     restoration left off the manifold is reported infeasible as it is."""
-    w = instance.gap_weights
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
     kkt = math.inf
@@ -426,8 +428,8 @@ def _descend(instance, gaps, c) -> LocalSolution:
     if feas <= 1e-6 * x0_scale:
         status = ITERATION_LIMIT
         for _round in range(SQP_ROUNDS):
-            gaps = _slsqp(instance, gaps, w)
-            gaps, feas, kkt = _polish(instance, w, gaps)
+            gaps = _slsqp(instance, gaps)
+            gaps, feas, kkt = _polish(instance, gaps)
             if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
                 status = CONVERGED
                 break
@@ -454,17 +456,18 @@ def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     return min(solutions, key=lambda s: s.constraint_residual)
 
 
-def _restore(instances, starts: dict) -> dict:
+def _restore(spec, instances, starts: dict) -> dict:
     """Program id -> (gaps, residuals) of the (m, K) start rows that
-    `starts` maps its id to, restored with the rows of all programs of one
-    slot count in one `_lm` stack, each row under its own program's levels."""
+    `starts` maps its id to, restored with the rows of all the problem's
+    programs of one slot count in one `_lm` stack, each row under its own
+    program's levels."""
     programs = [inst for inst in instances if inst.instance_id in starts]
     restored = {}
     for K in sorted({inst.slot_count for inst in programs}):
         group = [inst for inst in programs if inst.slot_count == K]
         rows = [starts[inst.instance_id] for inst in group]
         levels = np.concatenate([np.broadcast_to(i._v, r.shape) for i, r in zip(group, rows)])
-        gaps, c = _lm(group[0], np.concatenate(rows), levels=levels)
+        gaps, c = _lm(spec, np.concatenate(rows), levels)
         ends = np.cumsum([len(r) for r in rows[:-1]])
         for inst, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
             restored[inst.instance_id] = (g, r)
@@ -533,9 +536,9 @@ def solve_time_fuel(
     and one more start seeded from its input (see the module docstring).
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    longest = horizon(instances[0])
+    longest = horizon(spec)
     starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
-    restored = _restore(instances, starts)
+    restored = _restore(spec, instances, starts)
     solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
     verified = _verified(spec, instances, solutions)
     if not verified:
@@ -553,7 +556,7 @@ def solve_time_fuel(
         lp_cost, lp_t_f, inputs = lp
         word = _lp_word(inputs, lp_t_f)
         if word.levels:
-            seeded = _restore(instances, _lp_seeds(instances, word))
+            seeded = _restore(spec, instances, _lp_seeds(instances, word))
             for j, inst in enumerate(instances):
                 if inst.instance_id in seeded:
                     sol = solve_nlp(inst, seeded[inst.instance_id])

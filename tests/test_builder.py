@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from timefuel.builder import (
     OrderTooSmallError,
     build_all,
     count_nlps,
+    reach_kernel,
     sequence_instance,
     sign_vectors,
     template_levels,
@@ -176,11 +180,12 @@ class TestInstanceCallbacks:
             gaps[rng.random((m, K)) < 0.3] = 0.0
             gaps[0] = 0.0
             times = np.cumsum(gaps, axis=1)
-            exponents = np.abs(np.multiply.outer(times, inst._lam))
+            exponents = np.abs(np.multiply.outer(times, system.eigenvalues))
             assert np.any(exponents > EXP_CLIP)
-            reach, jac = inst.reach_stack(times)
+            reach, jac = reach_kernel(system.eigenvalues, system.gains, inst.levels, times)
             assert reach.shape == (m, n) and jac.shape == (m, n, K)
-            assert np.array_equal(inst.reach_stack(times, jacobian=False)[0], reach)
+            stacked = reach_kernel(system.eigenvalues, system.gains, inst.levels, times, False)
+            assert np.array_equal(stacked[0], reach)
             for i in range(m):
                 assert np.array_equal(reach[i], inst.reach(times[i]))
                 assert np.array_equal(jac[i], inst.constraint_jacobian(times[i]))
@@ -348,3 +353,55 @@ class TestInstanceCallbacks:
             for d in (inst.as_dict() for inst in instances)
         ]
         assert got == expected
+
+    @staticmethod
+    def _golden_problems():
+        gains = (1.0, -0.5, 2.0, 0.75, -1.25, 1.5)
+        x0 = (0.3, -0.2, 0.15, 0.1, -0.05, 0.25)
+        for n in range(1, 7):
+            system = LtiSystem(build_spectrum([(-(i + 1), 1) for i in range(n)]), gains[:n])
+            yield f"stable-{n}", validate_problem(system, x0[:n], 1.5)
+        # common denominator 4
+        system = LtiSystem(build_spectrum([(1, 2), (-3, 4), (-2, 1)]), (1.0, -0.5, 2.0))
+        yield "rational", validate_problem(system, [0.2, -0.1, 0.05], 0.75)
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1), (-3, 1)]), gains[:3])
+        yield "max-switches", validate_problem(system, x0[:3], 1.5, max_switches=4)
+
+    def test_build_bytes_pinned(self):
+        # sha256 over the `build` files of each problem, in `build_all`
+        # order, written as `timefuel build` writes them
+        expected = {
+            "stable-1": (4, "cad202859922d35e4a41268be0f6f9ec8bd15255653f0eb75d9ea644c341fd2d"),
+            "stable-2": (4, "46b790efeb789a6e6dbd7d40224db8459b0e08fdbdc976f63d36d38bf3a51947"),
+            "stable-3": (4, "470690fc2a330e8fbde9ae586c8713aed86bb9b20be9e271c1be98e11e462210"),
+            "stable-4": (8, "a4b14f6eacd6b49cd451c417078a6b3724f3e5bdfbe7712960e0cbdbe19c0a3c"),
+            "stable-5": (16, "25da42f1b41d7a8fcc361283a9d6ab8fd53cd6090c27715b195d479366d5dad4"),
+            "stable-6": (30, "6ac1ff1bf05b78b1ca262cb41ca24c1e8581bb3f13d65264b258f918be07d2dd"),
+            "rational": (4, "97d3a1a3e214bd70a0a18937b8fdf2ede445a2766637344f676c3a6a78dd06d6"),
+            "max-switches": (10, "e1404b573dd1a2afcb65c4b8a6277d7a551c655cfc14f18ad716de09efe18025"),
+        }
+        got = {}
+        for label, spec in self._golden_problems():
+            instances = build_all(spec)
+            digest = hashlib.sha256()
+            for inst in instances:
+                text = json.dumps(inst.as_dict(), sort_keys=True, indent=2) + "\n"
+                digest.update(text.encode("utf-8"))
+            got[label] = (len(instances), digest.hexdigest())
+        assert got == expected
+
+    def test_programs_share_the_read_only_spec(self):
+        spec = make_spec(4, x0=[0.1, 0.2, 0.4, 0.5])
+        instances = build_all(spec) + [
+            sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
+        ]
+        assert all(inst.spec is spec for inst in instances)
+        for array in (spec.x0, spec.system.eigenvalues, spec.system.gains):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+        # made once: every read is the same array
+        assert spec.x0 is spec.x0 and spec.system.gains is spec.system.gains
+        assert spec.system.eigenvalues is spec.system.eigenvalues

@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from timefuel.sequences import (
@@ -238,6 +239,12 @@ class TestEnumerateCandidates:
             enumerate_candidates(3, 7)
         with pytest.raises(ValueError):
             enumerate_candidates(3, 0)
+
+    @pytest.mark.parametrize("max_switches", [True, np.True_])
+    def test_boolean_budget_rejected(self, max_switches):
+        # True would run as the switch budget 1
+        with pytest.raises(ValueError, match="max_switches"):
+            enumerate_candidates(2, max_switches)
 
     def test_restricted_full_budget_n2(self):
         # at the full switch budget the templates must still cover the

@@ -63,6 +63,15 @@ class TestSchedule:
         with pytest.raises(InvalidScheduleError):
             SwitchingSchedule((0.0, 0.5, 1.0), (1, 1))
 
+    @pytest.mark.parametrize(
+        "levels", [(np.True_,), (1, np.False_, -1), (np.True_, 0, -1)]
+    )
+    def test_boolean_levels_rejected(self, levels):
+        # numpy.bool_ is not a bool subclass, and it equals 1 or 0
+        breakpoints = tuple(float(i) for i in range(len(levels) + 1))
+        with pytest.raises(InvalidScheduleError, match="levels"):
+            SwitchingSchedule(breakpoints, levels)
+
     def test_from_times_collapses(self):
         s = schedule_from_times((0, 1, 0, -1), (0.0, 0.3, 0.3, 0.9))
         assert s.levels == (1, -1)
@@ -142,6 +151,12 @@ class TestPropagate:
         off_samples = traj.states[traj.sample_times <= 2.0]
         norms = np.linalg.norm(off_samples, axis=1)
         assert np.all(np.diff(norms) <= 1e-12)
+
+    @pytest.mark.parametrize("samples", [True, np.True_])
+    def test_boolean_samples_rejected(self, stable_system, samples):
+        sched = SwitchingSchedule((0.0, 1.0), (1,))
+        with pytest.raises(ValueError, match="samples_per_segment"):
+            propagate(stable_system, [0.1, 0.1], sched, samples_per_segment=samples)
 
     def test_samples_per_segment(self, stable_system):
         sched = SwitchingSchedule((0.0, 1.0, 2.0), (0, 1))
@@ -243,6 +258,14 @@ class TestLpOracle:
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
     def test_bad_horizon_rejected(self, t_max):
         # None would read as "unreachable"; nan and inf would reach linprog
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+        spec = validate_problem(system, [0.6, 0.4], 1.0)
+        with pytest.raises(ValueError, match="t_max"):
+            lp_oracle(spec, t_max)
+
+    @pytest.mark.parametrize("t_max", [True, np.True_])
+    def test_boolean_horizon_rejected(self, t_max):
+        # True would run as the horizon 1
         system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
         spec = validate_problem(system, [0.6, 0.4], 1.0)
         with pytest.raises(ValueError, match="t_max"):

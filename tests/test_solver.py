@@ -47,13 +47,13 @@ def scalar_spec(lam=-1.0, b=1.0, x0=0.5, k=1.0):
 
 def blind_starts(instances, options):
     """The `_starts` rows of every program, by id."""
-    scale = horizon(instances[0])
+    scale = horizon(instances[0].spec)
     return {inst.instance_id: _starts(inst, options, scale) for inst in instances}
 
 
 def restored_alone(inst, options=OPTS):
     """One program's blind starts restored on their own, for `solve_nlp`."""
-    return _restore([inst], blind_starts([inst], options))[inst.instance_id]
+    return _restore(inst.spec, [inst], blind_starts([inst], options))[inst.instance_id]
 
 
 @pytest.mark.parametrize(
@@ -295,8 +295,8 @@ class TestStackedRestoration:
             make_spec(6, x0=[0.1, 0.2, 0.4, 0.5, 0.8, 1.0]),
         )
         for inst in (inst for spec in specs for inst in build_all(spec)[:3]):
-            gaps = _starts(inst, options, horizon(inst))
-            stacked, c = _lm(inst, gaps)
+            gaps = _starts(inst, options, horizon(inst.spec))
+            stacked, c = _lm(inst.spec, gaps, inst.levels)
             for i in range(len(gaps)):
                 ref_gaps, ref_c = lm_reference(inst, gaps[i], 60)
                 assert np.array_equal(stacked[i], ref_gaps)
@@ -318,10 +318,10 @@ class TestStackedRestoration:
         # the bits of restoring each start alone
         options = SolverOptions(starts=16, seed=0)
         for inst in build_all(make_spec(len(x0), x0=x0)):
-            starts = _starts(inst, options, horizon(inst))
-            gaps, c = _lm(inst, starts)
+            starts = _starts(inst, options, horizon(inst.spec))
+            gaps, c = _lm(inst.spec, starts, inst.levels)
             for i in range(len(starts)):
-                gaps_1, c_1 = _lm(inst, starts[i:i + 1])
+                gaps_1, c_1 = _lm(inst.spec, starts[i:i + 1], inst.levels)
                 assert np.array_equal(gaps[i], gaps_1[0])
                 assert np.array_equal(c[i], c_1[0])
 
@@ -352,18 +352,18 @@ class TestStackedRestoration:
         blind = blind_starts(instances, options)
         stacks = []
 
-        def counting_lm(inst, gaps, *args, **kwargs):
+        def counting_lm(spec, gaps, *args, **kwargs):
             stacks.append(len(gaps))
-            return _lm(inst, gaps, *args, **kwargs)
+            return _lm(spec, gaps, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restore(instances, blind)
+        restored = _restore(spec, instances, blind)
         slot_counts = [inst.slot_count for inst in instances]
         per_count = [starts * slot_counts.count(K) for K in set(slot_counts)]
         assert len(per_count) > 1 and sorted(stacks) == sorted(per_count)
         for inst in instances:
             gaps, c = restored[inst.instance_id]
-            alone, c_alone = _lm(inst, blind[inst.instance_id])
+            alone, c_alone = _lm(spec, blind[inst.instance_id], inst.levels)
             assert np.array_equal(gaps, alone)
             assert np.array_equal(c, c_alone)
 
@@ -380,7 +380,7 @@ class TestStackedRestoration:
 
         monkeypatch.setattr(solver, "_solve_rows", counting_solve_rows)
         instances = build_all(example_spec)
-        _restore(instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
+        _restore(example_spec, instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
         assert len(passes) <= 120
 
     def test_singular_systems_stop_at_the_damping_bound(self, example_spec, monkeypatch):
@@ -396,7 +396,7 @@ class TestStackedRestoration:
         monkeypatch.setattr(solver, "_solve_rows", singular_rows)
         inst = build_all(example_spec)[0]
         start = np.zeros((1, inst.slot_count))
-        gaps, _ = _lm(inst, start)
+        gaps, _ = _lm(example_spec, start, inst.levels)
         assert passes == [1] * 20
         assert np.array_equal(gaps, start)
 
@@ -404,7 +404,7 @@ class TestStackedRestoration:
         # start i does not depend on how many starts follow it
         spec = make_spec(4, x0=[0.2, 0.15, 0.1, 0.05])
         for inst in build_all(spec):
-            scale = horizon(inst)
+            scale = horizon(spec)
             starts = _starts(inst, SolverOptions(starts=16, seed=0), scale)
             for i in range(len(starts)):
                 fewer = _starts(inst, SolverOptions(starts=i + 1, seed=0), scale)
@@ -489,7 +489,7 @@ class TestLpRetry:
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
         _cost, inputs = _lp_transfer(spec, horizon)
         word = _lp_word(inputs, horizon)
-        restored = _restore(instances, _lp_seeds(instances, word))
+        restored = _restore(spec, instances, _lp_seeds(instances, word))
         seeded = [inst for inst in instances if inst.instance_id in restored]
         solutions = [solve_nlp(i, restored[i.instance_id]) for i in seeded]
         verified = {v.instance_id: v.cost for v in _verified(spec, seeded, solutions)}
@@ -506,17 +506,17 @@ class TestLpRetry:
         assert len(seeds) > len(slot_counts)
         calls = []
 
-        def counting_lm(inst, gaps, *args, **kwargs):
+        def counting_lm(spec, gaps, *args, **kwargs):
             calls.append(len(gaps))
-            return _lm(inst, gaps, *args, **kwargs)
+            return _lm(spec, gaps, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restore(instances, seeds)
+        restored = _restore(spec, instances, seeds)
         assert len(calls) == len(slot_counts) and sum(calls) == len(seeds)
         for inst in instances:
             if inst.instance_id in seeds:
                 gaps, c = restored[inst.instance_id]
-                alone, c_alone = _lm(inst, seeds[inst.instance_id])
+                alone, c_alone = _lm(spec, seeds[inst.instance_id], inst.levels)
                 assert np.array_equal(gaps, alone)
                 assert np.array_equal(c, c_alone)
 
@@ -795,12 +795,12 @@ class TestDescentLayer:
             con = {**con, "fun": recorded(con["fun"]), "jac": recorded(con["jac"])}
             return real_minimize(fun, x0, constraints=[con], **kwargs)
 
-        def counted(instance, gaps, *args, **kwargs):
+        def counted(spec, levels, gaps, *args, **kwargs):
             evaluated.extend(row.tobytes() for row in gaps)
-            return real_eval(instance, gaps, *args, **kwargs)
+            return real_eval(spec, levels, gaps, *args, **kwargs)
 
         monkeypatch.setattr(solver, "minimize", watched)
         monkeypatch.setattr(solver, "_eval", counted)
-        solver._slsqp(inst, start, inst.gap_weights)
+        solver._slsqp(inst, start)
         assert len(received) > 1
         assert sorted(evaluated) == sorted(received)
