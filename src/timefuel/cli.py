@@ -36,6 +36,9 @@ USAGE_ERROR = 1
 INFEASIBLE_EXIT = 2
 SOLVER_FAILED_EXIT = 3
 
+#: Numeric columns of `table`: k, then fields of the best solution.
+TABLE_FIELDS = ("k", "cost", "final_time", "on_duration", "sparsity")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; this tool reserves 2 for
@@ -156,34 +159,15 @@ def cmd_table(args) -> int:
     for k, kspec in zip(args.k, specs):
         report = solve_time_fuel(kspec, SolverOptions(args.starts, args.seed))
         best = report.best
-        rows.append(
-            {
-                "k": k,
-                "cost": best.cost,
-                "final_time": best.final_time,
-                "on_duration": best.on_duration,
-                "sparsity": best.sparsity,
-                "sequence": list(best.schedule.levels),
-            }
-        )
+        row = {f: getattr(best, f) for f in TABLE_FIELDS[1:]}
+        rows.append({"k": k, **row, "sequence": list(best.schedule.levels)})
     if args.format == "json":
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["k,cost,final_time,on_duration,sparsity,sequence"]
+        lines = [",".join(TABLE_FIELDS + ("sequence",))]
         for r in rows:
             seq = " ".join(str(v) for v in r["sequence"])
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r["k"]),
-                        _fmt(r["cost"]),
-                        _fmt(r["final_time"]),
-                        _fmt(r["on_duration"]),
-                        _fmt(r["sparsity"]),
-                        seq,
-                    ]
-                )
-            )
+            lines.append(",".join([*(_fmt(r[f]) for f in TABLE_FIELDS), seq]))
         text = "\n".join(lines) + "\n"
     else:
         lines = [

@@ -184,8 +184,9 @@ def validate_problem(
             f"x0 has {len(x0)} components for an order-{system.order} system"
         )
     if max_switches is not None:
-        if not isinstance(max_switches, int) or isinstance(max_switches, bool):
+        if _is_bool(max_switches) or not isinstance(max_switches, (int, np.integer)):
             raise ProblemError("max_switches must be an integer")
+        max_switches = int(max_switches)
         if not 1 <= max_switches <= 2 * system.order:
             raise ProblemError(
                 f"max_switches must lie in [1, {2 * system.order}], "

@@ -267,14 +267,19 @@ def count_family(p: int, q: int) -> int:
     return total
 
 
+def _check_order(n) -> None:
+    # bool is a subclass of int: True would run as order 1
+    if _is_bool(n) or n < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {n!r}")
+
+
 def tilde_sequence(n: int, sign: Sign = "plus") -> CandidateSequence:
     """The fully alternating word with n zeros, excluded from the candidates.
 
     Its zero count exceeds the admissible bound on zero crossings of the
     switching function, so it can never be optimal.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n)
     levels: list[int] = []
     for i in range(n + 1):
         levels.append((-1) ** i)
@@ -296,8 +301,7 @@ def enumerate_candidates(
     zero length, so they are the templates needed to cover the restricted
     problem.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n)
     if max_switches is not None and (_is_bool(max_switches) or not 1 <= max_switches <= 2 * n):
         raise ValueError(
             f"max_switches must be an integer in [1, {2 * n}], got {max_switches!r}"
@@ -325,8 +329,7 @@ def enumerate_candidates(
 
 def count_all_candidates(n: int) -> int:
     """Closed-form count of the plus-start candidates for an order-n system."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n)
     if n % 2 == 0:
         return (
             math.comb(n, (n - 2) // 2)
@@ -350,8 +353,7 @@ def brute_force_candidates(n: int) -> frozenset[CandidateSequence]:
     filtering by the admissibility bounds and the alternating-word exclusion.
     Only for small orders; the candidate count grows combinatorially.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n)
     if n > BRUTE_FORCE_MAX_ORDER:
         raise OrderTooLargeError(
             f"brute force supports n <= {BRUTE_FORCE_MAX_ORDER}, got {n}"

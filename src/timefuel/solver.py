@@ -14,8 +14,10 @@ the problem's spec and a level word.
 `_restore` runs the start rows of all programs with the same slot count as
 one stack on the fused reach/Jacobian kernel, each row under its own
 program's levels, and every row gives the bits it would give alone;
-`solve_nlp` then descends one program's restored starts, each to a
-`LocalSolution`, and keeps the best.  The rounds run per start.  Aggregation
+`solve_nlp` then descends one program's restored starts in order, each to a
+`LocalSolution`, and keeps the best; a start whose SLSQP nears a local
+minimizer an earlier start found ends there (the clustering stop of
+multistart search; Rinnooy Kan & Timmer, Math. Prog. 39, 1987).  Aggregation
 re-simulates every converged solution before trusting it: each that lands on
 the origin becomes a `BestSolution` costed by the simulator, and the report
 names the first after the tie rules.  It is bitwise reproducible for a fixed
@@ -31,9 +33,10 @@ blind starts, and a miss there is a solver failure, not infeasibility.
 
 from __future__ import annotations
 
+import logging
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -65,7 +68,13 @@ KKT_TOL = 1e-8
 #: Levenberg-Marquardt iterations a restoration row gets.
 LM_ITERATIONS = 150
 
+#: Max-norm distance, times 1 + the point's largest gap, within which an
+#: SLSQP iterate counts as having reached a known local minimizer.
+MERGE_TOL = 1e-3
+
 _ACTIVE_EPS = 1e-9
+
+_log = logging.getLogger("timefuel")
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -74,6 +83,10 @@ class InfeasibleProblemError(RuntimeError):
 
 class SolverFailedError(RuntimeError):
     """No verified transfer, although the fixed-horizon LP reaches the origin."""
+
+
+class _Merged(Exception):
+    """Raised in SLSQP's callback with the known minimum an iterate reached."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +129,7 @@ class LocalSolution:
     status: str
 
     def as_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "times": list(self.times),
-            "cost": self.cost,
-            "kkt_residual": self.kkt_residual,
-            "constraint_residual": self.constraint_residual,
-            "status": self.status,
-        }
+        return {**asdict(self), "times": list(self.times)}
 
 
 @dataclass(frozen=True)
@@ -287,6 +293,28 @@ def _kkt_state(c, J, w, gaps, mult):
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
+def _hessian(instance, J, mult, free):
+    """Hessian of mult . c on the free gaps.  It is diagonal in time
+    coordinates, so in gap coordinates entry (i, j) is the suffix sum of that
+    diagonal from max(i, j): the gap Jacobian's reverse cumulative sum."""
+    suffix = (mult * (-instance.spec.system.eigenvalues)) @ J
+    return suffix[np.maximum.outer(free, free)]
+
+
+def _is_minimizer(instance, gaps) -> bool:
+    """Second-order check of a converged point: the Lagrangian's Hessian on
+    the free gaps, under least-squares multipliers, reduced to the null
+    space of their Jacobian, has no eigenvalue below -1e-8 of its scale."""
+    _, J = _eval1(instance, gaps)
+    free = np.flatnonzero(gaps > _ACTIVE_EPS)
+    H = _hessian(instance, J, _ls_multipliers(J, instance.gap_weights, gaps), free)
+    _, sv, vt = np.linalg.svd(J[:, free])
+    rank = np.sum(sv > max(len(J), len(free)) * np.finfo(float).eps * np.max(sv, initial=0.0))
+    Z = vt[rank:].T
+    floor = -1e-8 * (1.0 + np.max(np.abs(H), initial=0.0))
+    return bool(np.all(np.linalg.eigvalsh(Z.T @ H @ Z) >= floor))
+
+
 def _polish(instance, gaps):
     """Newton iterations on the active-set KKT system, merit safeguarded;
     the (gaps, feasibility, KKT residual) of the last accepted point.
@@ -315,13 +343,8 @@ def _polish(instance, gaps):
         if len(free) == 0:
             break
         rhs = -np.concatenate([grad_l[free], c])
-        # the Hessian of mult . c is diagonal in time coordinates, so in gap
-        # coordinates entry (i, j) is the suffix sum of that diagonal from
-        # max(i, j): the gap Jacobian's reverse cumulative sum
-        suffix = (mult * (-instance.spec.system.eigenvalues)) @ J
-        H = suffix[np.maximum.outer(free, free)]
         system = np.block(
-            [[H, J[:, free].T], [J[:, free], np.zeros((n, n))]]
+            [[_hessian(instance, J, mult, free), J[:, free].T], [J[:, free], np.zeros((n, n))]]
         )
         try:
             delta = np.linalg.solve(system + 1e-13 * np.eye(len(free) + n), rhs)
@@ -352,13 +375,25 @@ def _polish(instance, gaps):
     return gaps, feas, kkt
 
 
-def _slsqp(instance, gaps):
+def _slsqp(instance, gaps, known=()):
     """SLSQP on min w . gaps subject to reach(gaps) = x0 and gaps >= 0,
     stopped at `feas_tol`: it has to find the active set, not the last
     digits, which `_polish` supplies.  SLSQP asks for the Jacobian at the
-    point whose residual it just took, so the two share one `_eval1`."""
+    point whose residual it just took, so the two share one `_eval1`.
+    Gives (gaps, None), or (gaps, solution) once an iterate reaches one of
+    the `known` (gaps, solution) minimizers, the first in one vectorised test
+    of all: same gaps under `_ACTIVE_EPS`, max-norm distance within
+    `MERGE_TOL` (1 + the minimizer's largest gap)."""
     w = instance.gap_weights
     last = {}
+    points = np.array([g for g, _ in known]).reshape(len(known), len(gaps))
+    radius = MERGE_TOL * (1.0 + np.max(points, axis=1, initial=0.0))
+
+    def merge(x):
+        hit = np.all((points <= _ACTIVE_EPS) == (x <= _ACTIVE_EPS), axis=1)
+        hit &= np.max(np.abs(points - x), axis=1) <= radius
+        if hit.any():
+            raise _Merged(known[int(np.argmax(hit))][1])
 
     def evaluated(g):
         key = g.tobytes()
@@ -382,11 +417,14 @@ def _slsqp(instance, gaps):
                 }
             ],
             options={"maxiter": 400, "ftol": SolverOptions.feas_tol},
+            callback=merge if known else None,
         )
+    except _Merged as reached:
+        return gaps, reached.args[0]
     except (ValueError, np.linalg.LinAlgError):
-        return gaps
+        return gaps, None
     out = np.maximum(result.x, 0.0)
-    return out if np.all(np.isfinite(out)) else gaps
+    return (out if np.all(np.isfinite(out)) else gaps), None
 
 
 def _start_seed(seed: int, instance_id: str, start: int) -> np.random.Generator:
@@ -415,12 +453,13 @@ def _starts(instance: NlpInstance, options: SolverOptions, longest: float) -> np
     return scales[np.argmin(norms, axis=1)][:, None] * draws
 
 
-def _descend(instance, gaps, c) -> LocalSolution:
+def _descend(instance, gaps, c, known):
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
     stopped at the feasibility tolerance, and a Newton polish that finishes
-    to rounding level, as the start's solution.  A round that ends short of the
-    tolerances hands the polished point to the next one; a start that
-    restoration left off the manifold is reported infeasible as it is."""
+    to rounding level: (its gaps, its solution).  A round that ends short of
+    the tolerances hands the polished point to the next one; a start that
+    restoration left off the manifold is reported infeasible as it is, and
+    one whose SLSQP reaches a `known` minimizer as (None, its solution)."""
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
     kkt = math.inf
@@ -428,13 +467,15 @@ def _descend(instance, gaps, c) -> LocalSolution:
     if feas <= 1e-6 * x0_scale:
         status = ITERATION_LIMIT
         for _round in range(SQP_ROUNDS):
-            gaps = _slsqp(instance, gaps)
+            gaps, merged = _slsqp(instance, gaps, known)
+            if merged is not None:
+                return None, merged
             gaps, feas, kkt = _polish(instance, gaps)
             if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
                 status = CONVERGED
                 break
     times = np.cumsum(gaps)
-    return LocalSolution(
+    return gaps, LocalSolution(
         instance_id=instance.instance_id,
         times=tuple(float(t) for t in times),
         cost=float(instance.cost_value(times)),
@@ -448,9 +489,21 @@ def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     """Best solution of one program over its restored starts, the
     (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
     descended over gaps >= 0: the least-cost converged one, or else the one
-    with the least constraint residual; on a tie the first start wins."""
-    solutions = [_descend(instance, g, c) for g, c in zip(*restored)]
+    with the least constraint residual; on a tie the first start wins.
+    Starts descend in order, and each converged point that `_is_minimizer`
+    passes becomes a known minimizer that later starts merge into (see
+    `_slsqp`).  The counts go to the "timefuel" logger at DEBUG level."""
+    known, solutions, merged = [], [], 0
+    for g, c in zip(*restored):
+        gaps, sol = _descend(instance, g, c, known)
+        merged += gaps is None
+        if gaps is not None and sol.status == CONVERGED and _is_minimizer(instance, gaps):
+            known.append((gaps, sol))
+        solutions.append(sol)
     converged = [s for s in solutions if s.status == CONVERGED]
+    descended = sum(s.status != INFEASIBLE for s in solutions)
+    _log.debug("%s: %d starts, %d descended, %d converged, %d merged into a known minimum",
+               instance.instance_id, len(solutions), descended, len(converged) - merged, merged)
     if converged:
         return min(converged, key=lambda s: s.cost)
     return min(solutions, key=lambda s: s.constraint_residual)

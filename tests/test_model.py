@@ -108,6 +108,20 @@ class TestValidateProblem:
         with pytest.raises(ProblemError):
             validate_problem(system, [0.6, 0.4], 1.0, max_switches=0)
 
+    @pytest.mark.parametrize("budget", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_max_switches_accepted(self, budget):
+        # as SolverOptions takes numpy integers; stored as a plain int, so
+        # the spec stays JSON-serializable
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+        spec = validate_problem(system, [0.6, 0.4], 1.0, max_switches=budget)
+        assert type(spec.max_switches) is int and spec.max_switches == 3
+
+    @pytest.mark.parametrize("budget", [True, np.True_, 3.0])
+    def test_non_integer_max_switches_rejected(self, budget):
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+        with pytest.raises(ProblemError, match="integer"):
+            validate_problem(system, [0.6, 0.4], 1.0, max_switches=budget)
+
     @pytest.mark.parametrize("flag", [True, np.True_])
     def test_boolean_gain_rejected(self, flag):
         # True would otherwise pass as the gain 1 and be written as "gain": true

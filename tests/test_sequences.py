@@ -240,6 +240,16 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError):
             enumerate_candidates(3, 0)
 
+    @pytest.mark.parametrize(
+        "function",
+        [enumerate_candidates, count_all_candidates, tilde_sequence, brute_force_candidates],
+    )
+    @pytest.mark.parametrize("order", [True, np.True_])
+    def test_boolean_order_rejected(self, function, order):
+        # True would run as order 1
+        with pytest.raises(ValueError, match="order"):
+            function(order)
+
     @pytest.mark.parametrize("max_switches", [True, np.True_])
     def test_boolean_budget_rejected(self, max_switches):
         # True would run as the switch budget 1

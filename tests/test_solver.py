@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -804,3 +805,80 @@ class TestDescentLayer:
         solver._slsqp(inst, start)
         assert len(received) > 1
         assert sorted(evaluated) == sorted(received)
+
+
+class TestMergeIntoKnownMinimum:
+    """A start whose SLSQP reaches a local minimizer its program already
+    found ends there, without its own polish."""
+
+    SUBOPTIMAL = {
+        "eigenvalues": [[-1, 1], [2, 1], [-3, 1]],
+        "b": [1, 1, 1],
+        "x0": [0.3, 0.1, 0.1],
+        "k": 2,
+    }
+
+    @staticmethod
+    def counted_polish(monkeypatch):
+        calls = []
+        real_polish = solver._polish
+
+        def counted(instance, gaps):
+            calls.append(instance.instance_id)
+            return real_polish(instance, gaps)
+
+        monkeypatch.setattr(solver, "_polish", counted)
+        return calls
+
+    def test_sixty_four_starts_keep_the_optimum(self):
+        # stopping a program's starts at a repeated point lost this optimum;
+        # merging keeps every start's exploration
+        report = solve_time_fuel(parse_problem(self.SUBOPTIMAL), SolverOptions(starts=64, seed=0))
+        assert report.best.schedule.levels == (1, 0, -1, 0, 1)
+        assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
+
+    def test_one_polish_per_converged_program(self, example_spec, monkeypatch):
+        # every later start of OP2-minus reaches the first one's minimizer
+        calls = self.counted_polish(monkeypatch)
+        report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        converged = [s.instance_id for s in report.per_instance if s.status == CONVERGED]
+        assert sorted(calls) == sorted(converged) == ["OP2-minus"]
+        assert report.best.cost == pytest.approx(1.89397904421243217, rel=2e-15)
+
+    def test_second_order_check(self, example_spec):
+        # the optimum of OP2-minus passes; under the negated cost the same
+        # point is a maximizer along the manifold and fails
+        inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
+        sol = solve_nlp(inst, restored_alone(inst))
+        gaps = np.diff(sol.times, prepend=0.0)
+        assert solver._is_minimizer(inst, gaps)
+        flipped = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
+        flipped.__dict__["gap_weights"] = -inst.gap_weights
+        assert not solver._is_minimizer(flipped, gaps)
+
+    def test_point_failing_the_check_is_no_target(self, example_spec, monkeypatch, caplog):
+        # with every converged point refused, each start descends on its own
+        monkeypatch.setattr(solver, "_is_minimizer", lambda instance, gaps: False)
+        calls = self.counted_polish(monkeypatch)
+        inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
+        with caplog.at_level(logging.DEBUG, logger="timefuel"):
+            sol = solve_nlp(inst, restored_alone(inst, SolverOptions(starts=16, seed=0)))
+        assert sol.status == CONVERGED
+        assert len(calls) >= 16
+        assert caplog.messages == [
+            "OP2-minus: 16 starts, 16 descended, 16 converged, 0 merged into a known minimum"
+        ]
+
+    def test_counts_logged_per_program(self, example_spec, caplog):
+        with caplog.at_level(logging.DEBUG, logger="timefuel"):
+            report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        assert [r.name for r in caplog.records] == ["timefuel"] * 4
+        assert caplog.messages == [
+            "OP1-minus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
+            "OP1-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
+            "OP2-minus: 16 starts, 16 descended, 1 converged, 15 merged into a known minimum",
+            "OP2-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
+        ]
+        # the log leaves the report as it is
+        quiet = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        assert json.dumps(quiet.as_dict()) == json.dumps(report.as_dict())
