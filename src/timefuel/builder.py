@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .model import ProblemSpec
-from .sequences import CandidateSequence, Sign, enumerate_candidates
+from .sequences import CandidateSequence, Sign, _check_order, enumerate_candidates
 
 Variant = Literal["OP1", "OP2"]
 
@@ -101,6 +101,7 @@ def sign_vectors(n: int, variant: Variant, start_sign: Sign) -> list[tuple[int, 
 
 def count_nlps(n: int) -> int:
     """Number of static programs for an order-n problem (n >= 3)."""
+    _check_order(n)
     if n < 3:
         raise OrderTooSmallError(
             "the closed-form program count needs order >= 3 "

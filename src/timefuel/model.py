@@ -184,7 +184,7 @@ def validate_problem(
             f"x0 has {len(x0)} components for an order-{system.order} system"
         )
     if max_switches is not None:
-        if _is_bool(max_switches) or not isinstance(max_switches, (int, np.integer)):
+        if not _is_int(max_switches):
             raise ProblemError("max_switches must be an integer")
         max_switches = int(max_switches)
         if not 1 <= max_switches <= 2 * system.order:
@@ -203,6 +203,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _is_bool(value) -> bool:
     # bool is a subclass of int: True and False would pass as 1 and 0
     return isinstance(value, (bool, np.bool_))
+
+
+def _is_int(value) -> bool:
+    # a Python or numpy integer; bools are refused as in _is_bool
+    return isinstance(value, (int, np.integer)) and not _is_bool(value)
 
 
 def _is_number(value) -> bool:

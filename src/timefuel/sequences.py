@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from .model import _is_bool
+from .model import _is_int
 
 Sign = Literal["plus", "minus"]
 
@@ -268,8 +268,8 @@ def count_family(p: int, q: int) -> int:
 
 
 def _check_order(n) -> None:
-    # bool is a subclass of int: True would run as order 1
-    if _is_bool(n) or n < 1:
+    # True would run as order 1, and 2.5 or "3" fail inside range or math.comb
+    if not _is_int(n) or n < 1:
         raise ValueError(f"order must be an integer of at least 1, got {n!r}")
 
 
@@ -302,7 +302,7 @@ def enumerate_candidates(
     problem.
     """
     _check_order(n)
-    if max_switches is not None and (_is_bool(max_switches) or not 1 <= max_switches <= 2 * n):
+    if max_switches is not None and (not _is_int(max_switches) or not 1 <= max_switches <= 2 * n):
         raise ValueError(
             f"max_switches must be an integer in [1, {2 * n}], got {max_switches!r}"
         )

@@ -18,24 +18,17 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from .builder import EXP_CLIP
-from .model import LtiSystem, ProblemSpec, _is_bool
+from .model import LtiSystem, ProblemSpec, _is_bool, _is_int
 
 #: Segments shorter than this are treated as zero length when condensing.
 COLLAPSE_TOL = 1e-6
 
-#: Equal input cells of one `lp_oracle` linear program, and of its coarse
-#: ones (a divisor, so that every coarse input is also a fine one).
+#: Equal input cells of one `lp_oracle` linear program.
 LP_CELLS = 400
-LP_COARSE_CELLS = 100
 
 #: `lp_oracle` refuses only when the LPs at t_max and at LP_CONFIRM halved
-#: horizons are infeasible, brackets the shortest feasible horizon to
-#: LP_BRACKET relative width in at most LP_HALVINGS halvings (x0 = 0 takes
-#: them all), then scans LP_SCAN coarse horizons from it.
+#: horizons are all infeasible.
 LP_CONFIRM = 6
-LP_BRACKET = 0.01
-LP_HALVINGS = 40
-LP_SCAN = 20
 
 
 class InvalidScheduleError(ValueError):
@@ -146,7 +139,7 @@ def propagate(
     samples_per_segment: int = 1,
 ) -> Trajectory:
     """Closed-form state evolution of the schedule from x0 (no ODE stepping)."""
-    if _is_bool(samples_per_segment) or samples_per_segment < 1:
+    if not _is_int(samples_per_segment) or samples_per_segment < 1:
         raise ValueError("samples_per_segment must be an integer of at least 1")
     lam = system.eigenvalues
     b = system.gains
@@ -208,17 +201,17 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
-def _lp_transfer(spec: ProblemSpec, horizon: float, n_cells: int = LP_CELLS):
+def _lp_transfer(spec: ProblemSpec, horizon: float):
     """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
 
-    The input is constant on n_cells equal cells with |u| <= 1, written as
+    The input is constant on LP_CELLS equal cells with |u| <= 1, written as
     u = u+ - u- so that the fuel is linear.  Returns (inf, None) when no
     such input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
-    h = horizon / n_cells
-    starts = h * np.arange(n_cells)
+    h = horizon / LP_CELLS
+    starts = h * np.arange(LP_CELLS)
     # row i: x0_i + sum_j u_j b_i int_{cell j} e^(-lam_i s) ds = 0, scaled by
     # e^(min(lam_i, 0) T) so that no entry grows with the horizon
     shift = np.minimum(lam, 0.0) * horizon
@@ -226,7 +219,7 @@ def _lp_transfer(spec: ProblemSpec, horizon: float, n_cells: int = LP_CELLS):
         shift[:, None] - np.outer(lam, starts)
     )
     result = linprog(
-        np.full(2 * n_cells, h),
+        np.full(2 * LP_CELLS, h),
         A_eq=np.hstack([cells, -cells]),
         b_eq=-spec.x0 * np.exp(shift),
         bounds=(0.0, 1.0),
@@ -234,7 +227,7 @@ def _lp_transfer(spec: ProblemSpec, horizon: float, n_cells: int = LP_CELLS):
     )
     if result.status != 0:
         return math.inf, None
-    return spec.k * horizon + result.fun, result.x[:n_cells] - result.x[n_cells:]
+    return spec.k * horizon + result.fun, result.x[:LP_CELLS] - result.x[LP_CELLS:]
 
 
 def lp_oracle(
@@ -249,11 +242,10 @@ def lp_oracle(
     the cells are coarsest at t_max, at times too coarse for a fast mode
     that the finer cells of a shorter horizon serve.  So the result is None
     only when the LPs at t_max, t_max / 2, ..., t_max / 2^LP_CONFIRM are all
-    infeasible.  Otherwise LPs bisect below the first feasible one for the
-    shortest feasible horizon T_f, and since J(T) >= k*T, LP_SCAN coarse
-    horizons from T_f to min(t_max, J(T_f)/k) plus a bounded 1-D refinement
-    around the best one minimize k*T + fuel(T); the inputs are those of the
-    horizon that gave it.  The
+    infeasible.  Otherwise, with hi the first feasible one of those and
+    J(T) = k*T + fuel(T) >= k*T, one bounded 1-D search over
+    (0, min(t_max, J(hi)/k)) minimizes J, and the inputs are those of the
+    horizon that gave it (hi when the search finds nothing lower).  The
     cell grid only restricts the input, so up to HiGHS's feasibility
     tolerance the cost lies above the optimum, by the discretization error.
     Shares nothing with the solver.
@@ -269,27 +261,14 @@ def lp_oracle(
         cost = _lp_transfer(spec, hi)[0]
     if not math.isfinite(cost):
         return None
-    lo = 0.0
-    for _ in range(LP_HALVINGS):
-        if hi - lo <= LP_BRACKET * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        mid_cost = _lp_transfer(spec, mid)[0]
-        if math.isfinite(mid_cost):
-            hi, cost = mid, mid_cost
-        else:
-            lo = mid
-    grid = np.linspace(hi, min(t_max, cost / spec.k), LP_SCAN)
-    costs = [cost] + [_lp_transfer(spec, T, LP_COARSE_CELLS)[0] for T in grid[1:]]
-    i = int(np.argmin(costs))
     # the bounded search needs finite values: infeasible horizons read as a
     # penalty above every feasible cost (at most (k + 1) t_max) falling toward
-    # longer ones; below the scan it starts at 0, as fine cells reach sooner
+    # longer ones
     refined = minimize_scalar(
         lambda T: min(_lp_transfer(spec, T)[0], (spec.k + 2.0) * t_max - T),
-        bounds=(grid[i - 1] if i else 0.0, grid[min(i + 1, LP_SCAN - 1)]),
+        bounds=(0.0, min(t_max, cost / spec.k)),
         method="bounded",
     )
-    horizon = float(refined.x if refined.fun < costs[i] else grid[i])
+    horizon = float(refined.x if refined.fun < cost else hi)
     cost, inputs = _lp_transfer(spec, horizon)
     return cost, horizon, inputs

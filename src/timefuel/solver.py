@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import lsq_linear, minimize
 
 from .builder import NlpInstance, build_all, reach_kernel
-from .model import ProblemSpec
+from .model import ProblemSpec, _is_int
 from .simulate import (
     SwitchingSchedule,
     evaluate_cost,
@@ -101,7 +101,7 @@ class SolverOptions:
     def __post_init__(self):
         for name in ("starts", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")

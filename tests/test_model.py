@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from timefuel.builder import count_nlps
 from timefuel.model import (
     DimensionMismatchError,
     EmptySpectrumError,
@@ -16,6 +17,9 @@ from timefuel.model import (
     parse_problem,
     validate_problem,
 )
+from timefuel.sequences import enumerate_candidates
+from timefuel.simulate import SwitchingSchedule, propagate
+from timefuel.solver import SolverOptions
 
 
 class TestBuildSpectrum:
@@ -181,3 +185,34 @@ class TestProblemFile:
             }
         )
         assert spec.max_switches == 3
+
+
+EXAMPLE = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+
+#: Every integer argument, checked by `model._is_int`.
+INTEGER_ARGUMENTS = {
+    "order": enumerate_candidates,
+    "max_switches": lambda value: enumerate_candidates(2, value),
+    "count_nlps": count_nlps,
+    "samples_per_segment": lambda value: propagate(
+        EXAMPLE, [0.6, 0.4], SwitchingSchedule((0.0, 1.0), (1,)), value
+    ),
+    "starts": lambda value: SolverOptions(starts=value),
+    "problem max_switches": lambda value: validate_problem(
+        EXAMPLE, [0.6, 0.4], 1.0, max_switches=value
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+@pytest.mark.parametrize("argument", list(INTEGER_ARGUMENTS))
+def test_non_integer_argument_rejected(argument, value):
+    # unchecked, 2.5 would run as an empty switch budget, or fail inside
+    # range or math.comb with a TypeError
+    with pytest.raises(ValueError, match="integer"):
+        INTEGER_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("argument", list(INTEGER_ARGUMENTS))
+def test_numpy_integer_argument_accepted(argument):
+    INTEGER_ARGUMENTS[argument](np.int64(3))

@@ -17,7 +17,7 @@ from timefuel.simulate import (
     reachability_x0,
     schedule_from_times,
 )
-from timefuel.solver import _lp_word
+from timefuel.solver import _lp_word, horizon
 
 from conftest import random_schedule, random_system
 
@@ -238,13 +238,22 @@ class TestLpOracle:
         spec = validate_problem(system, [0.6, 0.4], 1.0)
         assert abs(lp_oracle(spec, 6.0)[0] - 1.8940) < 5e-3
 
-    def test_fourth_order_counterexample(self):
+    def test_fourth_order_counterexample(self, monkeypatch):
         # feasible (every mode is stable) although every start of the
         # multi-start stalls on it; the optimum word is -1,0,1,0,-1,0,1 at
         # t_f ~ 1.42
         system = LtiSystem(build_spectrum([(-i, 1) for i in range(1, 5)]), (1.0,) * 4)
         spec = validate_problem(system, [0.2, 0.15, 0.1, 0.05], 1.0)
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(kwargs["A_eq"].shape[1])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "linprog", counting_linprog)
         cost, horizon, inputs = lp_oracle(spec, 6.0)
+        # one bounded search, on LP_CELLS-cell LPs only
+        assert set(calls) == {2 * LP_CELLS} and len(calls) <= 25
         assert cost == pytest.approx(1.9461, abs=1e-3)
         # the inputs of the best horizon give the cost, and rounded cell by
         # cell they condense to the optimum word
@@ -254,6 +263,22 @@ class TestLpOracle:
         word = _lp_word(inputs, horizon)
         assert word.levels == (-1, 0, 1, 0, -1, 0, 1)
         assert word.final_time == pytest.approx(horizon)
+
+    def test_unstable_lands_in_the_optimum_basin(self):
+        # near-boundary state of the fast unstable mode at 4: the LP must
+        # find the optimum's word, which the solver converges on at
+        # 12.169956, not the neighbouring basin 1,-1,0,1 at 12.185535
+        spec = parse_problem(
+            {
+                "eigenvalues": [[-1, 2], [1, 1], [4, 1]],
+                "b": [1, 1, 1],
+                "x0": [0.2, 0.2109, -0.1805],
+                "k": 1,
+            }
+        )
+        cost, t_f, inputs = lp_oracle(spec, horizon(spec))
+        assert _lp_word(inputs, t_f).levels == (1, 0, -1, 0, 1)
+        assert 12.1699 < cost < 12.1840
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
     def test_bad_horizon_rejected(self, t_max):
@@ -312,8 +337,8 @@ class TestLpOracle:
     def test_near_boundary_state_reached_at_a_shorter_horizon(self):
         # x0 just inside the null-controllable set of the modes at 2 and 3:
         # the 0.625-wide cells at t_max = 250 cannot reach it, the finer
-        # cells of shorter horizons can (a scan of 60 horizons over
-        # (0, t_max] gives 10.39235)
+        # cells of shorter horizons can (the search ends at 10.39274 near
+        # T = 5.447; a 400-cell LP at T = 5.7066 gives 10.39236)
         spec = parse_problem(
             {
                 "eigenvalues": [[-1, 5], [2, 1], [3, 1]],
