@@ -11,8 +11,8 @@ set; the polish, with the exact Hessian, gives the last digits (the split of
 Byrd, Gould, Nocedal & Waltz, Math. Prog. 100, 2004).  Every phase forms
 the residual reach - x0 and its gap Jacobian through `_eval` alone, from
 the problem's spec and a level word.
-`_restore` runs the start rows of all programs with the same slot count as
-one stack on the fused reach/Jacobian kernel, each row under its own
+`_restore` runs the start rows of all programs as one stack on the fused
+reach/Jacobian kernel, padded to the longest word, each row under its own
 program's levels, and every row gives the bits it would give alone;
 `solve_nlp` then descends one program's restored starts in order, each to a
 `LocalSolution`, and keeps the best; a start whose SLSQP nears a local
@@ -216,58 +216,65 @@ def _solve_rows(A: np.ndarray, rhs: np.ndarray):
         return step, singular
 
 
+def _lm_step(J, c, held, nu):
+    """Each row's step -J_f^T y, (J_f J_f^T + nu I) y = c, with J_f its J
+    with the held gaps' columns zeroed: in exact arithmetic the K x K step
+    -(J_f^T J_f + nu I)^-1 J_f^T c, from an n x n system (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., 10.3); and the rows flagged singular."""
+    J_f = np.where(held[:, None, :], 0.0, J)
+    A = J_f @ J_f.transpose(0, 2, 1) + nu[:, None, None] * np.eye(c.shape[1])
+    y, singular = _solve_rows(A, c)
+    return -(y[:, None, :] @ J_f)[:, 0, :], singular
+
+
 def _lm(spec, gaps, levels):
     """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
 
     The rows of gaps (m, K) are independent runs, under one (K,) level
-    word or, for rows of several programs with K slots, one (m, K) level
-    row each.  Each row keeps its own damping and iteration count.  An
-    attempt that is rejected or meets a singular system multiplies the
-    damping by 10; an accepted step ends the iteration and multiplies it by
-    0.3, to no less than 1e-12.  A row stops at its residual tolerance,
-    after `LM_ITERATIONS` iterations, or once its damping passes 1e16.
-    That is the one stop of an iteration that finds no step, and since an
-    iteration opens at a damping of at least 1e-12 it comes within 29
-    attempts, so no attempt cap is needed.  A gap at 0 whose gradient
-    J^T c is positive is held: its row and column of the system become the
-    identity's and its step is 0 (projected Newton, Bertsekas 1982), so a
-    step that would push it below 0 is not clipped to an almost null move.
+    word or one (m, K) level row each.  Each row keeps its own damping and
+    iteration count.  An attempt that is rejected or meets a singular
+    system multiplies the damping by 10; an accepted step ends the
+    iteration and multiplies it by 0.3, to no less than 1e-12.  A row stops
+    at its residual tolerance, after `LM_ITERATIONS` iterations, or once
+    its damping passes 1e16.  That is the one stop of an iteration that
+    finds no step, and since an iteration opens at a damping of at least
+    1e-12 it comes within 29 attempts, so no attempt cap is needed.  A row
+    that stops writes back its gaps and residual and leaves the stack, so
+    every pass works on live rows only.  A gap at 0 whose gradient J^T c is
+    positive is held out of the step (`_lm_step`; projected Newton,
+    Bertsekas 1982), so a step that would push it below 0 is not clipped to
+    an almost null move.
     """
     m, K = gaps.shape
+    out_gaps, out_c = np.empty((m, K)), np.empty((m, spec.order))
+    rows = np.arange(m)
     gaps = gaps.copy()
     levels = np.broadcast_to(levels, gaps.shape)
     c, J = _eval(spec, levels, gaps)
     f = _half_sq(c)
     nu = np.full(m, 1e-3)
     iters = np.zeros(m, dtype=int)
-    live = np.ones(m, dtype=bool)
-    eye = np.eye(K)
     while True:
-        live &= (iters < LM_ITERATIONS) & (np.max(np.abs(c), axis=1) > 1e-12) & (nu <= 1e16)
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            return gaps, c
-        Ji = J[idx]
-        JT = Ji.transpose(0, 2, 1)
-        grad = (JT @ c[idx, :, None])[:, :, 0]
-        held = (gaps[idx] <= 0.0) & (grad > 0.0)
-        system = JT @ Ji + nu[idx, None, None] * eye
-        step, singular = _solve_rows(
-            np.where(held[:, :, None] | held[:, None, :], eye, system),
-            np.where(held, 0.0, -grad),
-        )
-        nu[idx[singular]] *= 10.0
-        tried = idx[~singular]
-        trial = np.maximum(gaps[tried] + step[~singular], 0.0)
-        ct, Jt = _eval(spec, levels[tried], trial)
+        live = (iters < LM_ITERATIONS) & (np.max(np.abs(c), axis=1) > 1e-12) & (nu <= 1e16)
+        if not live.all():
+            out_gaps[rows[~live]], out_c[rows[~live]] = gaps[~live], c[~live]
+            rows, gaps, levels, c, J, f, nu, iters = (
+                a[live] for a in (rows, gaps, levels, c, J, f, nu, iters)
+            )
+        if rows.size == 0:
+            return out_gaps, out_c
+        held = (gaps <= 0.0) & ((c[:, None, :] @ J)[:, 0, :] > 0.0)
+        step, singular = _lm_step(J, c, held, nu)
+        trial = np.maximum(gaps + step, 0.0)
+        ct, Jt = _eval(spec, levels, trial)
         ft = _half_sq(ct)
-        better = ft < f[tried]
-        took = tried[better]
-        gaps[took], c[took], f[took] = trial[better], ct[better], ft[better]
-        J[took] = Jt[better]
-        nu[took] = np.maximum(nu[took] * 0.3, 1e-12)
-        iters[took] += 1
-        nu[tried[~better]] *= 10.0
+        better = (ft < f) & ~singular
+        np.copyto(gaps, trial, where=better[:, None])
+        np.copyto(c, ct, where=better[:, None])
+        np.copyto(J, Jt, where=better[:, None, None])
+        np.copyto(f, ft, where=better)
+        nu = np.where(better, np.maximum(nu * 0.3, 1e-12), nu * 10.0)
+        iters += better
 
 
 def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -511,20 +518,21 @@ def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
 
 def _restore(spec, instances, starts: dict) -> dict:
     """Program id -> (gaps, residuals) of the (m, K) start rows that
-    `starts` maps its id to, restored with the rows of all the problem's
-    programs of one slot count in one `_lm` stack, each row under its own
-    program's levels."""
+    `starts` maps its id to, restored in one `_lm` stack of all programs'
+    rows, each under its own levels and padded to the longest word with
+    level-0 slots of gap 0: zero Jacobian columns, so those gaps stay 0."""
     programs = [inst for inst in instances if inst.instance_id in starts]
-    restored = {}
-    for K in sorted({inst.slot_count for inst in programs}):
-        group = [inst for inst in programs if inst.slot_count == K]
-        rows = [starts[inst.instance_id] for inst in group]
-        levels = np.concatenate([np.broadcast_to(i._v, r.shape) for i, r in zip(group, rows)])
-        gaps, c = _lm(spec, np.concatenate(rows), levels)
-        ends = np.cumsum([len(r) for r in rows[:-1]])
-        for inst, g, r in zip(group, np.split(gaps, ends), np.split(c, ends)):
-            restored[inst.instance_id] = (g, r)
-    return restored
+    if not programs:
+        return {}
+    width = max(inst.slot_count for inst in programs)
+    rows = [np.pad(starts[i.instance_id], [(0, 0), (0, width - i.slot_count)]) for i in programs]
+    levels = [np.pad(i._v, (0, width - i.slot_count)) for i in programs]
+    gaps, c = _lm(spec, np.concatenate(rows), np.repeat(levels, [len(r) for r in rows], axis=0))
+    ends = np.cumsum([len(r) for r in rows[:-1]])
+    return {
+        inst.instance_id: (g[:, : inst.slot_count], r)
+        for inst, g, r in zip(programs, np.split(gaps, ends), np.split(c, ends))
+    }
 
 
 def _lp_word(inputs: np.ndarray, horizon: float) -> SwitchingSchedule:

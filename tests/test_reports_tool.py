@@ -18,7 +18,7 @@ def test_comparison_set():
     # names are unique, and a line is the report of a direct solve
     tool = load_tool()
     problems = {name: (spec, options) for name, spec, options in tool.problems()}
-    assert len(problems) == len(list(tool.problems())) == 14 + 6 + 30 + 20
+    assert len(problems) == len(list(tool.problems())) == 14 + 6 + 6 + 30 + 20
     reference = parse_problem(
         {"eigenvalues": [[-1, 1], [-2, 1]], "b": [1, 1], "x0": [0.6, 0.4], "k": 1}
     )

@@ -241,7 +241,8 @@ class TestHigherOrder:
 
 def lm_reference(instance, gaps, iterations, tol=1e-12):
     """Start-by-start projected Levenberg-Marquardt with held gaps, the
-    stacked `_lm`'s model."""
+    stacked `_lm`'s model: the step is -J_f^T y with
+    (J_f J_f^T + nu I) y = c, J_f being J with the held gaps' columns 0."""
 
     def evaluate(g):
         times = np.cumsum(g)
@@ -252,21 +253,20 @@ def lm_reference(instance, gaps, iterations, tol=1e-12):
     c, J = evaluate(gaps)
     f = 0.5 * float(c @ c)
     nu = 1e-3
-    eye = np.eye(len(gaps))
+    eye = np.eye(len(c))
     for _ in range(iterations):
         if np.max(np.abs(c)) <= tol:
             break
         improved = False
-        grad = J.T @ c
-        held = (gaps <= 0.0) & (grad > 0.0)
+        held = (gaps <= 0.0) & (c @ J > 0.0)
+        J_f = np.where(held, 0.0, J)
         while True:
-            system = np.where(held[:, None] | held[None, :], eye, J.T @ J + nu * eye)
             try:
-                step = np.linalg.solve(system, np.where(held, 0.0, -grad))
+                y = np.linalg.solve(J_f @ J_f.T + nu * eye, c)
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                trial = np.maximum(gaps + step, 0.0)
+                y = None
+            if y is not None:
+                trial = np.maximum(gaps - y @ J_f, 0.0)
                 ct, Jt = evaluate(trial)
                 ft = 0.5 * float(ct @ ct)
                 if ft < f:
@@ -281,6 +281,35 @@ def lm_reference(instance, gaps, iterations, tol=1e-12):
         if not improved:
             break
     return gaps, c
+
+
+def check_one_stack(spec, instances, starts, monkeypatch):
+    """`_restore` of these start rows makes one `_lm` call, whose rows are,
+    program by program, bitwise the rows restored alone at the stack's
+    width (trailing level-0 slots of gap 0), with the padded gaps exactly
+    0; the restored gaps are the unpadded ones."""
+    stacks = []
+
+    def recording_lm(spec, gaps, levels):
+        stacks.append(_lm(spec, gaps, levels))
+        return stacks[-1]
+
+    monkeypatch.setattr(solver, "_lm", recording_lm)
+    restored = _restore(spec, instances, starts)
+    programs = [inst for inst in instances if inst.instance_id in starts]
+    width = max(inst.slot_count for inst in programs)
+    assert len(stacks) == 1 and sorted(restored) == sorted(starts)
+    alone = []
+    for inst in programs:
+        pad = width - inst.slot_count
+        rows = np.pad(starts[inst.instance_id], [(0, 0), (0, pad)])
+        gaps, c = _lm(spec, rows, np.pad(inst.levels, (0, pad)))
+        assert np.array_equal(gaps[:, inst.slot_count:], np.zeros((len(gaps), pad)))
+        assert np.array_equal(restored[inst.instance_id][0], gaps[:, : inst.slot_count])
+        assert np.array_equal(restored[inst.instance_id][1], c)
+        alone.append((gaps, c))
+    assert np.array_equal(stacks[0][0], np.concatenate([g for g, _ in alone]))
+    assert np.array_equal(stacks[0][1], np.concatenate([c for _, c in alone]))
 
 
 class TestStackedRestoration:
@@ -343,36 +372,24 @@ class TestStackedRestoration:
         ids=["ref2", "counterexample", "n4", "n6", "ref2-ms3"],
     )
     def test_programs_share_a_stack(self, x0, max_switches, starts, monkeypatch):
-        # restoring every program of a slot count in one stack gives, row
-        # by row, the bits of restoring each program's starts alone
+        # every program's starts are restored in one stack, padded to the
+        # longest word; row by row it has the bits of restoring each
+        # program's starts alone at the stack's width, and padded gaps end
+        # at exactly 0
         spec = make_spec(len(x0), x0=x0)
         if max_switches is not None:
             spec = validate_problem(spec.system, spec.x0, spec.k, max_switches)
         options = SolverOptions(starts=starts, seed=0)
         instances = build_all(spec)
-        blind = blind_starts(instances, options)
-        stacks = []
-
-        def counting_lm(spec, gaps, *args, **kwargs):
-            stacks.append(len(gaps))
-            return _lm(spec, gaps, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restore(spec, instances, blind)
-        slot_counts = [inst.slot_count for inst in instances]
-        per_count = [starts * slot_counts.count(K) for K in set(slot_counts)]
-        assert len(per_count) > 1 and sorted(stacks) == sorted(per_count)
-        for inst in instances:
-            gaps, c = restored[inst.instance_id]
-            alone, c_alone = _lm(spec, blind[inst.instance_id], inst.levels)
-            assert np.array_equal(gaps, alone)
-            assert np.array_equal(c, c_alone)
+        assert len({inst.slot_count for inst in instances}) > 1
+        check_one_stack(spec, instances, blind_starts(instances, options), monkeypatch)
 
     def test_held_gaps_cut_restoration_passes(self, example_spec, monkeypatch):
         # a gap at 0 whose gradient points below 0 is held out of the
         # step, not clipped to a near-null move, so the runs no longer
-        # crawl along the bound to `LM_ITERATIONS`: the two stacks
-        # of the reference problem take 74 passes, and 469 with clipped steps
+        # crawl along the bound to `LM_ITERATIONS`: the one stack of the
+        # reference problem takes 38 passes, 74 as one stack per slot count,
+        # and 469 with clipped steps
         passes = []
 
         def counting_solve_rows(A, rhs):
@@ -382,7 +399,36 @@ class TestStackedRestoration:
         monkeypatch.setattr(solver, "_solve_rows", counting_solve_rows)
         instances = build_all(example_spec)
         _restore(example_spec, instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
-        assert len(passes) <= 120
+        assert len(passes) <= 60
+
+    def test_no_rows_restore_to_nothing(self, example_spec):
+        assert _restore(example_spec, build_all(example_spec), {}) == {}
+
+    def test_dual_step_is_the_projected_step(self):
+        # the n x n step -J_f^T (J_f J_f^T + nu I)^-1 c equals the K x K
+        # projected step on the free gaps, here in the SVD form
+        # -V diag(s / (s^2 + nu)) U^T c of J_F = U diag(s) V^T, and 0 on the
+        # held gaps.  At least n gaps stay free, as J_f J_f^T is otherwise
+        # singular but for nu
+        rng = np.random.default_rng(22)
+        m = 24
+        for n in range(2, 7):
+            for K in (2 * n, 2 * n + 1):
+                J = rng.standard_normal((m, n, K))
+                c = rng.standard_normal((m, n))
+                nu = 10.0 ** rng.uniform(-12.0, 3.0, m)
+                held = np.zeros((m, K), dtype=bool)
+                for i in range(m):
+                    held[i, rng.choice(K, int(rng.integers(0, K - n + 1)), replace=False)] = True
+                step, singular = solver._lm_step(J, c, held, nu)
+                assert not singular.any() and held.any()
+                for i in range(m):
+                    free = ~held[i]
+                    U, sv, Vt = np.linalg.svd(J[i][:, free], full_matrices=False)
+                    expected = np.zeros(K)
+                    expected[free] = -Vt.T @ (sv / (sv**2 + nu[i]) * (U.T @ c[i]))
+                    assert np.all(step[i][held[i]] == 0.0)
+                    assert np.max(np.abs(step[i] - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_singular_systems_stop_at_the_damping_bound(self, example_spec, monkeypatch):
         # a row whose every system is singular only raises its damping, from
@@ -498,28 +544,26 @@ class TestLpRetry:
 
     def test_seeds_share_a_stack(self, monkeypatch):
         # the seeds of all programs that contain the LP word are restored
-        # in one stack per slot count, each row with the bits it gets alone
+        # in one stack, each row with the bits it gets alone at the stack's
+        # width
         spec = stable_spec(*self.COUNTEREXAMPLE)
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
         word = schedule_from_times((1, 0, -1), [0.3, 0.5, 0.9])
         seeds = _lp_seeds(instances, word)
         slot_counts = {inst.slot_count for inst in instances if inst.instance_id in seeds}
-        assert len(seeds) > len(slot_counts)
-        calls = []
+        assert len(seeds) > len(slot_counts) > 1
+        check_one_stack(spec, instances, seeds, monkeypatch)
 
-        def counting_lm(spec, gaps, *args, **kwargs):
-            calls.append(len(gaps))
-            return _lm(spec, gaps, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "_lm", counting_lm)
-        restored = _restore(spec, instances, seeds)
-        assert len(calls) == len(slot_counts) and sum(calls) == len(seeds)
-        for inst in instances:
-            if inst.instance_id in seeds:
-                gaps, c = restored[inst.instance_id]
-                alone, c_alone = _lm(spec, seeds[inst.instance_id], inst.levels)
-                assert np.array_equal(gaps, alone)
-                assert np.array_equal(c, c_alone)
+    def test_lp_word_fitting_no_program_is_a_solver_failure(self, monkeypatch):
+        # an LP word that no program contains seeds nothing; the solve then
+        # refuses with the LP's word, as for seeds that fail
+        inputs = np.array([1.0, -1.0] * 5)
+        monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (3.0, 2.0, inputs))
+        spec = stable_spec(*self.COUNTEREXAMPLE)
+        word = _lp_word(inputs, 2.0)
+        assert not _lp_seeds(build_all(spec), word)
+        with pytest.raises(SolverFailedError, match="word 1,-1,1,-1,1,-1,1,-1,1,-1"):
+            solve_time_fuel(spec, self.OPTIONS)
 
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
         # each of the 8 programs gets one blind solve of its restored

@@ -21,6 +21,9 @@ The set, in this order:
   silently suboptimal problem, the stiff n=2 problem, the n=6 test
   problem, the two n=5 draws that only the LP-seeded start solves, and the
   unstable problem whose converged optimum the simulator rejects;
+- the six `default_rng(77)` draws `hi-n6-0` ... `hi-n8-1` (ROADMAP,
+  Baseline), two for each n in 6, 7, 8, at 16 starts, seed 0, whose
+  answers come from the LP-seeded starts;
 - the 30-problem `default_rng(2026)` sweep (ROADMAP, Baseline), at 16
   starts, seed 0;
 - the 20 problems of acceptance criterion 08, drawn as its test draws
@@ -78,6 +81,15 @@ NAMED = {
 }
 
 
+def _high_order():
+    rng = np.random.default_rng(77)
+    for n in (6, 7, 8):
+        for i in range(2):
+            rates = sorted(int(r) for r in rng.choice(np.arange(1, 11), n, replace=False))
+            x0 = [round(float(v), 4) for v in rng.uniform(-0.5, 0.5, n)]
+            yield f"hi-n{n}-{i}", parse_problem(_problem([-r for r in rates], x0, 1)), BLIND
+
+
 def _sweep():
     rng = np.random.default_rng(2026)
     for i in range(30):
@@ -112,6 +124,7 @@ def problems():
             yield case.name, parse_problem(case.problem), BLIND
     for name, (problem, options) in NAMED.items():
         yield name, parse_problem(problem), options
+    yield from _high_order()
     yield from _sweep()
     yield from _criterion_08()
 
