@@ -14,9 +14,10 @@ the problem's spec and a level word.
 `_restore` runs the start rows of all programs as one stack on the fused
 reach/Jacobian kernel, padded to the longest word, each row under its own
 program's levels, and every row gives the bits it would give alone;
-`solve_nlp` then descends one program's restored starts in order, each to a
+`solve_nlp` then descends one program's restored starts in lockstep, each
+SLSQP step of all of them on one kernel call, each start to a
 `LocalSolution`, and keeps the best; a start whose SLSQP nears a local
-minimizer an earlier start found ends there (the clustering stop of
+minimizer a finished start found ends there (the clustering stop of
 multistart search; Rinnooy Kan & Timmer, Math. Prog. 39, 1987).  Aggregation
 re-simulates every converged solution before trusting it: each that lands on
 the origin becomes a `BestSolution` costed by the simulator, and the report
@@ -40,7 +41,10 @@ from dataclasses import asdict, dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
+# `minimize` is no longer called here; it stays a name of this module for
+# the span tracer of bench/spans.py, which wraps it.
+from scipy.optimize import lsq_linear, minimize  # noqa: F401
+from scipy.optimize._slsqplib import slsqp
 
 from .builder import NlpInstance, build_all, reach_kernel
 from .model import ProblemSpec, _is_int
@@ -83,10 +87,6 @@ class InfeasibleProblemError(RuntimeError):
 
 class SolverFailedError(RuntimeError):
     """No verified transfer, although the fixed-horizon LP reaches the origin."""
-
-
-class _Merged(Exception):
-    """Raised in SLSQP's callback with the known minimum an iterate reached."""
 
 
 @dataclass(frozen=True)
@@ -382,55 +382,43 @@ def _polish(instance, gaps):
     return gaps, feas, kkt
 
 
-def _slsqp(instance, gaps, known=()):
-    """SLSQP on min w . gaps subject to reach(gaps) = x0 and gaps >= 0,
-    stopped at `feas_tol`: it has to find the active set, not the last
-    digits, which `_polish` supplies.  SLSQP asks for the Jacobian at the
-    point whose residual it just took, so the two share one `_eval1`.
-    Gives (gaps, None), or (gaps, solution) once an iterate reaches one of
-    the `known` (gaps, solution) minimizers, the first in one vectorised test
-    of all: same gaps under `_ACTIVE_EPS`, max-norm distance within
-    `MERGE_TOL` (1 + the minimizer's largest gap)."""
-    w = instance.gap_weights
-    last = {}
-    points = np.array([g for g, _ in known]).reshape(len(known), len(gaps))
-    radius = MERGE_TOL * (1.0 + np.max(points, axis=1, initial=0.0))
-
-    def merge(x):
-        hit = np.all((points <= _ACTIVE_EPS) == (x <= _ACTIVE_EPS), axis=1)
-        hit &= np.max(np.abs(points - x), axis=1) <= radius
-        if hit.any():
-            raise _Merged(known[int(np.argmax(hit))][1])
-
-    def evaluated(g):
-        key = g.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _eval1(instance, g)
-        return last[key]
-
-    try:
-        result = minimize(
-            lambda g: float(w @ g),
-            gaps,
-            jac=lambda g: w,
-            method="SLSQP",
-            bounds=[(0.0, None)] * len(gaps),
-            constraints=[
-                {
-                    "type": "eq",
-                    "fun": lambda g: evaluated(g)[0],
-                    "jac": lambda g: evaluated(g)[1],
-                }
-            ],
-            options={"maxiter": 400, "ftol": SolverOptions.feas_tol},
-            callback=merge if known else None,
-        )
-    except _Merged as reached:
-        return gaps, reached.args[0]
-    except (ValueError, np.linalg.LinAlgError):
-        return gaps, None
-    out = np.maximum(result.x, 0.0)
+def _slsqp(instance, gaps, known):
+    """SLSQP (Kraft, DFVLR-FB 88-28, 1988) on min w . gaps subject to
+    reach(gaps) = x0 and gaps >= 0, stopped at `feas_tol`: it has to find
+    the active set, not the last digits, which `_polish` supplies.  A
+    generator on scipy's reverse-communication routine, its state and
+    workspace set up as `scipy.optimize.minimize` sets them up: it yields
+    each point whose residuals it needs and is sent their `_eval` pair,
+    whose Jacobian also serves SLSQP's next request, which is always for
+    the same point.  Gives (gaps, None), or (gaps, solution) once a major
+    iterate reaches one of the `known` (gaps, solution) minimizers, the
+    first it reaches: same gaps under `_ACTIVE_EPS`, max-norm distance
+    within `MERGE_TOL` (1 + the minimizer's largest gap)."""
+    m, n, w = instance.order, len(gaps), instance.gap_weights
+    acc = SolverOptions.feas_tol
+    names = "alpha f0 gs h1 h2 h3 h4 t t0 exact inconsistent reset iter line mode"
+    state = dict.fromkeys(names.split(), 0)
+    state.update(acc=acc, tol=10.0 * acc, itermax=400, m=m, meq=m, n=n)
+    x, C, mult = np.clip(gaps, 0.0, np.inf), np.zeros((m, n), order="F"), np.zeros(m + 2 * n + 2)
+    # scipy's buffer size, for m equality constraints and no inequalities
+    size = n * (21 * n + 75) // 2 + 2 * m * (1 - n) + 28
+    work = np.zeros(n), np.full(n, np.nan), np.zeros(size), np.zeros(len(mult), dtype=np.int32)
+    d, J = yield x
+    C[:] = J
+    while True:
+        done = state["iter"]
+        slsqp(state, float(w @ x), w, C, d, x, mult, *work)
+        for point, solution in known if state["iter"] > done else ():
+            near = np.max(np.abs(point - x)) <= MERGE_TOL * (1.0 + np.max(point))
+            if near and np.all((point <= _ACTIVE_EPS) == (x <= _ACTIVE_EPS)):
+                return gaps, solution
+        if state["mode"] == 1:
+            d, J = yield x
+        elif state["mode"] == -1:
+            C[:] = J
+        else:
+            break
+    out = np.maximum(x, 0.0)
     return (out if np.all(np.isfinite(out)) else gaps), None
 
 
@@ -463,10 +451,12 @@ def _starts(instance: NlpInstance, options: SolverOptions, longest: float) -> np
 def _descend(instance, gaps, c, known):
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
     stopped at the feasibility tolerance, and a Newton polish that finishes
-    to rounding level: (its gaps, its solution).  A round that ends short of
-    the tolerances hands the polished point to the next one; a start that
-    restoration left off the manifold is reported infeasible as it is, and
-    one whose SLSQP reaches a `known` minimizer as (None, its solution)."""
+    to rounding level: a generator of the points `_slsqp` asks for, giving
+    (its gaps, its solution).  A round that ends short of the tolerances
+    hands the polished point to the next one; a start that restoration left
+    off the manifold is reported infeasible as it is, and one whose SLSQP
+    reaches a `known` minimizer as (None, its solution).  A converged point
+    that `_is_minimizer` passes joins `known`."""
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
     kkt = math.inf
@@ -474,7 +464,7 @@ def _descend(instance, gaps, c, known):
     if feas <= 1e-6 * x0_scale:
         status = ITERATION_LIMIT
         for _round in range(SQP_ROUNDS):
-            gaps, merged = _slsqp(instance, gaps, known)
+            gaps, merged = yield from _slsqp(instance, gaps, known)
             if merged is not None:
                 return None, merged
             gaps, feas, kkt = _polish(instance, gaps)
@@ -482,14 +472,11 @@ def _descend(instance, gaps, c, known):
                 status = CONVERGED
                 break
     times = np.cumsum(gaps)
-    return gaps, LocalSolution(
-        instance_id=instance.instance_id,
-        times=tuple(float(t) for t in times),
-        cost=float(instance.cost_value(times)),
-        kkt_residual=kkt,
-        constraint_residual=feas,
-        status=status,
-    )
+    cost = float(instance.cost_value(times))
+    solution = LocalSolution(instance.instance_id, tuple(map(float, times)), cost, kkt, feas, status)
+    if status == CONVERGED and _is_minimizer(instance, gaps):
+        known.append((gaps, solution))
+    return gaps, solution
 
 
 def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
@@ -497,16 +484,24 @@ def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
     descended over gaps >= 0: the least-cost converged one, or else the one
     with the least constraint residual; on a tie the first start wins.
-    Starts descend in order, and each converged point that `_is_minimizer`
-    passes becomes a known minimizer that later starts merge into (see
-    `_slsqp`).  The counts go to the "timefuel" logger at DEBUG level."""
-    known, solutions, merged = [], [], 0
-    for g, c in zip(*restored):
-        gaps, sol = _descend(instance, g, c, known)
-        merged += gaps is None
-        if gaps is not None and sol.status == CONVERGED and _is_minimizer(instance, gaps):
-            known.append((gaps, sol))
-        solutions.append(sol)
+    The starts descend in lockstep: each step runs every live start's
+    `_descend` to its next request and evaluates all the points asked for
+    in one `_eval` call, so a start merges into the known minimizers of the
+    starts that finished before it.  The counts go to the "timefuel"
+    logger at DEBUG level."""
+    known, merged = [], 0
+    runs = [_descend(instance, g, c, known) for g, c in zip(*restored)]
+    solutions, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while sent:
+        asked = {}
+        for i, pair in sent.items():
+            try:
+                asked[i] = runs[i].send(pair)
+            except StopIteration as end:
+                gaps, solutions[i] = end.value
+                merged += gaps is None
+        points = np.array(list(asked.values()))
+        sent = dict(zip(asked, zip(*_eval(instance.spec, instance._v, points)))) if asked else {}
     converged = [s for s in solutions if s.status == CONVERGED]
     descended = sum(s.status != INFEASIBLE for s in solutions)
     _log.debug("%s: %d starts, %d descended, %d converged, %d merged into a known minimum",

@@ -96,3 +96,27 @@ def test_compare(tmp_path, capsys):
     assert tool.compare(*paths) == (expected, False)
     assert tool.main(["--compare", *paths]) == 0
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def test_compare_lists_added_and_removed(tmp_path, capsys):
+    # a problem in one file only is listed, and only the problems both
+    # files have can move the exit code
+    old = {
+        "kept": report("A", [1], 2.0, ["A"], [("A", "converged", 1e-12)]),
+        "gone": "SolverFailedError: t_f 1.5",
+    }
+    new = {
+        "kept": report("A", [1], 2.0 * (1 + 1e-14), ["A"], [("A", "converged", 1e-12)]),
+        "new": report("B", [-1], 1.0, ["B"], [("B", "converged", 1e-13)]),
+    }
+    paths = [write_reports(tmp_path / "old.txt", old), write_reports(tmp_path / "new.txt", new)]
+    expected = [
+        "kept\texit solved\tbest A [1]\tcost +1.0e-14\tstatus none\tties A\tresidual 1.0e-12",
+        "gone\tremoved",
+        "new\tadded",
+        "3 of 3 problems changed",
+    ]
+    tool = load_tool()
+    assert tool.compare(*paths) == (expected, False)
+    assert tool.main(["--compare", *paths]) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"

@@ -1,9 +1,11 @@
 import json
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from timefuel import LtiSystem, build_spectrum, parse_problem, solver, validate_problem
 from timefuel.builder import build_all, sequence_instance
@@ -771,18 +773,18 @@ class TestDescentLayer:
     """SLSQP stops at the feasibility tolerance; the polish gives the digits."""
 
     def test_slsqp_work_is_bounded(self, monkeypatch):
-        # SLSQP chasing ftol 1e-14 took 794 iterations on mixed-2
-        iterations = []
-        real_minimize = solver.minimize
+        # SLSQP chasing ftol 1e-14 took 794 iterations on mixed-2; each run's
+        # state dict holds its count of major iterations
+        states = {}
+        real_slsqp = solver.slsqp
 
-        def counted(*args, **kwargs):
-            result = real_minimize(*args, **kwargs)
-            iterations.append(result.nit)
-            return result
+        def counted(state, *args):
+            real_slsqp(state, *args)
+            states[id(state)] = state  # held, so that no id is reused
 
-        monkeypatch.setattr(solver, "minimize", counted)
+        monkeypatch.setattr(solver, "slsqp", counted)
         solve_time_fuel(parse_problem(MIXED_2), SolverOptions(starts=16, seed=0))
-        assert 0 < sum(iterations) <= 400
+        assert 0 < sum(state["iter"] for state in states.values()) <= 400
 
     def test_reference_cost_to_rounding(self, example_spec):
         # the optimum of word -1, 0, 1 from its KKT conditions at 50 digits:
@@ -821,34 +823,117 @@ class TestDescentLayer:
         assert abs(report.best.cost - float(optimum)) <= 2e-15 * float(optimum)
 
     def test_slsqp_evaluates_each_point_once(self, example_spec, monkeypatch):
-        # the constraint's value and Jacobian share one kernel call a point
+        # one kernel call a step evaluates every point the runs asked for,
+        # and that call gives a point's residual and Jacobian both
         inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
-        gaps, c = restored_alone(inst)
-        start = gaps[int(np.argmin(np.max(np.abs(c), axis=1)))]
-        received, evaluated = set(), []
-        real_minimize, real_eval = solver.minimize, solver._eval
+        restored = restored_alone(inst, SolverOptions(starts=16, seed=0))
+        real_slsqp, real_eval, real_run = solver.slsqp, solver._eval, solver._slsqp
+        received, evaluated, asked, calls, aside = [], [], [], [], []
 
-        def recorded(f):
-            def g(x):
-                received.add(x.tobytes())
-                return f(x)
+        def run(*args):
+            # each point a run yields is one it asks to have evaluated
+            inner, pair = real_run(*args), None
+            while True:
+                try:
+                    x = inner.send(pair)
+                except StopIteration as end:
+                    return end.value
+                asked.append(x.tobytes())
+                pair = yield x
+
+        def step(state, fx, g, C, d, x, *args):
+            received.append(x.tobytes())
+            real_slsqp(state, fx, g, C, d, x, *args)
+
+        def counted(spec, levels, gaps, *args, **kwargs):
+            if not aside:
+                rows = [row.tobytes() for row in gaps]
+                assert sorted(rows) == sorted(asked)
+                evaluated.extend(rows)
+                calls.append(len(rows))
+                asked.clear()
+            return real_eval(spec, levels, gaps, *args, **kwargs)
+
+        def set_aside(f):
+            # the polish and the second-order check evaluate on their own
+            def g(*args):
+                aside.append(f)
+                try:
+                    return f(*args)
+                finally:
+                    aside.pop()
 
             return g
 
-        def watched(fun, x0, constraints, **kwargs):
-            (con,) = constraints
-            con = {**con, "fun": recorded(con["fun"]), "jac": recorded(con["jac"])}
-            return real_minimize(fun, x0, constraints=[con], **kwargs)
-
-        def counted(spec, levels, gaps, *args, **kwargs):
-            evaluated.extend(row.tobytes() for row in gaps)
-            return real_eval(spec, levels, gaps, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "minimize", watched)
+        monkeypatch.setattr(solver, "_slsqp", run)
+        monkeypatch.setattr(solver, "slsqp", step)
         monkeypatch.setattr(solver, "_eval", counted)
-        solver._slsqp(inst, start)
-        assert len(received) > 1
-        assert sorted(evaluated) == sorted(received)
+        monkeypatch.setattr(solver, "_polish", set_aside(solver._polish))
+        monkeypatch.setattr(solver, "_is_minimizer", set_aside(solver._is_minimizer))
+        solve_nlp(inst, restored)
+        assert calls[0] == 16 and max(calls[1:]) > 1
+        assert sorted(evaluated) == sorted(set(received))
+
+    @staticmethod
+    def scipy_slsqp(inst, gaps):
+        """The SLSQP round as `scipy.optimize.minimize` runs it, with the
+        arguments the per-start descent passed it."""
+        w = inst.gap_weights
+        result = minimize(
+            lambda g: float(w @ g),
+            gaps,
+            jac=lambda g: w,
+            method="SLSQP",
+            bounds=[(0.0, None)] * len(gaps),
+            constraints=[
+                {
+                    "type": "eq",
+                    "fun": lambda g: solver._eval1(inst, g)[0],
+                    "jac": lambda g: solver._eval1(inst, g)[1],
+                }
+            ],
+            options={"maxiter": 400, "ftol": SolverOptions.feas_tol},
+        )
+        out = np.maximum(result.x, 0.0)
+        return out if np.all(np.isfinite(out)) else gaps
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"eigenvalues": [[-1, 1], [-2, 1]], "b": [1, 1], "x0": [0.6, 0.4], "k": 1},
+            {
+                "eigenvalues": [[-1, 1], [-2, 1], [-3, 1], [-4, 1]],
+                "b": [1, 1, 1, 1],
+                "x0": [0.1, 0.2, 0.4, 0.5],
+                "k": 1,
+            },
+            MIXED_2,
+        ],
+        ids=["ref2-k1", "stable-higher-order", "mixed-2"],
+    )
+    def test_lockstep_runs_are_scipy_slsqp(self, problem, monkeypatch):
+        # with nothing to merge into, each descended start's first run ends
+        # bit for bit where scipy's own SLSQP loop ends it
+        spec = parse_problem(problem)
+        instances = build_all(spec)
+        restored = _restore(spec, instances, blind_starts(instances, SolverOptions(16, 0)))
+        polished, expected = Counter(), Counter()
+        real_polish = solver._polish
+
+        def recorded(instance, gaps):
+            polished[instance.instance_id, gaps.tobytes()] += 1
+            return real_polish(instance, gaps)
+
+        monkeypatch.setattr(solver, "_is_minimizer", lambda instance, gaps: False)
+        monkeypatch.setattr(solver, "_polish", recorded)
+        for inst in instances:
+            gaps, c = restored[inst.instance_id]
+            solve_nlp(inst, (gaps, c))
+            scale = max(1.0, float(np.max(np.abs(inst.x0))))
+            for g in gaps[np.max(np.abs(c), axis=1) <= 1e-6 * scale]:
+                expected[inst.instance_id, self.scipy_slsqp(inst, g).tobytes()] += 1
+        assert sum(expected.values()) > 0
+        assert expected <= polished
 
 
 class TestMergeIntoKnownMinimum:

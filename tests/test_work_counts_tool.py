@@ -10,6 +10,7 @@ COUNTS = {
     "kernel_calls",
     "kernel_rows",
     "slsqp_calls",
+    "slsqp_steps",
     "polish_calls",
     "lp_solves",
 }

@@ -11,8 +11,10 @@ or, one line per changed problem and a count line, by
 
     python3 tools/reports.py --compare old.txt new.txt
 
-which exits 1 when an exit kind, a best id or word, a tie list or a
-program status changes, and 0 when only floats or exception messages do.
+which lists a problem that only one file has as `added` or `removed`, and
+exits 1 when an exit kind, a best id or word, a tie list or a program
+status of a problem both files have changes, and 0 when only floats or
+exception messages do.
 
 The set, in this order:
 
@@ -147,10 +149,9 @@ def _read(path) -> dict:
 
 
 def _summary(report) -> dict:
-    """The fields a comparison line shows, as strings; None for a missing line."""
+    """The fields a comparison line shows, as strings."""
     if not isinstance(report, dict):
-        kind = "absent" if report is None else report.split(":", 1)[0]
-        return {"exit": kind, "best": "-", "ties": "-", "residual": "-"}
+        return {"exit": report.split(":", 1)[0], "best": "-", "ties": "-", "residual": "-"}
     best = report["best"]
     residuals = [
         s["constraint_residual"] for s in report["instances"] if s["status"] == "converged"
@@ -199,13 +200,20 @@ def _outcome(report):
 
 
 def compare(old_path, new_path) -> tuple[list[str], bool]:
-    """One `compare_line` per problem whose line differs, then a count
-    line; and whether any problem's `_outcome` changed."""
+    """One line per problem whose line differs, a `compare_line` or, for a
+    problem in one file only, `added` or `removed`, then a count line; and
+    whether the `_outcome` of a problem both files have changed."""
     old, new = _read(old_path), _read(new_path)
     names = list(old) + [name for name in new if name not in old]
     changed = [name for name in names if old.get(name) != new.get(name)]
-    lines = [compare_line(name, old.get(name), new.get(name)) for name in changed]
-    moved = any(_outcome(old.get(name)) != _outcome(new.get(name)) for name in changed)
+    shared = [name for name in changed if name in old and name in new]
+    lines = [
+        compare_line(name, old[name], new[name])
+        if name in shared
+        else f"{name}\t{'added' if name in new else 'removed'}"
+        for name in changed
+    ]
+    moved = any(_outcome(old[name]) != _outcome(new[name]) for name in shared)
     return lines + [f"{len(changed)} of {len(names)} problems changed"], moved
 
 

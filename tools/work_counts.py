@@ -7,13 +7,15 @@ at 16 starts, seed 0, and per problem these integer counts are kept:
   restoration pass, and the rows those calls solve;
 - `kernel_calls` and `kernel_rows`: calls of `solver.reach_kernel` and the
   time vectors they evaluate;
-- `slsqp_calls` and `polish_calls`: calls of `solver._slsqp` and
-  `solver._polish`;
+- `slsqp_calls`: SLSQP runs started, the calls of `solver._slsqp`;
+- `slsqp_steps`: calls of scipy's SLSQP routine `solver.slsqp` (0 in
+  trees that called it through `minimize`);
+- `polish_calls`: calls of `solver._polish`;
 - `lp_solves`: calls of `simulate.linprog`.
 
 The counts do not depend on timing, so two runs give the same bytes.  Write
 them, for this tree's package or for the `src` directory of another tree
-(only names that several versions of the package share are wrapped):
+(a name that the tree lacks counts 0):
 
     python3 tools/work_counts.py [--src OTHER/src] [--workload W] [--out FILE]
 
@@ -40,6 +42,7 @@ COUNTS = (
     "kernel_calls",
     "kernel_rows",
     "slsqp_calls",
+    "slsqp_steps",
     "polish_calls",
     "lp_solves",
 )
@@ -49,8 +52,10 @@ STARTS, SEED = 16, 0
 def _counted(module, name, counts, calls, rows=None, rows_arg=0):
     """Wrap module.name so that each call adds 1 to counts[calls] and, when
     `rows` is given, the length of its positional argument `rows_arg` to
-    counts[rows]."""
-    inner = getattr(module, name)
+    counts[rows].  A name that the module lacks is left alone."""
+    inner = getattr(module, name, None)
+    if inner is None:
+        return
 
     def wrapper(*args, **kwargs):
         counts[calls] += 1
@@ -70,6 +75,7 @@ def count_work(workloads: dict) -> dict:
     _counted(solver, "_solve_rows", counts, "lm_passes", "lm_row_passes")
     _counted(solver, "reach_kernel", counts, "kernel_calls", "kernel_rows", rows_arg=3)
     _counted(solver, "_slsqp", counts, "slsqp_calls")
+    _counted(solver, "slsqp", counts, "slsqp_steps")
     _counted(solver, "_polish", counts, "polish_calls")
     _counted(simulate, "linprog", counts, "lp_solves")
     options = SolverOptions(starts=STARTS, seed=SEED)
@@ -88,21 +94,22 @@ def count_work(workloads: dict) -> dict:
 
 def _moved(old: dict, new: dict, every: bool = False) -> str:
     shown = [
-        f"{c} {old[c]} -> {new[c]}" + (f" ({new[c] / old[c]:.2f}x)" if old[c] else "")
+        f"{c} {old.get(c, 0)} -> {new[c]}" + (f" ({new[c] / old[c]:.2f}x)" if old.get(c) else "")
         for c in COUNTS
-        if every or old[c] != new[c]
+        if every or old.get(c, 0) != new[c]
     ]
     return ", ".join(shown) or "unchanged"
 
 
 def compare(old: dict, new: dict) -> list[str]:
     """Per workload its summed counts, old -> new with the ratio, then per
-    problem the counts that moved."""
+    problem the counts that moved; a count a file lacks reads 0."""
     lines = []
     for workload, problems in new.items():
         before = old.get(workload, {})
         total = [
-            {c: sum(p[c] for p in side.values()) for c in COUNTS} for side in (before, problems)
+            {c: sum(p.get(c, 0) for p in side.values()) for c in COUNTS}
+            for side in (before, problems)
         ]
         lines.append(f"{workload} ({len(problems)} solves): {_moved(*total, every=True)}")
         for name, counts in problems.items():
