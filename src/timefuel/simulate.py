@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import minimize_scalar
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
 
 from .builder import EXP_CLIP
 from .model import LtiSystem, ProblemSpec, _is_bool, _is_int
@@ -205,8 +206,10 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
 
     The input is constant on LP_CELLS equal cells with |u| <= 1, written as
-    u = u+ - u- so that the fuel is linear.  Returns (inf, None) when no
-    such input reaches the origin at T.
+    u = u+ - u- so that the fuel is linear.  One HiGHS run solves the LP,
+    built row-wise, with presolve off: on these few dense rows presolve
+    costs more than the simplex it saves.  Returns (inf, None) when HiGHS
+    reports no optimum, as when no such input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
@@ -218,16 +221,28 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     cells = -(b / lam * np.expm1(-lam * h))[:, None] * np.exp(
         shift[:, None] - np.outer(lam, starts)
     )
-    result = linprog(
-        np.full(2 * LP_CELLS, h),
-        A_eq=np.hstack([cells, -cells]),
-        b_eq=-spec.x0 * np.exp(shift),
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if result.status != 0:
+    rows, cols = cells.shape[0], 2 * LP_CELLS
+    lp = HighsLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.arange(0, rows * cols + 1, cols, dtype=np.int32)
+    lp.a_matrix_.index_ = np.tile(np.arange(cols, dtype=np.int32), rows)
+    lp.a_matrix_.value_ = np.hstack([cells, -cells]).ravel()
+    lp.col_cost_ = np.full(cols, h)
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.ones(cols)
+    lp.row_lower_ = lp.row_upper_ = -spec.x0 * np.exp(shift)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
         return math.inf, None
-    return spec.k * horizon + result.fun, result.x[:LP_CELLS] - result.x[LP_CELLS:]
+    fuel = highs.getInfo().objective_function_value
+    x = np.array(highs.getSolution().col_value)
+    return spec.k * horizon + fuel, x[:LP_CELLS] - x[LP_CELLS:]
 
 
 def lp_oracle(
@@ -248,27 +263,36 @@ def lp_oracle(
     horizon that gave it (hi when the search finds nothing lower).  The
     cell grid only restricts the input, so up to HiGHS's feasibility
     tolerance the cost lies above the optimum, by the discretization error.
-    Shares nothing with the solver.
+    Each horizon's LP is solved once: the inputs returned are those kept
+    from the search.  Shares nothing with the solver.
     """
     if _is_bool(t_max) or not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    solved = {}
+
+    def transfer(T):
+        T = float(T)
+        if T not in solved:
+            solved[T] = _lp_transfer(spec, T)
+        return solved[T]
+
     hi = t_max
-    cost = _lp_transfer(spec, hi)[0]
+    cost = transfer(hi)[0]
     for _ in range(LP_CONFIRM):
         if math.isfinite(cost):
             break
         hi *= 0.5
-        cost = _lp_transfer(spec, hi)[0]
+        cost = transfer(hi)[0]
     if not math.isfinite(cost):
         return None
     # the bounded search needs finite values: infeasible horizons read as a
     # penalty above every feasible cost (at most (k + 1) t_max) falling toward
     # longer ones
     refined = minimize_scalar(
-        lambda T: min(_lp_transfer(spec, T)[0], (spec.k + 2.0) * t_max - T),
+        lambda T: min(transfer(T)[0], (spec.k + 2.0) * t_max - T),
         bounds=(0.0, min(t_max, cost / spec.k)),
         method="bounded",
     )
     horizon = float(refined.x if refined.fun < cost else hi)
-    cost, inputs = _lp_transfer(spec, horizon)
+    cost, inputs = transfer(horizon)
     return cost, horizon, inputs

@@ -225,6 +225,69 @@ class TestCost:
             assert J == pytest.approx(k * s.final_time + parts_on)
 
 
+def counterexample():
+    # the fourth-order benchmark problem stable-counterexample
+    system = LtiSystem(build_spectrum([(-i, 1) for i in range(1, 5)]), (1.0,) * 4)
+    return validate_problem(system, [0.2, 0.15, 0.1, 0.05], 1.0)
+
+
+REFUSALS = pytest.mark.parametrize(
+    "eigenvalues, x0, k",
+    [
+        # the benchmark's unreachable mixed-3
+        ([1, 3, -2, 2], [0.1407, 0.466, 0.0978, -0.2646], 1),
+        # the two refusals of the random sweep
+        ([-5, 2, 3], [0.3739, -0.2274, 0.0801], 2),
+        ([1, 3, -5, -2], [-0.5061, 0.1377, 0.0521, -0.0594], 1),
+    ],
+    ids=["mixed-3", "sweep-a", "sweep-b"],
+)
+
+
+def refusal(eigenvalues, x0, k):
+    """The spec and the t_max that the solver gives `lp_oracle` (its
+    `horizon`, 50 slowest time constants)."""
+    spec = parse_problem(
+        {"eigenvalues": [[c, 1] for c in eigenvalues], "b": [1] * len(x0), "x0": x0, "k": k}
+    )
+    return spec, 50.0 / min(abs(c) for c in eigenvalues)
+
+
+def record_lp_transfers(monkeypatch):
+    """A list that gets (horizon, cell inputs) of each LP `lp_oracle` solves."""
+    calls = []
+    inner = simulate._lp_transfer
+
+    def recording(spec, horizon):
+        result = inner(spec, horizon)
+        calls.append((horizon, result[1]))
+        return result
+
+    monkeypatch.setattr(simulate, "_lp_transfer", recording)
+    return calls
+
+
+def linprog_transfer(spec, horizon):
+    """`_lp_transfer`'s LP as written for `linprog`, presolve on."""
+    lam = spec.system.eigenvalues
+    b = spec.system.gains
+    h = horizon / LP_CELLS
+    shift = np.minimum(lam, 0.0) * horizon
+    cells = -(b / lam * np.expm1(-lam * h))[:, None] * np.exp(
+        shift[:, None] - np.outer(lam, h * np.arange(LP_CELLS))
+    )
+    result = linprog(
+        np.full(2 * LP_CELLS, h),
+        A_eq=np.hstack([cells, -cells]),
+        b_eq=-spec.x0 * np.exp(shift),
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    if result.status != 0:
+        return math.inf, None
+    return spec.k * horizon + result.fun, result.x[:LP_CELLS] - result.x[LP_CELLS:]
+
+
 class TestLpOracle:
     def test_scalar_closed_form(self):
         system = LtiSystem(build_spectrum([(-1, 1)]), (1.0,))
@@ -242,18 +305,12 @@ class TestLpOracle:
         # feasible (every mode is stable) although every start of the
         # multi-start stalls on it; the optimum word is -1,0,1,0,-1,0,1 at
         # t_f ~ 1.42
-        system = LtiSystem(build_spectrum([(-i, 1) for i in range(1, 5)]), (1.0,) * 4)
-        spec = validate_problem(system, [0.2, 0.15, 0.1, 0.05], 1.0)
-        calls = []
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(kwargs["A_eq"].shape[1])
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(simulate, "linprog", counting_linprog)
+        spec = counterexample()
+        calls = record_lp_transfers(monkeypatch)
         cost, horizon, inputs = lp_oracle(spec, 6.0)
         # one bounded search, on LP_CELLS-cell LPs only
-        assert set(calls) == {2 * LP_CELLS} and len(calls) <= 25
+        assert len(calls) <= 25
+        assert all(x is None or x.shape == (LP_CELLS,) for _T, x in calls)
         assert cost == pytest.approx(1.9461, abs=1e-3)
         # the inputs of the best horizon give the cost, and rounded cell by
         # cell they condense to the optimum word
@@ -302,37 +359,45 @@ class TestLpOracle:
         spec = validate_problem(system, [2.0], 1.0)
         assert lp_oracle(spec, 5.0) is None
 
-    @pytest.mark.parametrize(
-        "eigenvalues, x0, k",
-        [
-            # the benchmark's unreachable mixed-3
-            ([1, 3, -2, 2], [0.1407, 0.466, 0.0978, -0.2646], 1),
-            # the two refusals of the random sweep
-            ([-5, 2, 3], [0.3739, -0.2274, 0.0801], 2),
-            ([1, 3, -5, -2], [-0.5061, 0.1377, 0.0521, -0.0594], 1),
-        ],
-        ids=["mixed-3", "sweep-a", "sweep-b"],
-    )
+    def test_no_horizon_solved_twice(self, monkeypatch):
+        # the final inputs are those kept from the search, not a re-solve;
+        # t_max is the solver's, as in the benchmark's solve
+        spec = counterexample()
+        calls = record_lp_transfers(monkeypatch)
+        lp_oracle(spec, horizon(spec))
+        horizons = [T for T, _x in calls]
+        assert len(set(horizons)) == len(horizons) == 20
+
+    @REFUSALS
     def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
-        # a refusal takes the LP at t_max (the solver's `horizon`, 50 slowest
-        # time constants) and one at each of LP_CONFIRM halved horizons
-        spec = parse_problem(
-            {
-                "eigenvalues": [[c, 1] for c in eigenvalues],
-                "b": [1] * len(x0),
-                "x0": x0,
-                "k": k,
-            }
-        )
-        calls = []
+        # a refusal takes the LP at t_max and one at each of LP_CONFIRM
+        # halved horizons
+        spec, t_max = refusal(eigenvalues, x0, k)
+        calls = record_lp_transfers(monkeypatch)
+        assert lp_oracle(spec, t_max) is None
+        assert [T for T, _x in calls] == [t_max * 0.5**i for i in range(1 + LP_CONFIRM)]
 
-        def counting_linprog(*args, **kwargs):
-            calls.append(kwargs["A_eq"].shape[1])
-            return linprog(*args, **kwargs)
+    @staticmethod
+    def assert_transfer_matches_linprog(spec, horizon):
+        cost, inputs = _lp_transfer(spec, horizon)
+        expected, expected_inputs = linprog_transfer(spec, horizon)
+        assert (inputs is None) == (expected_inputs is None)
+        if inputs is None:
+            assert cost == expected == math.inf
+        else:
+            assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert _lp_word(inputs, horizon) == _lp_word(expected_inputs, horizon)
 
-        monkeypatch.setattr(simulate, "linprog", counting_linprog)
-        assert lp_oracle(spec, 50.0 / min(abs(c) for c in eigenvalues)) is None
-        assert calls == [2 * LP_CELLS] * (1 + LP_CONFIRM)
+    @pytest.mark.parametrize("horizon", [1.40, 1.45, 1.5, 2.0, 6.0])
+    def test_transfer_matches_linprog(self, horizon):
+        # HiGHS without presolve answers linprog's presolved LP
+        self.assert_transfer_matches_linprog(counterexample(), horizon)
+
+    @REFUSALS
+    def test_transfer_matches_linprog_on_halved_horizons(self, eigenvalues, x0, k):
+        spec, t_max = refusal(eigenvalues, x0, k)
+        for i in range(1 + LP_CONFIRM):
+            self.assert_transfer_matches_linprog(spec, t_max * 0.5**i)
 
     def test_near_boundary_state_reached_at_a_shorter_horizon(self):
         # x0 just inside the null-controllable set of the modes at 2 and 3:

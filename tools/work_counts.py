@@ -11,7 +11,7 @@ at 16 starts, seed 0, and per problem these integer counts are kept:
 - `slsqp_steps`: calls of scipy's SLSQP routine `solver.slsqp` (0 in
   trees that called it through `minimize`);
 - `polish_calls`: calls of `solver._polish`;
-- `lp_solves`: calls of `simulate.linprog`.
+- `lp_solves`: fixed-horizon LPs solved, the calls of `simulate._lp_transfer`.
 
 The counts do not depend on timing, so two runs give the same bytes.  Write
 them, for this tree's package or for the `src` directory of another tree
@@ -77,7 +77,7 @@ def count_work(workloads: dict) -> dict:
     _counted(solver, "_slsqp", counts, "slsqp_calls")
     _counted(solver, "slsqp", counts, "slsqp_steps")
     _counted(solver, "_polish", counts, "polish_calls")
-    _counted(simulate, "linprog", counts, "lp_solves")
+    _counted(simulate, "_lp_transfer", counts, "lp_solves")
     options = SolverOptions(starts=STARTS, seed=SEED)
     result = {}
     for workload, cases in workloads.items():
