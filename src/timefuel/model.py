@@ -140,8 +140,9 @@ def build_spectrum(rationals: Sequence[tuple[int, int]]) -> RationalSpectrum:
     dens: list[int] = []
     for pair in rationals:
         num, den = pair
-        if not isinstance(num, int) or not isinstance(den, int) or isinstance(num, bool) or isinstance(den, bool):
+        if not (_is_int(num) and _is_int(den)):
             raise ProblemError(f"eigenvalue entries must be integers, got {pair!r}")
+        num, den = int(num), int(den)
         if den == 0:
             raise ProblemError(f"zero denominator in eigenvalue {pair!r}")
         if num == 0:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .builder import EXP_CLIP
 from .model import LtiSystem, ProblemSpec, _is_bool, _is_int
@@ -206,10 +206,12 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
 
     The input is constant on LP_CELLS equal cells with |u| <= 1, written as
-    u = u+ - u- so that the fuel is linear.  One HiGHS run solves the LP,
-    built row-wise, with presolve off: on these few dense rows presolve
-    costs more than the simplex it saves.  Returns (inf, None) when HiGHS
-    reports no optimum, as when no such input reaches the origin at T.
+    u = u+ - u- so that the fuel is linear.  Two HiGHS calls build the LP,
+    `addCols` with the costs and bounds and `addRows` with the dense rows
+    as numpy arrays, and one run solves it with presolve off: on these few
+    dense rows presolve costs more than the simplex it saves.  Returns
+    (inf, None) when HiGHS reports no optimum, as when no such input
+    reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
@@ -222,21 +224,15 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
         shift[:, None] - np.outer(lam, starts)
     )
     rows, cols = cells.shape[0], 2 * LP_CELLS
-    lp = HighsLp()
-    lp.num_row_ = lp.a_matrix_.num_row_ = rows
-    lp.num_col_ = lp.a_matrix_.num_col_ = cols
-    lp.a_matrix_.format_ = MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = np.arange(0, rows * cols + 1, cols, dtype=np.int32)
-    lp.a_matrix_.index_ = np.tile(np.arange(cols, dtype=np.int32), rows)
-    lp.a_matrix_.value_ = np.hstack([cells, -cells]).ravel()
-    lp.col_cost_ = np.full(cols, h)
-    lp.col_lower_ = np.zeros(cols)
-    lp.col_upper_ = np.ones(cols)
-    lp.row_lower_ = lp.row_upper_ = -spec.x0 * np.exp(shift)
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    highs.passModel(lp)
+    highs.addCols(cols, np.full(cols, h), np.zeros(cols), np.ones(cols), 0, [], [], [])
+    # the dense rows, row-wise: row i's entries start at index i * cols
+    target = -spec.x0 * np.exp(shift)
+    values = np.hstack([cells, -cells]).ravel()
+    index = np.arange(values.size, dtype=np.int32)
+    highs.addRows(rows, target, target, values.size, index[::cols], index % cols, values)
     highs.run()
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         return math.inf, None

@@ -197,34 +197,33 @@ def _half_sq(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c[:, None, :] @ c[:, :, None])[:, 0, 0]
 
 
-def _solve_rows(A: np.ndarray, rhs: np.ndarray):
-    """Solve every system of the stack; flag the singular ones.
+def _solve_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every system of the stack; a singular one gets the zero step.
 
     A stacked solve raises when any one matrix is singular, so that case
     falls back to one solve per row.
     """
-    singular = np.zeros(len(A), dtype=bool)
     try:
-        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0], singular
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         step = np.zeros(rhs.shape)
         for i in range(len(A)):
             try:
                 step[i] = np.linalg.solve(A[i], rhs[i])
             except np.linalg.LinAlgError:
-                singular[i] = True
-        return step, singular
+                pass
+        return step
 
 
 def _lm_step(J, c, held, nu):
     """Each row's step -J_f^T y, (J_f J_f^T + nu I) y = c, with J_f its J
     with the held gaps' columns zeroed: in exact arithmetic the K x K step
     -(J_f^T J_f + nu I)^-1 J_f^T c, from an n x n system (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., 10.3); and the rows flagged singular."""
+    Numerical Optimization, 2nd ed., 10.3); 0 on a row whose system is
+    singular."""
     J_f = np.where(held[:, None, :], 0.0, J)
     A = J_f @ J_f.transpose(0, 2, 1) + nu[:, None, None] * np.eye(c.shape[1])
-    y, singular = _solve_rows(A, c)
-    return -(y[:, None, :] @ J_f)[:, 0, :], singular
+    return -(_solve_rows(A, c)[:, None, :] @ J_f)[:, 0, :]
 
 
 def _lm(spec, gaps, levels):
@@ -232,18 +231,18 @@ def _lm(spec, gaps, levels):
 
     The rows of gaps (m, K) are independent runs, under one (K,) level
     word or one (m, K) level row each.  Each row keeps its own damping and
-    iteration count.  An attempt that is rejected or meets a singular
-    system multiplies the damping by 10; an accepted step ends the
-    iteration and multiplies it by 0.3, to no less than 1e-12.  A row stops
-    at its residual tolerance, after `LM_ITERATIONS` iterations, or once
-    its damping passes 1e16.  That is the one stop of an iteration that
-    finds no step, and since an iteration opens at a damping of at least
-    1e-12 it comes within 29 attempts, so no attempt cap is needed.  A row
-    that stops writes back its gaps and residual and leaves the stack, so
-    every pass works on live rows only.  A gap at 0 whose gradient J^T c is
-    positive is held out of the step (`_lm_step`; projected Newton,
-    Bertsekas 1982), so a step that would push it below 0 is not clipped to
-    an almost null move.
+    iteration count.  An attempt that does not lower the row's residual,
+    as a singular system's zero step does not, multiplies the damping by
+    10; an accepted step ends the iteration and multiplies it by 0.3, to no
+    less than 1e-12.  A row stops at its residual tolerance, after
+    `LM_ITERATIONS` iterations, or once its damping passes 1e16.  That is
+    the one stop of an iteration that finds no step, and since an iteration
+    opens at a damping of at least 1e-12 it comes within 29 attempts, so no
+    attempt cap is needed.  A row that stops writes back its gaps and
+    residual and leaves the stack, so every pass works on live rows only.
+    A gap at 0 whose gradient J^T c is positive is held out of the step
+    (`_lm_step`; projected Newton, Bertsekas 1982), so a step that would
+    push it below 0 is not clipped to an almost null move.
     """
     m, K = gaps.shape
     out_gaps, out_c = np.empty((m, K)), np.empty((m, spec.order))
@@ -264,11 +263,10 @@ def _lm(spec, gaps, levels):
         if rows.size == 0:
             return out_gaps, out_c
         held = (gaps <= 0.0) & ((c[:, None, :] @ J)[:, 0, :] > 0.0)
-        step, singular = _lm_step(J, c, held, nu)
-        trial = np.maximum(gaps + step, 0.0)
+        trial = np.maximum(gaps + _lm_step(J, c, held, nu), 0.0)
         ct, Jt = _eval(spec, levels, trial)
         ft = _half_sq(ct)
-        better = (ft < f) & ~singular
+        better = ft < f
         np.copyto(gaps, trial, where=better[:, None])
         np.copyto(c, ct, where=better[:, None])
         np.copyto(J, Jt, where=better[:, None, None])
@@ -308,13 +306,13 @@ def _hessian(instance, J, mult, free):
     return suffix[np.maximum.outer(free, free)]
 
 
-def _is_minimizer(instance, gaps) -> bool:
-    """Second-order check of a converged point: the Lagrangian's Hessian on
-    the free gaps, under least-squares multipliers, reduced to the null
-    space of their Jacobian, has no eigenvalue below -1e-8 of its scale."""
-    _, J = _eval1(instance, gaps)
+def _is_minimizer(instance, gaps, J, mult) -> bool:
+    """Second-order check of a converged point, from the Jacobian J and
+    multipliers mult the polish ended on there: the Lagrangian's Hessian on
+    the free gaps, reduced to the null space of their Jacobian, has no
+    eigenvalue below -1e-8 of its scale."""
     free = np.flatnonzero(gaps > _ACTIVE_EPS)
-    H = _hessian(instance, J, _ls_multipliers(J, instance.gap_weights, gaps), free)
+    H = _hessian(instance, J, mult, free)
     _, sv, vt = np.linalg.svd(J[:, free])
     rank = np.sum(sv > max(len(J), len(free)) * np.finfo(float).eps * np.max(sv, initial=0.0))
     Z = vt[rank:].T
@@ -324,23 +322,23 @@ def _is_minimizer(instance, gaps) -> bool:
 
 def _polish(instance, gaps):
     """Newton iterations on the active-set KKT system, merit safeguarded;
-    the (gaps, feasibility, KKT residual) of the last accepted point.
+    the (gaps, feasibility, KKT residual, Jacobian, multipliers) of the last
+    accepted point.
 
     A point that meets the tolerances (`feas_tol` and `KKT_TOL`, each
     times 1e-2) gets one more Newton step, which is kept only if the merit
     falls on its first trial, with no backtracking; then the polish stops.
     That step takes the SLSQP point, good to `feas_tol`, to rounding level.
-    The multipliers start as the least-squares fit at the given point.
-    Gaps under `_ACTIVE_EPS` start at 0, and a trial's gaps under 1e-12
-    are set to 0 before it is evaluated; each accepted trial's residuals
-    and Jacobian serve the next Newton step.
+    Gaps under `_ACTIVE_EPS` are set to 0, and the multipliers start as the
+    least-squares fit at that point, from its one evaluation.  A trial's
+    gaps under 1e-12 are set to 0 before it is evaluated; each accepted
+    trial's residuals and Jacobian serve the next Newton step.
     """
     n = instance.order
     w = instance.gap_weights
-    c, J = _eval1(instance, gaps)
-    mult = _ls_multipliers(J, w, gaps)
     gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps)
     c, J = _eval1(instance, gaps)
+    mult = _ls_multipliers(J, w, gaps)
     feas, kkt = _kkt_state(c, J, w, gaps, mult)
     for _ in range(80):
         finishing = feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2
@@ -379,7 +377,7 @@ def _polish(instance, gaps):
             alpha *= 0.5
         if finishing or not stepped:
             break
-    return gaps, feas, kkt
+    return gaps, feas, kkt, J, mult
 
 
 def _slsqp(instance, gaps, known):
@@ -456,7 +454,8 @@ def _descend(instance, gaps, c, known):
     hands the polished point to the next one; a start that restoration left
     off the manifold is reported infeasible as it is, and one whose SLSQP
     reaches a `known` minimizer as (None, its solution).  A converged point
-    that `_is_minimizer` passes joins `known`."""
+    that `_is_minimizer` passes, on the Jacobian and multipliers its polish
+    ended on, joins `known`."""
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
     kkt = math.inf
@@ -467,14 +466,14 @@ def _descend(instance, gaps, c, known):
             gaps, merged = yield from _slsqp(instance, gaps, known)
             if merged is not None:
                 return None, merged
-            gaps, feas, kkt = _polish(instance, gaps)
+            gaps, feas, kkt, J, mult = _polish(instance, gaps)
             if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
                 status = CONVERGED
                 break
     times = np.cumsum(gaps)
     cost = float(instance.cost_value(times))
     solution = LocalSolution(instance.instance_id, tuple(map(float, times)), cost, kkt, feas, status)
-    if status == CONVERGED and _is_minimizer(instance, gaps):
+    if status == CONVERGED and _is_minimizer(instance, gaps, J, mult):
         known.append((gaps, solution))
     return gaps, solution
 

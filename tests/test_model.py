@@ -201,6 +201,7 @@ INTEGER_ARGUMENTS = {
     "problem max_switches": lambda value: validate_problem(
         EXAMPLE, [0.6, 0.4], 1.0, max_switches=value
     ),
+    "eigenvalue pair": lambda value: build_spectrum([(value, 1)]),
 }
 
 
@@ -216,3 +217,11 @@ def test_non_integer_argument_rejected(argument, value):
 @pytest.mark.parametrize("argument", list(INTEGER_ARGUMENTS))
 def test_numpy_integer_argument_accepted(argument):
     INTEGER_ARGUMENTS[argument](np.int64(3))
+
+
+def test_numpy_eigenvalue_pair_stored_as_python_ints():
+    # the exact lcm arithmetic runs on Python integers, as for a JSON pair
+    spectrum = build_spectrum([(np.int64(-3), np.int32(-2)), (np.int64(1), np.int64(4))])
+    assert spectrum == build_spectrum([(3, 2), (1, 4)])
+    fields = (*spectrum.numerators, *spectrum.denominators, spectrum.common_denominator)
+    assert all(type(v) is int for v in (*fields, *spectrum.scaled_numerators))

@@ -267,6 +267,42 @@ def record_lp_transfers(monkeypatch):
     return calls
 
 
+def highs_lp_transfer(spec, horizon):
+    """`_lp_transfer`'s LP filled into a row-wise `HighsLp`, field by field,
+    and passed to HiGHS whole, presolve off."""
+    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+
+    lam = spec.system.eigenvalues
+    b = spec.system.gains
+    h = horizon / LP_CELLS
+    shift = np.minimum(lam, 0.0) * horizon
+    cells = -(b / lam * np.expm1(-lam * h))[:, None] * np.exp(
+        shift[:, None] - np.outer(lam, h * np.arange(LP_CELLS))
+    )
+    rows, cols = cells.shape[0], 2 * LP_CELLS
+    lp = HighsLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.arange(0, rows * cols + 1, cols, dtype=np.int32)
+    lp.a_matrix_.index_ = np.tile(np.arange(cols, dtype=np.int32), rows)
+    lp.a_matrix_.value_ = np.hstack([cells, -cells]).ravel()
+    lp.col_cost_ = np.full(cols, h)
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.ones(cols)
+    lp.row_lower_ = lp.row_upper_ = -spec.x0 * np.exp(shift)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        return math.inf, None
+    x = np.array(highs.getSolution().col_value)
+    fuel = highs.getInfo().objective_function_value
+    return spec.k * horizon + fuel, x[:LP_CELLS] - x[LP_CELLS:]
+
+
 def linprog_transfer(spec, horizon):
     """`_lp_transfer`'s LP as written for `linprog`, presolve on."""
     lam = spec.system.eigenvalues
@@ -398,6 +434,26 @@ class TestLpOracle:
         spec, t_max = refusal(eigenvalues, x0, k)
         for i in range(1 + LP_CONFIRM):
             self.assert_transfer_matches_linprog(spec, t_max * 0.5**i)
+
+    @staticmethod
+    def assert_transfer_matches_highs_lp(spec, horizon):
+        cost, inputs = _lp_transfer(spec, horizon)
+        expected, expected_inputs = highs_lp_transfer(spec, horizon)
+        assert cost == expected
+        assert (inputs is None) == (expected_inputs is None)
+        assert inputs is None or np.array_equal(inputs, expected_inputs)
+
+    @pytest.mark.parametrize("horizon", [1.40, 1.45, 1.5, 2.0, 6.0])
+    def test_two_call_build_is_the_highs_lp_build(self, horizon):
+        # `addCols` and `addRows` pass HiGHS the LP of a row-wise `HighsLp`
+        # filled field by field, and HiGHS answers it bit for bit
+        self.assert_transfer_matches_highs_lp(counterexample(), horizon)
+
+    @REFUSALS
+    def test_two_call_build_is_the_highs_lp_build_on_halved_horizons(self, eigenvalues, x0, k):
+        spec, t_max = refusal(eigenvalues, x0, k)
+        for i in range(1 + LP_CONFIRM):
+            self.assert_transfer_matches_highs_lp(spec, t_max * 0.5**i)
 
     def test_near_boundary_state_reached_at_a_shorter_horizon(self):
         # x0 just inside the null-controllable set of the modes at 2 and 3:

@@ -422,8 +422,8 @@ class TestStackedRestoration:
                 held = np.zeros((m, K), dtype=bool)
                 for i in range(m):
                     held[i, rng.choice(K, int(rng.integers(0, K - n + 1)), replace=False)] = True
-                step, singular = solver._lm_step(J, c, held, nu)
-                assert not singular.any() and held.any()
+                step = solver._lm_step(J, c, held, nu)
+                assert held.any()
                 for i in range(m):
                     free = ~held[i]
                     U, sv, Vt = np.linalg.svd(J[i][:, free], full_matrices=False)
@@ -433,14 +433,15 @@ class TestStackedRestoration:
                     assert np.max(np.abs(step[i] - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_singular_systems_stop_at_the_damping_bound(self, example_spec, monkeypatch):
-        # a row whose every system is singular only raises its damping, from
-        # 1e-3 by 10 a pass, so the one damping stop ends it after 20 passes
-        # with its gaps unchanged
+        # a row whose every system is singular gets the zero step, which
+        # leaves its residual as it is and so is rejected: that only raises
+        # its damping, from 1e-3 by 10 a pass, and the one damping stop ends
+        # it after 20 passes with its gaps unchanged
         passes = []
 
         def singular_rows(A, rhs):
             passes.append(len(A))
-            return np.zeros(rhs.shape), np.ones(len(A), dtype=bool)
+            return np.zeros(rhs.shape)
 
         monkeypatch.setattr(solver, "_solve_rows", singular_rows)
         inst = build_all(example_spec)[0]
@@ -464,8 +465,9 @@ class TestStackedRestoration:
         A = rng.standard_normal((4, 3, 3))
         A[2] = 0.0
         rhs = rng.standard_normal((4, 3))
-        step, singular = _solve_rows(A, rhs)
-        assert singular.tolist() == [False, False, True, False]
+        # the singular row gets the zero step, the others their own solve
+        step = _solve_rows(A, rhs)
+        assert np.array_equal(step[2], np.zeros(3))
         for i in (0, 1, 3):
             assert np.array_equal(step[i], np.linalg.solve(A[i], rhs[i]))
 
@@ -924,7 +926,7 @@ class TestDescentLayer:
             polished[instance.instance_id, gaps.tobytes()] += 1
             return real_polish(instance, gaps)
 
-        monkeypatch.setattr(solver, "_is_minimizer", lambda instance, gaps: False)
+        monkeypatch.setattr(solver, "_is_minimizer", lambda *args: False)
         monkeypatch.setattr(solver, "_polish", recorded)
         for inst in instances:
             gaps, c = restored[inst.instance_id]
@@ -975,19 +977,20 @@ class TestMergeIntoKnownMinimum:
         assert report.best.cost == pytest.approx(1.89397904421243217, rel=2e-15)
 
     def test_second_order_check(self, example_spec):
-        # the optimum of OP2-minus passes; under the negated cost the same
-        # point is a maximizer along the manifold and fails
+        # the optimum of OP2-minus passes under the Jacobian and multipliers
+        # the polish ends on there; the negated cost -w flips the
+        # multipliers of the free gaps' stationarity w + J^T mult = 0, and
+        # under them the same point is a maximizer along the manifold and
+        # fails
         inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
         sol = solve_nlp(inst, restored_alone(inst))
-        gaps = np.diff(sol.times, prepend=0.0)
-        assert solver._is_minimizer(inst, gaps)
-        flipped = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
-        flipped.__dict__["gap_weights"] = -inst.gap_weights
-        assert not solver._is_minimizer(flipped, gaps)
+        gaps, _, _, J, mult = solver._polish(inst, np.diff(sol.times, prepend=0.0))
+        assert solver._is_minimizer(inst, gaps, J, mult)
+        assert not solver._is_minimizer(inst, gaps, J, -mult)
 
     def test_point_failing_the_check_is_no_target(self, example_spec, monkeypatch, caplog):
         # with every converged point refused, each start descends on its own
-        monkeypatch.setattr(solver, "_is_minimizer", lambda instance, gaps: False)
+        monkeypatch.setattr(solver, "_is_minimizer", lambda *args: False)
         calls = self.counted_polish(monkeypatch)
         inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
         with caplog.at_level(logging.DEBUG, logger="timefuel"):
@@ -1011,3 +1014,102 @@ class TestMergeIntoKnownMinimum:
         # the log leaves the report as it is
         quiet = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
         assert json.dumps(quiet.as_dict()) == json.dumps(report.as_dict())
+
+
+class TestPolishState:
+    """The polish evaluates its start once, after the snap, and hands the
+    second-order check the Jacobian and multipliers of the point it
+    returns, so the check evaluates and fits nothing."""
+
+    PROBLEMS = pytest.mark.parametrize(
+        "problem",
+        [{"eigenvalues": [[-1, 1], [-2, 1]], "b": [1, 1], "x0": [0.6, 0.4], "k": 1}, MIXED_2],
+        ids=["ref2-k1", "mixed-2"],
+    )
+
+    @PROBLEMS
+    def test_polish_returns_the_state_of_its_point(self, problem, monkeypatch):
+        real_polish, starts = solver._polish, []
+
+        def recorded(instance, gaps):
+            starts.append((instance, gaps))
+            return real_polish(instance, gaps)
+
+        monkeypatch.setattr(solver, "_polish", recorded)
+        solve_time_fuel(parse_problem(problem), SolverOptions(starts=16, seed=0))
+        monkeypatch.undo()
+        real_eval1, evaluated = solver._eval1, []
+
+        def eval1(instance, gaps):
+            evaluated.append(gaps.copy())
+            return real_eval1(instance, gaps)
+
+        monkeypatch.setattr(solver, "_eval1", eval1)
+        assert starts
+        for inst, start in starts:
+            evaluated.clear()
+            gaps, feas, kkt, J, mult = real_polish(inst, start)
+            # the first evaluation is of the snapped start, not of the start
+            snapped = np.where(start < solver._ACTIVE_EPS, 0.0, start)
+            assert np.array_equal(evaluated[0], snapped)
+            c, J_point = real_eval1(inst, gaps)
+            assert np.array_equal(J, J_point)
+            assert (feas, kkt) == solver._kkt_state(c, J, inst.gap_weights, gaps, mult)
+
+    @PROBLEMS
+    def test_second_order_check_calls_no_kernel(self, problem, monkeypatch):
+        real_check, real_kernel = solver._is_minimizer, solver.reach_kernel
+        checking, checks, calls_in_check = [], [], []
+
+        def check(*args):
+            checking.append(True)
+            try:
+                checks.append(real_check(*args))
+                return checks[-1]
+            finally:
+                checking.pop()
+
+        def kernel(*args, **kwargs):
+            calls_in_check.append(bool(checking))
+            return real_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_is_minimizer", check)
+        monkeypatch.setattr(solver, "reach_kernel", kernel)
+        solve_time_fuel(parse_problem(problem), SolverOptions(starts=16, seed=0))
+        assert any(checks) and calls_in_check and not any(calls_in_check)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the simulator check refuses a converged point whose sub-COLLAPSE_TOL bang "
+    "segment the schedule drops (see ROADMAP item 1)",
+)
+def test_converged_point_with_a_dropped_sliver_verifies():
+    # `sweep-1` of tools/reports.py: OP1-plus-+- converged here at reach
+    # residual 4.4e-16, but `schedule_from_times` drops its 2.09e-7 bang
+    # segment, below COLLAPSE_TOL, and the condensed word 0,1,0,-1 then
+    # misses the origin by 2.47e-7, above 10 feas_tol
+    spec = parse_problem(
+        {
+            "eigenvalues": [[-2, 1], [-4, 1], [2, 1]],
+            "b": [1, 1, 1],
+            "x0": [-0.3097, 0.1467, -0.1614],
+            "k": 2,
+        }
+    )
+    inst = next(i for i in build_all(spec) if i.instance_id == "OP1-plus-+-")
+    times = (
+        0.0,
+        0.15362917449334382,
+        0.49309783176765054,
+        0.6766547082789228,
+        0.6766549171111258,
+        0.6766549171111258,
+        0.7599902315801419,
+    )
+    c, _ = solver._eval1(inst, np.diff(times, prepend=0.0))
+    residual = float(np.max(np.abs(c)))
+    assert residual <= 1e-15
+    cost = float(inst.cost_value(np.array(times)))
+    solution = solver.LocalSolution(inst.instance_id, times, cost, 0.0, residual, CONVERGED)
+    assert [v.instance_id for v in _verified(spec, [inst], [solution])] == ["OP1-plus-+-"]

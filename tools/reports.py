@@ -57,7 +57,7 @@ BLIND = SolverOptions(starts=16, seed=0)
 def _problem(eigenvalues, x0, k) -> dict:
     """Problem dict with b = 1; an eigenvalue is an integer or a pair."""
     return {
-        "eigenvalues": [list(e) if isinstance(e, tuple) else [int(e), 1] for e in eigenvalues],
+        "eigenvalues": [list(e) if isinstance(e, tuple) else [e, 1] for e in eigenvalues],
         "b": [1] * len(eigenvalues),
         "x0": list(x0),
         "k": k,
@@ -87,7 +87,7 @@ def _high_order():
     rng = np.random.default_rng(77)
     for n in (6, 7, 8):
         for i in range(2):
-            rates = sorted(int(r) for r in rng.choice(np.arange(1, 11), n, replace=False))
+            rates = sorted(rng.choice(np.arange(1, 11), n, replace=False))
             x0 = [round(float(v), 4) for v in rng.uniform(-0.5, 0.5, n)]
             yield f"hi-n{n}-{i}", parse_problem(_problem([-r for r in rates], x0, 1)), BLIND
 
@@ -96,7 +96,7 @@ def _sweep():
     rng = np.random.default_rng(2026)
     for i in range(30):
         n = 2 + i % 3
-        lam = [int(v) for v in rng.choice([-6, -5, -4, -3, -2, -1, 1, 2, 3], n, replace=False)]
+        lam = list(rng.choice([-6, -5, -4, -3, -2, -1, 1, 2, 3], n, replace=False))
         u = rng.uniform(-1.0, 1.0, n)
         # inside |b / lambda| for an unstable mode
         x0 = [round(float(v * (0.8 / l if l > 0 else 0.48)), 4) for v, l in zip(u, lam)]
