@@ -233,11 +233,11 @@ def sequence_instance(spec: ProblemSpec, sequence: CandidateSequence) -> NlpInst
 
 
 def build_all(spec: ProblemSpec) -> list[NlpInstance]:
-    """Every program the problem requires, in stable id order.
+    """Every program the problem requires: sequence programs by word length,
+    then word, and template programs in id order.
 
-    With a switch budget the programs come from the restricted sequence
-    enumeration; order 1 uses the full sequence enumeration, order 2 the two
-    zero-lead programs plus the two fixed bang-off-bang substitutes, and
+    A switch budget or order 1 gives the (restricted) sequence enumeration;
+    order 2 the two zero-lead programs and two bang-off-bang substitutes,
     higher orders the generic words over all admissible sign vectors.
     """
     n = spec.order

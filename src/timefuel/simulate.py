@@ -21,8 +21,8 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 from .builder import EXP_CLIP
 from .model import LtiSystem, ProblemSpec, _is_bool, _is_int
 
-#: Segments shorter than this are treated as zero length when condensing.
-COLLAPSE_TOL = 1e-6
+#: Segments shorter than this are zero length, when condensing and to the solver.
+COLLAPSE_TOL = 1e-9
 
 #: Equal input cells of one `lp_oracle` linear program.
 LP_CELLS = 400
@@ -85,9 +85,9 @@ def schedule_from_times(levels: Sequence[int], times: Sequence[float]) -> Switch
 
     A segment at the level of the last kept one extends it, whatever its
     length, so the condensed schedule keeps a tail that zero-length
-    segments split off; any other segment shorter than `COLLAPSE_TOL` is
-    dropped.  Trailing zero segments are cut (a trailing off period moves
-    the final time but not the transferred state).
+    segments split off; any other segment shorter than `COLLAPSE_TOL`, the
+    zero length the solver's polish snaps to 0, is dropped.  Trailing off
+    segments are cut: they move the final time, not the transferred state.
     """
     times = [float(t) for t in times]
     if len(times) != len(levels):

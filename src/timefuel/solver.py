@@ -49,6 +49,7 @@ from scipy.optimize._slsqplib import slsqp
 from .builder import NlpInstance, build_all, reach_kernel
 from .model import ProblemSpec, _is_int
 from .simulate import (
+    COLLAPSE_TOL,
     SwitchingSchedule,
     evaluate_cost,
     lp_oracle,
@@ -75,8 +76,6 @@ LM_ITERATIONS = 150
 #: Max-norm distance, times 1 + the point's largest gap, within which an
 #: SLSQP iterate counts as having reached a known local minimizer.
 MERGE_TOL = 1e-3
-
-_ACTIVE_EPS = 1e-9
 
 _log = logging.getLogger("timefuel")
 
@@ -279,7 +278,7 @@ def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarra
     """Least-squares multipliers on the free gaps; at a degenerate vertex
     that fit can leave a negative reduced gradient on a zero gap, and the
     fit is redone over all gaps with nonnegative bound multipliers."""
-    bound = gaps <= _ACTIVE_EPS
+    bound = gaps <= COLLAPSE_TOL
     mult = np.zeros(J.shape[0])
     if not bound.all():
         mult, *_ = np.linalg.lstsq(J[:, ~bound].T, -w[~bound], rcond=None)
@@ -294,7 +293,7 @@ def _ls_multipliers(J: np.ndarray, w: np.ndarray, gaps: np.ndarray) -> np.ndarra
 def _kkt_state(c, J, w, gaps, mult):
     """(feasibility, projected KKT residual) of an evaluated point."""
     grad_l = w + J.T @ mult
-    projected = np.where(gaps <= _ACTIVE_EPS, np.minimum(grad_l, 0.0), grad_l)
+    projected = np.where(gaps <= COLLAPSE_TOL, np.minimum(grad_l, 0.0), grad_l)
     return float(np.max(np.abs(c))), float(np.max(np.abs(projected)))
 
 
@@ -311,7 +310,7 @@ def _is_minimizer(instance, gaps, J, mult) -> bool:
     multipliers mult the polish ended on there: the Lagrangian's Hessian on
     the free gaps, reduced to the null space of their Jacobian, has no
     eigenvalue below -1e-8 of its scale."""
-    free = np.flatnonzero(gaps > _ACTIVE_EPS)
+    free = np.flatnonzero(gaps > COLLAPSE_TOL)
     H = _hessian(instance, J, mult, free)
     _, sv, vt = np.linalg.svd(J[:, free])
     rank = np.sum(sv > max(len(J), len(free)) * np.finfo(float).eps * np.max(sv, initial=0.0))
@@ -329,14 +328,14 @@ def _polish(instance, gaps):
     times 1e-2) gets one more Newton step, which is kept only if the merit
     falls on its first trial, with no backtracking; then the polish stops.
     That step takes the SLSQP point, good to `feas_tol`, to rounding level.
-    Gaps under `_ACTIVE_EPS` are set to 0, and the multipliers start as the
-    least-squares fit at that point, from its one evaluation.  A trial's
-    gaps under 1e-12 are set to 0 before it is evaluated; each accepted
-    trial's residuals and Jacobian serve the next Newton step.
+    Gaps under `COLLAPSE_TOL`, the simulator's zero length, are set to 0,
+    and the multipliers start as the least-squares fit there, from its one
+    evaluation.  A trial's gaps under 1e-12 are set to 0 before it is
+    evaluated; each accepted trial's residuals and Jacobian serve the next step.
     """
     n = instance.order
     w = instance.gap_weights
-    gaps = np.where(gaps < _ACTIVE_EPS, 0.0, gaps)
+    gaps = np.where(gaps < COLLAPSE_TOL, 0.0, gaps)
     c, J = _eval1(instance, gaps)
     mult = _ls_multipliers(J, w, gaps)
     feas, kkt = _kkt_state(c, J, w, gaps, mult)
@@ -344,7 +343,7 @@ def _polish(instance, gaps):
         finishing = feas <= SolverOptions.feas_tol * 1e-2 and kkt <= KKT_TOL * 1e-2
         grad_l = w + J.T @ mult
         # free set: positive gaps plus bound coords pushed off the bound
-        free = np.where((gaps > _ACTIVE_EPS) | (grad_l < -KKT_TOL * 1e-2))[0]
+        free = np.where((gaps > COLLAPSE_TOL) | (grad_l < -KKT_TOL * 1e-2))[0]
         if len(free) == 0:
             break
         rhs = -np.concatenate([grad_l[free], c])
@@ -364,6 +363,7 @@ def _polish(instance, gaps):
         for _bt in range(1 if finishing else 25):
             trial = gaps.copy()
             trial[free] = np.maximum(gaps[free] + alpha * d_gap, 0.0)
+            # a round-off floor on trials: snapping at COLLAPSE_TOL costs more steps
             trial[trial < 1e-12] = 0.0
             trial_mult = mult + alpha * d_mult
             c_t, J_t = _eval1(instance, trial)
@@ -390,7 +390,7 @@ def _slsqp(instance, gaps, known):
     whose Jacobian also serves SLSQP's next request, which is always for
     the same point.  Gives (gaps, None), or (gaps, solution) once a major
     iterate reaches one of the `known` (gaps, solution) minimizers, the
-    first it reaches: same gaps under `_ACTIVE_EPS`, max-norm distance
+    first it reaches: same gaps under `COLLAPSE_TOL`, max-norm distance
     within `MERGE_TOL` (1 + the minimizer's largest gap)."""
     m, n, w = instance.order, len(gaps), instance.gap_weights
     acc = SolverOptions.feas_tol
@@ -408,7 +408,7 @@ def _slsqp(instance, gaps, known):
         slsqp(state, float(w @ x), w, C, d, x, mult, *work)
         for point, solution in known if state["iter"] > done else ():
             near = np.max(np.abs(point - x)) <= MERGE_TOL * (1.0 + np.max(point))
-            if near and np.all((point <= _ACTIVE_EPS) == (x <= _ACTIVE_EPS)):
+            if near and np.all((point <= COLLAPSE_TOL) == (x <= COLLAPSE_TOL)):
                 return gaps, solution
         if state["mode"] == 1:
             d, J = yield x

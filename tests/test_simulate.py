@@ -92,10 +92,18 @@ class TestSchedule:
         assert s.breakpoints == (0.0, 0.7)
 
     def test_from_times_keeps_a_sliver_that_continues_its_level(self):
-        # a tail shorter than COLLAPSE_TOL, split off by a zero-length segment
-        s = schedule_from_times((1, 0, 1), [0.26, 0.26, 0.26 + 5.7e-8])
-        assert s.levels == (1,)
-        assert s.breakpoints == (0.0, 0.26 + 5.7e-8)
+        # a tail split off by a zero-length segment extends its level,
+        # whatever its length: above COLLAPSE_TOL and below it
+        for tail in (5.7e-8, 5.7e-11):
+            s = schedule_from_times((1, 0, 1), [0.26, 0.26, 0.26 + tail])
+            assert s.levels == (1,)
+            assert s.breakpoints == (0.0, 0.26 + tail)
+
+    def test_from_times_keeps_a_segment_above_the_zero_length(self):
+        # 2e-7 is above COLLAPSE_TOL, the zero length the solver's polish
+        # snaps to: a converged point keeps such a segment, so must its schedule
+        s = schedule_from_times((1, 0, -1), (0.3, 0.3 + 2e-7, 0.5))
+        assert s.levels == (1, 0, -1)
 
 
 class TestPropagate:

@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import logging
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1050,7 +1053,7 @@ class TestPolishState:
             evaluated.clear()
             gaps, feas, kkt, J, mult = real_polish(inst, start)
             # the first evaluation is of the snapped start, not of the start
-            snapped = np.where(start < solver._ACTIVE_EPS, 0.0, start)
+            snapped = np.where(start < solver.COLLAPSE_TOL, 0.0, start)
             assert np.array_equal(evaluated[0], snapped)
             c, J_point = real_eval1(inst, gaps)
             assert np.array_equal(J, J_point)
@@ -1079,16 +1082,11 @@ class TestPolishState:
         assert any(checks) and calls_in_check and not any(calls_in_check)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the simulator check refuses a converged point whose sub-COLLAPSE_TOL bang "
-    "segment the schedule drops (see ROADMAP item 1)",
-)
 def test_converged_point_with_a_dropped_sliver_verifies():
-    # `sweep-1` of tools/reports.py: OP1-plus-+- converged here at reach
-    # residual 4.4e-16, but `schedule_from_times` drops its 2.09e-7 bang
-    # segment, below COLLAPSE_TOL, and the condensed word 0,1,0,-1 then
-    # misses the origin by 2.47e-7, above 10 feas_tol
+    # `sweep-1` of tools/reports.py: OP1-plus-+- converges here at reach
+    # residual 4.4e-16 with a 2.09e-7 bang segment; a condensation whose zero
+    # length is above the solver's (1e-6, say) drops it, and the word 0,1,0,-1
+    # then misses the origin by 2.47e-7, above 10 feas_tol
     spec = parse_problem(
         {
             "eigenvalues": [[-2, 1], [-4, 1], [2, 1]],
@@ -1113,3 +1111,55 @@ def test_converged_point_with_a_dropped_sliver_verifies():
     cost = float(inst.cost_value(np.array(times)))
     solution = solver.LocalSolution(inst.instance_id, times, cost, 0.0, residual, CONVERGED)
     assert [v.instance_id for v in _verified(spec, [inst], [solution])] == ["OP1-plus-+-"]
+
+
+def benchmark_problems(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [case for make in workloads.WORKLOADS.values() for case in make()]
+
+
+def test_converged_gaps_are_zero_or_at_least_the_zero_length(monkeypatch):
+    # the solver and the condensation share COLLAPSE_TOL: every converged
+    # program the simulator checks has each gap 0 or at least COLLAPSE_TOL,
+    # so its schedule keeps exactly the slots of nonzero gap, equal
+    # neighbours merged and trailing off slots cut
+    real_verified, checked = solver._verified, []
+
+    def verified(spec, instances, solutions):
+        checked.extend(zip(instances, solutions))
+        return real_verified(spec, instances, solutions)
+
+    monkeypatch.setattr(solver, "_verified", verified)
+    problems = benchmark_problems(monkeypatch)
+    assert len(problems) == 14
+    converged = []
+    for case in problems:
+        checked.clear()
+        try:
+            solve_time_fuel(parse_problem(case.problem), SolverOptions(starts=16, seed=0))
+        except InfeasibleProblemError:
+            assert not case.feasible
+        found = [(inst, sol) for inst, sol in checked if sol.status == CONVERGED]
+        assert found or not case.feasible, case.name
+        converged += found
+    for inst, sol in converged:
+        gaps = np.diff(sol.times, prepend=0.0)
+        assert np.all((gaps == 0.0) | (gaps >= solver.COLLAPSE_TOL)), (inst.instance_id, gaps)
+        segments = []
+        for level, gap in zip(inst.levels, gaps):
+            if segments and segments[-1][0] == level:
+                segments[-1][1] += gap
+            elif gap > 0.0:
+                segments.append([level, gap])
+        while segments and segments[-1][0] == 0:
+            segments.pop()
+        schedule = schedule_from_times(inst.levels, sol.times)
+        assert schedule.levels == tuple(level for level, _ in segments)
+        np.testing.assert_allclose(
+            schedule.durations, [gap for _, gap in segments], rtol=0.0, atol=1e-12
+        )
