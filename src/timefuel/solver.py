@@ -25,11 +25,18 @@ names the first after the tie rules.  It is bitwise reproducible for a fixed
 seed.  The gaps have no upper bound: the final time is free, as in the
 paper's static programs.
 
-When no program verifies, the fixed-horizon LP of `simulate.lp_oracle`,
-searched up to `horizon`, decides: with no feasible horizon the problem is
-infeasible; otherwise its input, rounded to a level word, is one more start
-of every program that contains the word, restored and descended like the
-blind starts, and a miss there is a solver failure, not infeasibility.
+The fixed-horizon LP of `simulate.lp_oracle`, searched up to `horizon`,
+gives a cost that bounds the optimum from above, up to the cell
+discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016), and an input
+that, rounded to a level word, is the one start of every program that
+contains the word, restored and descended like the blind starts.  At order
+3 and up the LP runs first, and these seeded programs answer when one
+verifies at a cost no higher than the LP's.  Otherwise, and always at order
+2 and below, every program's blind starts run; when none of those
+verifies, the LP decides: with no feasible horizon the problem is
+infeasible, and otherwise the converged seeded solutions stand in, a miss
+there being a solver failure, not infeasibility.  The LP and its seeded
+solutions are computed once per solve.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .simulate import (
 CONVERGED = "converged"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
+SKIPPED = "skipped"
 
 #: Cost ratio under which two verified solutions count as the same optimum.
 TIE_REL_TOL = 1e-6
@@ -332,6 +340,9 @@ def _polish(instance, gaps):
     and the multipliers start as the least-squares fit there, from its one
     evaluation.  A trial's gaps under 1e-12 are set to 0 before it is
     evaluated; each accepted trial's residuals and Jacobian serve the next step.
+    A gap that the last accepted point leaves under `COLLAPSE_TOL` is set to
+    0 there too, and the point evaluated once more, so every gap returned is
+    0 or at least the simulator's zero length.
     """
     n = instance.order
     w = instance.gap_weights
@@ -377,6 +388,10 @@ def _polish(instance, gaps):
             alpha *= 0.5
         if finishing or not stepped:
             break
+    if np.any((gaps > 0.0) & (gaps < COLLAPSE_TOL)):
+        gaps = np.where(gaps < COLLAPSE_TOL, 0.0, gaps)
+        c, J = _eval1(instance, gaps)
+        feas, kkt = _kkt_state(c, J, w, gaps, mult)
     return gaps, feas, kkt, J, mult
 
 
@@ -576,47 +591,83 @@ def _verified(spec, instances, solutions) -> list[BestSolution]:
     return verified
 
 
+def _lp_pass(spec, instances, longest: float):
+    """(cost, horizon, word, program id -> solution) of the fixed-horizon LP
+    searched up to `longest`, or None when it finds no transfer: its input,
+    rounded to a level word, is the one start of every program that
+    contains the word, restored in one stack and descended."""
+    lp = lp_oracle(spec, longest)
+    if lp is None:
+        return None
+    cost, t_f, inputs = lp
+    word = _lp_word(inputs, t_f)
+    seeded = _restore(spec, instances, _lp_seeds(instances, word)) if word.levels else {}
+    ran = [inst for inst in instances if inst.instance_id in seeded]
+    return cost, t_f, word, {i.instance_id: solve_nlp(i, seeded[i.instance_id]) for i in ran}
+
+
 def solve_time_fuel(
     spec: ProblemSpec,
     options: SolverOptions = SolverOptions(),
 ) -> SolveReport:
-    """Solve every program, verify against the simulator, keep the cheapest.
+    """Solve the programs, verify against the simulator, keep the cheapest.
 
     A converged program only competes after its decoded schedule, propagated
     from x0, lands on the origin within 10x the feasibility tolerance.  Cost
     ties are broken by fewer switchings, then by the least final time among
     the tied programs on each level word, then by the word, then by id: the
     programs that embed one word differ in final time only by rounding.
-    When none verifies, the fixed-horizon LP decides between infeasibility
-    and one more start seeded from its input (see the module docstring).
+    At order 3 and up the fixed-horizon LP runs first, and its seeded
+    solutions answer when one verifies at a cost no higher than the LP's;
+    every other program is then reported `SKIPPED`.  Otherwise every
+    program's blind starts run, and when none verifies the LP decides
+    between infeasibility and its seeded solutions (see the module
+    docstring).  The path that answered, and why, goes to the "timefuel"
+    logger at DEBUG level.
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     longest = horizon(spec)
-    starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
-    restored = _restore(spec, instances, starts)
-    solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
-    verified = _verified(spec, instances, solutions)
+    lp = _lp_pass(spec, instances, longest) if spec.order >= 3 else None
+    why = f"order {spec.order} runs no LP first" if spec.order < 3 else "the LP found no transfer"
+    verified = []
+    if lp is not None:
+        lp_cost, _t_f, _word, seeded = lp
+        solutions = [
+            seeded.get(i.instance_id)
+            or LocalSolution(i.instance_id, (), math.inf, math.inf, math.inf, SKIPPED)
+            for i in instances
+        ]
+        verified = _verified(spec, instances, solutions)
+        cost = min((v.cost for v in verified), default=math.inf)
+        why = f"seeded cost {cost:.6f}, the LP's {lp_cost:.6f}"
+        if cost > lp_cost:
+            verified = []
+    path = "the LP-first path"
     if not verified:
+        path = "the blind multi-start"
+        starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
+        restored = _restore(spec, instances, starts)
+        solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
+        verified = _verified(spec, instances, solutions)
+    if not verified:
+        path = "the LP-seeded starts after the blind multi-start"
         closest = min(solutions, key=lambda s: s.constraint_residual)
-        lp = lp_oracle(spec, longest)
         refusal = (
             f"no program verified (best constraint residual "
             f"{closest.constraint_residual:.3e} ({closest.instance_id}))"
         )
+        if spec.order < 3:
+            lp = _lp_pass(spec, instances, longest)
         if lp is None:
             raise InfeasibleProblemError(
                 f"{refusal}, and the fixed-horizon LP found no input reaching "
                 f"the origin at any horizon up to {longest:.6g}"
             )
-        lp_cost, lp_t_f, inputs = lp
-        word = _lp_word(inputs, lp_t_f)
-        if word.levels:
-            seeded = _restore(spec, instances, _lp_seeds(instances, word))
-            for j, inst in enumerate(instances):
-                if inst.instance_id in seeded:
-                    sol = solve_nlp(inst, seeded[inst.instance_id])
-                    if sol.status == CONVERGED:
-                        solutions[j] = sol
+        lp_cost, lp_t_f, word, seeded = lp
+        for j, inst in enumerate(instances):
+            sol = seeded.get(inst.instance_id)
+            if sol is not None and sol.status == CONVERGED:
+                solutions[j] = sol
         verified = _verified(spec, instances, solutions)
         if not verified:
             raise SolverFailedError(
@@ -639,6 +690,7 @@ def solve_time_fuel(
             v.instance_id,
         ),
     )
+    _log.debug("%s answered by %s (%s)", ties[0].instance_id, path, why)
     return SolveReport(
         per_instance=tuple(solutions),
         best=ties[0],

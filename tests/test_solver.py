@@ -573,9 +573,10 @@ class TestLpRetry:
             solve_time_fuel(spec, self.OPTIONS)
 
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
-        # each of the 8 programs gets one blind solve of its restored
-        # starts, then each program that contains the LP word one seeded
-        # solve of a single restored start
+        # each program that contains the LP word gets one seeded solve of a
+        # single restored start, first; the 8 programs' blind solves of
+        # their restored starts follow only when no seeded answer costs at
+        # most the LP's, here once the LP's cost is halved
         calls, words = [], []
 
         def counting_solve_nlp(instance, restored):
@@ -589,19 +590,32 @@ class TestLpRetry:
         monkeypatch.setattr(solver, "solve_nlp", counting_solve_nlp)
         monkeypatch.setattr(solver, "_lp_word", recording_lp_word)
         spec = stable_spec(*self.COUNTEREXAMPLE)
-        solve_time_fuel(spec, self.OPTIONS)
         instances = build_all(spec)
-        containing = {
-            inst.instance_id
-            for inst in instances
-            if _slots(inst.levels, words[0].levels) is not None
-        }
-        blind = [i for i, gaps in calls if len(gaps) == self.OPTIONS.starts]
-        seeded = [i for i, gaps in calls if len(gaps) == 1]
-        assert self.OPTIONS.starts > 1 and len(blind) + len(seeded) == len(calls)
-        assert len(blind) == len(instances) == 8
-        assert sorted(blind) == sorted(inst.instance_id for inst in instances)
-        assert containing and sorted(seeded) == sorted(containing)
+        for lp_scale in (1.0, 0.5):
+
+            def scaled_lp_oracle(spec, t_max, scale=lp_scale):
+                cost, t_f, inputs = lp_oracle(spec, t_max)
+                return scale * cost, t_f, inputs
+
+            calls.clear()
+            words.clear()
+            monkeypatch.setattr(solver, "lp_oracle", scaled_lp_oracle)
+            solve_time_fuel(spec, self.OPTIONS)
+            containing = {
+                inst.instance_id
+                for inst in instances
+                if _slots(inst.levels, words[0].levels) is not None
+            }
+            blind = [i for i, gaps in calls if len(gaps) == self.OPTIONS.starts]
+            seeded = [i for i, gaps in calls if len(gaps) == 1]
+            assert self.OPTIONS.starts > 1 and len(blind) + len(seeded) == len(calls)
+            assert len(words) == 1 and containing and sorted(seeded) == sorted(containing)
+            assert [i for i, _ in calls[: len(seeded)]] == seeded
+            if lp_scale == 1.0:
+                assert blind == []
+            else:
+                assert len(blind) == len(instances) == 8
+                assert sorted(blind) == sorted(inst.instance_id for inst in instances)
 
     def test_counterexample_deterministic(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
@@ -625,38 +639,114 @@ class TestLpRetry:
             check_against_lp(spec, solve_time_fuel(spec, self.OPTIONS), self.OPTIONS)
 
 
-def test_stable_1_solves_blind(monkeypatch):
-    # the free n=4 draw `stable-1` of the benchmark's stable_free set: a
-    # blind start reaches the manifold, so the LP is never consulted
-    def no_lp(*args, **kwargs):
-        raise AssertionError("lp_oracle consulted")
+def test_stable_1_solves_from_the_lp_seed(monkeypatch):
+    # the free n=4 draw `stable-1` of the benchmark's stable_free set: at
+    # n >= 3 the LP runs first, and its seeded answer verifies at no more
+    # than the LP's cost, so no blind start is drawn
+    def no_starts(*args, **kwargs):
+        raise AssertionError("blind starts drawn")
 
-    monkeypatch.setattr(solver, "lp_oracle", no_lp)
+    monkeypatch.setattr(solver, "_starts", no_starts)
     spec = stable_spec((3, 4, 5, 6), [0.0883, -0.3688, -0.2573, -0.0863])
     options = SolverOptions(starts=16, seed=0)
     check_against_lp(spec, solve_time_fuel(spec, options), options)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="silently suboptimal: at 16 starts every converged program, "
-    "OP2-plus-- included, ends on the embedded word 0,-1,0,1 at 2.324992, "
-    "and the LP checks only refusals (ROADMAP: check every answer with the LP)",
-)
+def test_order_two_solves_blind(monkeypatch, example_spec):
+    # at n <= 2 the blind multi-start runs first, and a verified blind
+    # answer leaves the LP unconsulted
+    def no_lp(*args, **kwargs):
+        raise AssertionError("lp_oracle consulted")
+
+    monkeypatch.setattr(solver, "lp_oracle", no_lp)
+    report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+    assert report.best.instance_id == "OP2-minus"
+    assert all(s.status != solver.SKIPPED for s in report.per_instance)
+
+
+#: `suboptimal` of tools/reports.py: b = 1, lambda = -1, 2, -3.
+SUBOPTIMAL = {
+    "eigenvalues": [[-1, 1], [2, 1], [-3, 1]],
+    "b": [1, 1, 1],
+    "x0": [0.3, 0.1, 0.1],
+    "k": 2,
+}
+
+
 def test_sixteen_starts_find_the_optimum():
-    # b = 1, lambda = -1, 2, -3: 16 starts verify OP2-plus--, OP2-minus-+ and
-    # OP1-minus--+, all on word 0,-1,0,1 at 2.324992, while 64 starts and
-    # the LP give OP2-plus-- on word 1,0,-1,0,1 at 2.315893
-    spec = parse_problem(
-        {
-            "eigenvalues": [[-1, 1], [2, 1], [-3, 1]],
-            "b": [1, 1, 1],
-            "x0": [0.3, 0.1, 0.1],
-            "k": 2,
-        }
-    )
-    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    # 16 blind starts verify OP2-plus--, OP2-minus-+ and OP1-minus--+, all on
+    # the embedded word 0,-1,0,1 at 2.324992; the LP-first path seeds
+    # OP2-plus-- from the LP word (LP cost 2.315906) and reaches the
+    # optimum, word 1,0,-1,0,1 at 2.315893
+    report = solve_time_fuel(parse_problem(SUBOPTIMAL), SolverOptions(starts=16, seed=0))
     assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
+    assert report.best.schedule.levels == (1, 0, -1, 0, 1)
+
+
+def test_guard_falls_through_to_the_blind_answer(monkeypatch, caplog):
+    # an LP cost below every seeded answer fails the guard: the blind
+    # multi-start then answers as it does alone, with the embedded word
+    # 0,-1,0,1 at 2.324992, and no program is skipped
+    def cheaper_lp_oracle(spec, t_max):
+        cost, t_f, inputs = lp_oracle(spec, t_max)
+        return 0.99 * cost, t_f, inputs
+
+    monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
+    with caplog.at_level(logging.DEBUG, logger="timefuel"):
+        report = solve_time_fuel(parse_problem(SUBOPTIMAL), SolverOptions(starts=16, seed=0))
+    assert report.best.cost == pytest.approx(2.324992, rel=1e-6)
+    assert report.best.schedule.levels == (0, -1, 0, 1)
+    assert report.ties == ("OP1-minus--+", "OP2-minus-+", "OP2-plus--")
+    assert all(s.status != solver.SKIPPED for s in report.per_instance)
+    assert caplog.messages[-1] == (
+        "OP1-minus--+ answered by the blind multi-start "
+        "(seeded cost 2.315893, the LP's 2.292747)"
+    )
+
+
+def test_refusal_runs_the_blind_pass_and_one_lp(monkeypatch):
+    # `mixed-3` of the benchmark is unreachable: with the LP finding no
+    # transfer first, every program's blind starts still run before the
+    # refusal, and the LP is not consulted a second time
+    lp_calls, drawn = [], []
+    real_starts = solver._starts
+
+    def no_transfer(spec, t_max):
+        lp_calls.append(t_max)
+        return None
+
+    def counting_starts(instance, options, longest):
+        drawn.append(instance.instance_id)
+        return real_starts(instance, options, longest)
+
+    monkeypatch.setattr(solver, "lp_oracle", no_transfer)
+    monkeypatch.setattr(solver, "_starts", counting_starts)
+    case = next(c for c in benchmark_problems(monkeypatch) if c.name == "mixed-3")
+    spec = parse_problem(case.problem)
+    with pytest.raises(InfeasibleProblemError):
+        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert lp_calls == [horizon(spec)]
+    assert sorted(drawn) == sorted(inst.instance_id for inst in build_all(spec))
+
+
+def test_skipped_programs_are_deterministic():
+    # the programs that do not contain the LP word run nothing and are
+    # reported alike on every solve: no times, infinite cost and residuals
+    spec = stable_spec(*TestLpRetry.COUNTEREXAMPLE)
+    options = SolverOptions(starts=16, seed=0)
+    report = solve_time_fuel(spec, options)
+    _cost, t_f, inputs = lp_oracle(spec, horizon(spec))
+    word = _lp_word(inputs, t_f)
+    levels = {inst.instance_id: inst.levels for inst in build_all(spec)}
+    skipped = [s for s in report.per_instance if s.status == solver.SKIPPED]
+    assert {s.instance_id for s in skipped} == {
+        i for i, lv in levels.items() if _slots(lv, word.levels) is None
+    }
+    assert len(skipped) == 7
+    for s in skipped:
+        assert s == solver.LocalSolution(s.instance_id, (), math.inf, math.inf, math.inf, "skipped")
+    again = solve_time_fuel(spec, options)
+    assert json.dumps(again.as_dict()) == json.dumps(report.as_dict())
 
 
 @pytest.mark.xfail(
@@ -766,12 +856,42 @@ MIXED_2 = {
 
 
 def test_sliver_tail_keeps_its_program_verified():
-    # OP1-minus--+ converges at reach residual 1.4e-14 with its single bang
-    # split by zero-length segments; dropping the 1.1e-7 tail after them
-    # ended the schedule early and the simulator rejected the program
-    report = solve_time_fuel(parse_problem(MIXED_2), SolverOptions(starts=16, seed=0))
-    assert "OP1-minus--+" in report.ties
+    # OP1-minus--+ converges from its blind starts at reach residual 1.4e-14
+    # with its single bang split by zero-length segments; dropping the
+    # 1.1e-7 tail after them ended the schedule early and the simulator
+    # rejected the program
+    spec = parse_problem(MIXED_2)
+    instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
+    restored = _restore(spec, instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
+    solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
+    verified = {v.instance_id: v for v in _verified(spec, instances, solutions)}
+    least = min(v.cost for v in verified.values())
+    assert verified["OP1-minus--+"].cost <= least * (1.0 + solver.TIE_REL_TOL)
+    assert verified["OP1-minus--+"].schedule.levels == (-1,)
+    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert report.best.schedule.levels == (-1,)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="degenerate start: from the LP seed, OP1-minus--+ stalls at reach "
+    "residual 8.2e-14 and KKT residual 0.98; SLSQP's first step leaves gaps of "
+    "1.5e-6, 5.8e-9 and 1.5e-9 whose ~1e-8 columns give the polish multipliers "
+    "of ~1e10, and it finds no step",
+)
+def test_seeded_degenerate_start_converges():
+    # `mixed-2`: the LP word is one bang of -1, seeded in OP1-minus--+'s
+    # first slot; restoration splits the growth between that slot and the
+    # next -1 slot, whose columns differ only by a zero-length off slot
+    spec = parse_problem(MIXED_2)
+    instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
+    _cost, t_f, inputs = lp_oracle(spec, horizon(spec))
+    word = _lp_word(inputs, t_f)
+    assert word.levels == (-1,)
+    restored = _restore(spec, instances, _lp_seeds(instances, word))
+    inst = instances[0]
+    assert inst.instance_id == "OP1-minus--+"
+    assert solve_nlp(inst, restored[inst.instance_id]).status == CONVERGED
 
 
 class TestDescentLayer:
@@ -1007,12 +1127,13 @@ class TestMergeIntoKnownMinimum:
     def test_counts_logged_per_program(self, example_spec, caplog):
         with caplog.at_level(logging.DEBUG, logger="timefuel"):
             report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
-        assert [r.name for r in caplog.records] == ["timefuel"] * 4
+        assert [r.name for r in caplog.records] == ["timefuel"] * 5
         assert caplog.messages == [
             "OP1-minus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
             "OP1-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
             "OP2-minus: 16 starts, 16 descended, 1 converged, 15 merged into a known minimum",
             "OP2-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
+            "OP2-minus answered by the blind multi-start (order 2 runs no LP first)",
         ]
         # the log leaves the report as it is
         quiet = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
