@@ -16,8 +16,8 @@ reach/Jacobian kernel, padded to the longest word, each row under its own
 program's levels, and every row gives the bits it would give alone;
 `solve_nlp` then descends one program's restored starts in lockstep, each
 SLSQP step of all of them on one kernel call, each start to a
-`LocalSolution`, and keeps the best; a start whose SLSQP nears a local
-minimizer a finished start found ends there (the clustering stop of
+`LocalSolution`, and keeps the best by `_rank`; a start whose SLSQP nears a
+local minimizer a finished start found ends there (the clustering stop of
 multistart search; Rinnooy Kan & Timmer, Math. Prog. 39, 1987).  Aggregation
 re-simulates every converged solution before trusting it: each that lands on
 the origin becomes a `BestSolution` costed by the simulator, and the report
@@ -28,15 +28,12 @@ paper's static programs.
 The fixed-horizon LP of `simulate.lp_oracle`, searched up to `horizon`,
 gives a cost that bounds the optimum from above, up to the cell
 discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016), and an input
-that, rounded to a level word, is the one start of every program that
-contains the word, restored and descended like the blind starts.  At order
-3 and up the LP runs first, and these seeded programs answer when one
-verifies at a cost no higher than the LP's.  Otherwise, and always at order
-2 and below, every program's blind starts run; when none of those
-verifies, the LP decides: with no feasible horizon the problem is
-infeasible, and otherwise the converged seeded solutions stand in, a miss
-there being a solver failure, not infeasibility.  The LP and its seeded
-solutions are computed once per solve.
+that, rounded to a level word, is one more start of every program that
+contains the word, restored and descended like the blind starts.  One
+rule, `_rank`, picks each program's solution among its blind starts, its
+seed and the `SKIPPED` it starts as, within a pass and between the LP-seeded
+and blind passes alike: converged solutions first, by cost, then the rest,
+by constraint residual, the first winning a tie.
 """
 
 from __future__ import annotations
@@ -365,6 +362,8 @@ def _polish(instance, gaps):
             delta = np.linalg.solve(system + 1e-13 * np.eye(len(free) + n), rhs)
         except np.linalg.LinAlgError:
             break
+        if not np.isfinite(delta).all():
+            break
         d_gap, d_mult = delta[: len(free)], delta[len(free):]
         alpha = 1.0
         shrinking = d_gap < 0.0
@@ -493,15 +492,22 @@ def _descend(instance, gaps, c, known):
     return gaps, solution
 
 
+def _rank(solution: LocalSolution) -> tuple:
+    """The key by which `min` picks a program's solution, among its starts
+    and between passes alike: converged solutions first, by cost, then the
+    rest, `SKIPPED` among them, by constraint residual; `min` keeps the
+    first of a tie."""
+    converged = solution.status == CONVERGED
+    return not converged, solution.cost if converged else solution.constraint_residual
+
+
 def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
-    """Best solution of one program over its restored starts, the
-    (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
-    descended over gaps >= 0: the least-cost converged one, or else the one
-    with the least constraint residual; on a tie the first start wins.
-    The starts descend in lockstep: each step runs every live start's
-    `_descend` to its next request and evaluates all the points asked for
-    in one `_eval` call, so a start merges into the known minimizers of the
-    starts that finished before it.  The counts go to the "timefuel"
+    """Best solution by `_rank` of one program over its restored starts,
+    the (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
+    descended over gaps >= 0.  The starts descend in lockstep: each step
+    runs every live start's `_descend` to its next request and evaluates all
+    the points asked for in one `_eval` call, so a start merges into the
+    known minimizers of the starts that finished before it.  The counts go to the "timefuel"
     logger at DEBUG level."""
     known, merged = [], 0
     runs = [_descend(instance, g, c, known) for g, c in zip(*restored)]
@@ -520,9 +526,7 @@ def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     descended = sum(s.status != INFEASIBLE for s in solutions)
     _log.debug("%s: %d starts, %d descended, %d converged, %d merged into a known minimum",
                instance.instance_id, len(solutions), descended, len(converged) - merged, merged)
-    if converged:
-        return min(converged, key=lambda s: s.cost)
-    return min(solutions, key=lambda s: s.constraint_residual)
+    return min(solutions, key=_rank)
 
 
 def _restore(spec, instances, starts: dict) -> dict:
@@ -544,6 +548,18 @@ def _restore(spec, instances, starts: dict) -> dict:
     }
 
 
+def _pass(spec, instances, starts: dict, solutions: list) -> None:
+    """One pass of the solve: the start rows that `starts` maps program ids
+    to, restored in one `_restore` stack and descended by `solve_nlp`, each
+    program's result merged into its entry of solutions by `_rank`, which
+    keeps the entry on a tie."""
+    restored = _restore(spec, instances, starts)
+    for j, inst in enumerate(instances):
+        if inst.instance_id in restored:
+            solution = solve_nlp(inst, restored[inst.instance_id])
+            solutions[j] = min(solutions[j], solution, key=_rank)
+
+
 def _lp_word(inputs: np.ndarray, horizon: float) -> SwitchingSchedule:
     """The LP's cell inputs rounded to {-1, 0, 1} and condensed."""
     ends = horizon * np.arange(1, len(inputs) + 1) / len(inputs)
@@ -560,11 +576,11 @@ def _slots(levels: Sequence[int], word: Sequence[int]) -> Optional[list[int]]:
 
 def _lp_seeds(instances, word: SwitchingSchedule) -> dict:
     """Program id -> one start row, with the word's durations in the
-    matching slots and gap 0 elsewhere, of each program that contains it.
-    The seed skips the shrink of `_starts`, which would scale it off its
-    horizon."""
+    matching slots and gap 0 elsewhere, of each program that contains it;
+    a word of no segment seeds nothing.  The seed skips the shrink of
+    `_starts`, which would scale it off its horizon."""
     seeds = {}
-    for inst in instances:
+    for inst in instances if word.levels else ():
         slots = _slots(inst.levels, word.levels)
         if slots is not None:
             seeds[inst.instance_id] = np.zeros((1, inst.slot_count))
@@ -591,92 +607,73 @@ def _verified(spec, instances, solutions) -> list[BestSolution]:
     return verified
 
 
-def _lp_pass(spec, instances, longest: float):
-    """(cost, horizon, word, program id -> solution) of the fixed-horizon LP
-    searched up to `longest`, or None when it finds no transfer: its input,
-    rounded to a level word, is the one start of every program that
-    contains the word, restored in one stack and descended."""
-    lp = lp_oracle(spec, longest)
-    if lp is None:
-        return None
-    cost, t_f, inputs = lp
-    word = _lp_word(inputs, t_f)
-    seeded = _restore(spec, instances, _lp_seeds(instances, word)) if word.levels else {}
-    ran = [inst for inst in instances if inst.instance_id in seeded]
-    return cost, t_f, word, {i.instance_id: solve_nlp(i, seeded[i.instance_id]) for i in ran}
-
-
 def solve_time_fuel(
     spec: ProblemSpec,
     options: SolverOptions = SolverOptions(),
 ) -> SolveReport:
     """Solve the programs, verify against the simulator, keep the cheapest.
 
-    A converged program only competes after its decoded schedule, propagated
-    from x0, lands on the origin within 10x the feasibility tolerance.  Cost
-    ties are broken by fewer switchings, then by the least final time among
-    the tied programs on each level word, then by the word, then by id: the
-    programs that embed one word differ in final time only by rounding.
-    At order 3 and up the fixed-horizon LP runs first, and its seeded
-    solutions answer when one verifies at a cost no higher than the LP's;
-    every other program is then reported `SKIPPED`.  Otherwise every
-    program's blind starts run, and when none verifies the LP decides
-    between infeasibility and its seeded solutions (see the module
-    docstring).  The path that answered, and why, goes to the "timefuel"
+    Two passes, the LP-seeded starts and the blind starts, fill one
+    solution per program by `_rank`: LP first at order 3 and up, blind first
+    below.  The solve stops after the first pass when its cheapest verified
+    answer costs no more than the LP's (any answer, when the LP has not
+    run).  A converged program only competes after its decoded schedule,
+    propagated from x0, lands on the origin within 10x the feasibility
+    tolerance.  Cost ties are broken by fewer switchings, then by the least
+    final time among the tied programs on each level word, then by the
+    word, then by id: the programs that embed one word differ in final time
+    only by rounding.  With no verified answer after both passes the
+    problem is infeasible if the LP found no transfer, and the solver has
+    failed otherwise.  The passes that ran, and why, go to the "timefuel"
     logger at DEBUG level.
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     longest = horizon(spec)
-    lp = _lp_pass(spec, instances, longest) if spec.order >= 3 else None
+    solutions = [
+        LocalSolution(i.instance_id, (), math.inf, math.inf, math.inf, SKIPPED) for i in instances
+    ]
+    lp, lp_cost, ran = None, math.inf, []
     why = f"order {spec.order} runs no LP first" if spec.order < 3 else "the LP found no transfer"
-    verified = []
-    if lp is not None:
-        lp_cost, _t_f, _word, seeded = lp
-        solutions = [
-            seeded.get(i.instance_id)
-            or LocalSolution(i.instance_id, (), math.inf, math.inf, math.inf, SKIPPED)
-            for i in instances
-        ]
+    # the LP-seeded pass first at order 3 and up, the blind pass first below
+    for seeded in (spec.order >= 3, spec.order < 3):
+        if not seeded:
+            ran.append("the blind multi-start")
+            starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
+            _pass(spec, instances, starts, solutions)
+        elif (lp := lp_oracle(spec, longest)) is not None:
+            ran.append("the LP-seeded starts")
+            lp_cost, lp_t_f, inputs = lp
+            word = _lp_word(inputs, lp_t_f)
+            _pass(spec, instances, _lp_seeds(instances, word), solutions)
         verified = _verified(spec, instances, solutions)
         cost = min((v.cost for v in verified), default=math.inf)
-        why = f"seeded cost {cost:.6f}, the LP's {lp_cost:.6f}"
-        if cost > lp_cost:
-            verified = []
-    path = "the LP-first path"
+        if seeded and lp is not None:
+            why = f"seeded cost {cost:.6f}, the LP's {lp_cost:.6f}"
+        if verified and cost <= lp_cost:
+            break
     if not verified:
-        path = "the blind multi-start"
-        starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
-        restored = _restore(spec, instances, starts)
-        solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
-        verified = _verified(spec, instances, solutions)
-    if not verified:
-        path = "the LP-seeded starts after the blind multi-start"
         closest = min(solutions, key=lambda s: s.constraint_residual)
         refusal = (
             f"no program verified (best constraint residual "
             f"{closest.constraint_residual:.3e} ({closest.instance_id}))"
         )
-        if spec.order < 3:
-            lp = _lp_pass(spec, instances, longest)
         if lp is None:
             raise InfeasibleProblemError(
                 f"{refusal}, and the fixed-horizon LP found no input reaching "
                 f"the origin at any horizon up to {longest:.6g}"
             )
-        lp_cost, lp_t_f, word, seeded = lp
-        for j, inst in enumerate(instances):
-            sol = seeded.get(inst.instance_id)
-            if sol is not None and sol.status == CONVERGED:
-                solutions[j] = sol
-        verified = _verified(spec, instances, solutions)
-        if not verified:
-            raise SolverFailedError(
-                f"{refusal}, although the fixed-horizon LP reaches the origin at "
-                f"cost {lp_cost:.6f} (t_f {lp_t_f:.6g}, word "
-                f"{','.join(map(str, word.levels))}); raising `starts` may help"
+        hint = "raising `starts` may help"
+        if spec.max_switches is not None and word.switch_count > spec.max_switches:
+            hint = (
+                f"its word has {word.switch_count} switches, over the budget of "
+                f"{spec.max_switches}, so it says nothing of the budgeted problem"
             )
-    min_cost = min(v.cost for v in verified)
-    tied = [v for v in verified if v.cost <= min_cost * (1.0 + TIE_REL_TOL) + 1e-300]
+        raise SolverFailedError(
+            f"{refusal}, although the fixed-horizon LP reaches the origin at "
+            f"cost {lp_cost:.6f} (t_f {lp_t_f:.6g}, word "
+            f"{','.join(map(str, word.levels))}); {hint}"
+        )
+    tied = [v for v in verified if v.cost <= cost * (1.0 + TIE_REL_TOL) + 1e-300]
     word_t_f = {}
     for v in tied:
         word = v.schedule.levels
@@ -690,7 +687,7 @@ def solve_time_fuel(
             v.instance_id,
         ),
     )
-    _log.debug("%s answered by %s (%s)", ties[0].instance_id, path, why)
+    _log.debug("%s answered by %s (%s)", ties[0].instance_id, " then ".join(ran), why)
     return SolveReport(
         per_instance=tuple(solutions),
         best=ties[0],

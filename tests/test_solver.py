@@ -3,8 +3,10 @@ import json
 import logging
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -683,25 +685,70 @@ def test_sixteen_starts_find_the_optimum():
     assert report.best.schedule.levels == (1, 0, -1, 0, 1)
 
 
-def test_guard_falls_through_to_the_blind_answer(monkeypatch, caplog):
-    # an LP cost below every seeded answer fails the guard: the blind
-    # multi-start then answers as it does alone, with the embedded word
-    # 0,-1,0,1 at 2.324992, and no program is skipped
+def test_guard_falls_through_to_the_blind_pass(monkeypatch, caplog):
+    # an LP cost below every seeded answer fails the guard, and the blind
+    # multi-start runs; each program keeps the better of its seeded and
+    # blind solutions, so OP2-plus-- keeps its seeded optimum, word
+    # 1,0,-1,0,1 at 2.315893, over the blind starts' embedded word 0,-1,0,1
+    # at 2.324992, and no program is skipped
+    seeded = {}
+
+    def recording_solve_nlp(instance, restored):
+        solution = solve_nlp(instance, restored)
+        if len(restored[0]) == 1:
+            seeded[instance.instance_id] = solution
+        return solution
+
     def cheaper_lp_oracle(spec, t_max):
         cost, t_f, inputs = lp_oracle(spec, t_max)
         return 0.99 * cost, t_f, inputs
 
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
+    monkeypatch.setattr(solver, "solve_nlp", recording_solve_nlp)
     with caplog.at_level(logging.DEBUG, logger="timefuel"):
         report = solve_time_fuel(parse_problem(SUBOPTIMAL), SolverOptions(starts=16, seed=0))
-    assert report.best.cost == pytest.approx(2.324992, rel=1e-6)
-    assert report.best.schedule.levels == (0, -1, 0, 1)
-    assert report.ties == ("OP1-minus--+", "OP2-minus-+", "OP2-plus--")
+    assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
+    assert report.best.schedule.levels == (1, 0, -1, 0, 1)
+    assert report.ties == ("OP2-plus--",)
+    per_instance = {s.instance_id: s for s in report.per_instance}
+    assert per_instance["OP2-plus--"] == seeded["OP2-plus--"]
     assert all(s.status != solver.SKIPPED for s in report.per_instance)
     assert caplog.messages[-1] == (
-        "OP1-minus--+ answered by the blind multi-start "
+        "OP2-plus-- answered by the LP-seeded starts then the blind multi-start "
         "(seeded cost 2.315893, the LP's 2.292747)"
     )
+
+
+def test_passes_merge_by_rank(monkeypatch):
+    # each program's entry keeps the better of it and the pass's result:
+    # converged beats unconverged and skipped, the cheaper converged beats
+    # the dearer, and on a tie the entry stays
+    def sol(name, cost, residual, status):
+        return solver.LocalSolution(name, (), cost, 0.0, residual, status)
+
+    skipped = sol("a", math.inf, math.inf, solver.SKIPPED)
+    stalled = sol("b", 1.0, 1e-3, solver.ITERATION_LIMIT)
+    closer = sol("b", 9.0, 1e-4, INFEASIBLE)
+    dear, cheap = sol("c", 3.0, 1e-9, CONVERGED), sol("c", 2.0, 1e-9, CONVERGED)
+    tie = sol("c", 2.0, 0.0, CONVERGED)
+    pairs = [
+        (skipped, stalled, stalled),
+        (skipped, dear, dear),
+        (stalled, dear, dear),
+        (dear, stalled, dear),
+        (stalled, closer, closer),
+        (dear, cheap, cheap),
+        (cheap, dear, cheap),
+        (cheap, tie, cheap),
+        (tie, cheap, tie),
+    ]
+    instances = [SimpleNamespace(instance_id=str(j)) for j in range(len(pairs))]
+    results = {str(j): new for j, (_, new, _) in enumerate(pairs)}
+    monkeypatch.setattr(solver, "_restore", lambda spec, insts, starts: dict.fromkeys(starts))
+    monkeypatch.setattr(solver, "solve_nlp", lambda inst, restored: results[inst.instance_id])
+    solutions = [old for old, _, _ in pairs]
+    solver._pass(None, instances, {inst.instance_id: None for inst in instances}, solutions)
+    assert all(got is want for got, (_, _, want) in zip(solutions, pairs))
 
 
 def test_refusal_runs_the_blind_pass_and_one_lp(monkeypatch):
@@ -727,6 +774,60 @@ def test_refusal_runs_the_blind_pass_and_one_lp(monkeypatch):
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert lp_calls == [horizon(spec)]
     assert sorted(drawn) == sorted(inst.instance_id for inst in build_all(spec))
+
+
+def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
+    # `hi-n6-1` of tools/reports.py refuses; its closest program is the
+    # seeded OP2-plus--+-+ at residual 1.904e-06, not the closest blind
+    # one, OP2-minus--+-+ at 4.3e-01
+    results = []
+
+    def recording_solve_nlp(instance, restored):
+        results.append(solve_nlp(instance, restored))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "solve_nlp", recording_solve_nlp)
+    spec = stable_spec((1, 2, 4, 6, 7, 10), [-0.3391, 0.3785, -0.3381, -0.1606, -0.1468, -0.1118])
+    with pytest.raises(SolverFailedError) as refusal:
+        solve_time_fuel(spec, SolverOptions(starts=4, seed=0))
+    closest = min(results, key=lambda s: s.constraint_residual)
+    assert closest.instance_id == "OP2-plus--+-+"
+    assert str(refusal.value).startswith(
+        f"no program verified (best constraint residual "
+        f"{closest.constraint_residual:.3e} (OP2-plus--+-+)), "
+    )
+    assert f"{closest.constraint_residual:.3e}" == "1.904e-06"
+
+
+def test_refusal_over_the_switch_budget_names_it():
+    # the LP's word -1,0,1,0,-1 has 4 switches, so no program under a
+    # budget of 2 contains it and more starts cannot be what is missing
+    spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
+    spec = validate_problem(spec.system, spec.x0, spec.k, max_switches=2)
+    with pytest.raises(SolverFailedError) as refusal:
+        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    message = str(refusal.value)
+    assert "word -1,0,1,0,-1); its word has 4 switches, over the budget of 2" in message
+    assert "starts" not in message
+
+
+def test_polish_stops_on_a_non_finite_step(monkeypatch):
+    # x0 within the feasibility tolerance of the origin: SLSQP leaves
+    # OP2-minus-+ at residual 1.9e130, where the Newton step is not finite;
+    # the polish stops there, with no NaN trial, and the solve answers at
+    # cost 0
+    real_eval1 = solver._eval1
+
+    def finite_eval1(instance, gaps):
+        assert np.isfinite(gaps).all()
+        return real_eval1(instance, gaps)
+
+    monkeypatch.setattr(solver, "_eval1", finite_eval1)
+    spec = stable_spec((1, 2, 3), [1e-9, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_time_fuel(spec, SolverOptions(starts=8, seed=0))
+    assert report.best.cost == 0.0
 
 
 def test_skipped_programs_are_deterministic():
