@@ -41,6 +41,7 @@ from .simulate import (
     Trajectory,
     evaluate_cost,
     lp_oracle,
+    null_certificate,
     propagate,
     reachability_x0,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "evaluate_cost",
     "load_problem",
     "lp_oracle",
+    "null_certificate",
     "parse_problem",
     "propagate",
     "reachability_x0",

@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
 0 success, 1 usage, validation or file error, 2 infeasible problem (the
-fixed-horizon LP finds no transfer either), 3 solver failure (the LP finds
-a transfer, the local solves do not).  All outputs
+fixed-horizon LP finds no transfer, and a certificate proves x0 outside
+the null-controllable region), 3 solver failure (no local solve verifies,
+although the LP finds a transfer or nothing proves x0 unreachable).  All outputs
 are deterministic for fixed inputs, flags and seed; JSON is emitted with
 sorted keys and CSV uses '.' decimals with 9 significant digits.
 """

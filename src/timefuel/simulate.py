@@ -4,8 +4,9 @@ Everything here is closed form: per segment with constant input u and
 eigenvalue lam, x(t0 + dt) = e^(lam dt) x(t0) + u b (e^(lam dt) - 1)/lam.
 The module doubles as the independent verification oracle for the problem
 builder and the solver: `reachability_x0` is the reference the fused kernel
-is tested against, and `lp_oracle` gives a global reference cost at any
-order from fixed-horizon linear programs.
+is tested against, `lp_oracle` gives a global reference cost at any
+order from fixed-horizon linear programs, and `null_certificate` proves,
+where it can, that no horizon reaches the origin.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ LP_CELLS = 400
 #: `lp_oracle` refuses only when the LPs at t_max and at LP_CONFIRM halved
 #: horizons are all infeasible.
 LP_CONFIRM = 6
+
+#: Input cells of the `null_certificate` gauge LP, equal in e^(-lam s) of the
+#: slowest unstable mode, so that they cover [0, inf).
+GAUGE_CELLS = 64
 
 
 class InvalidScheduleError(ValueError):
@@ -202,16 +207,32 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
+def _dense_lp(costs, lower, upper, rows: np.ndarray, target: np.ndarray):
+    """HiGHS, run on min costs . x subject to rows x = target and lower <= x
+    <= upper.  Two calls build the LP, `addCols` with the costs and bounds
+    and `addRows` with the dense rows as numpy arrays, and one run solves it
+    with presolve off: on a few dense rows presolve costs more than the
+    simplex it saves."""
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.addCols(len(costs), costs, lower, upper, 0, [], [], [])
+    # the dense rows, row-wise: row i's entries start at index i * columns
+    values = rows.ravel()
+    index = np.arange(values.size, dtype=np.int32)
+    starts = index[:: rows.shape[1]]
+    highs.addRows(len(rows), target, target, values.size, starts, index % rows.shape[1], values)
+    highs.run()
+    return highs
+
+
 def _lp_transfer(spec: ProblemSpec, horizon: float):
     """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
 
     The input is constant on LP_CELLS equal cells with |u| <= 1, written as
-    u = u+ - u- so that the fuel is linear.  Two HiGHS calls build the LP,
-    `addCols` with the costs and bounds and `addRows` with the dense rows
-    as numpy arrays, and one run solves it with presolve off: on these few
-    dense rows presolve costs more than the simplex it saves.  Returns
-    (inf, None) when HiGHS reports no optimum, as when no such input
-    reaches the origin at T.
+    u = u+ - u- so that the fuel is linear, and `_dense_lp` solves it.
+    Returns (inf, None) when HiGHS reports no optimum, as when no such
+    input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
@@ -223,17 +244,11 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     cells = -(b / lam * np.expm1(-lam * h))[:, None] * np.exp(
         shift[:, None] - np.outer(lam, starts)
     )
-    rows, cols = cells.shape[0], 2 * LP_CELLS
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
-    highs.addCols(cols, np.full(cols, h), np.zeros(cols), np.ones(cols), 0, [], [], [])
-    # the dense rows, row-wise: row i's entries start at index i * cols
-    target = -spec.x0 * np.exp(shift)
-    values = np.hstack([cells, -cells]).ravel()
-    index = np.arange(values.size, dtype=np.int32)
-    highs.addRows(rows, target, target, values.size, index[::cols], index % cols, values)
-    highs.run()
+    cols = 2 * LP_CELLS
+    highs = _dense_lp(
+        np.full(cols, h), np.zeros(cols), np.ones(cols), np.hstack([cells, -cells]),
+        -spec.x0 * np.exp(shift),
+    )
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         return math.inf, None
     fuel = highs.getInfo().objective_function_value
@@ -292,3 +307,149 @@ def lp_oracle(
     horizon = float(refined.x if refined.fun < cost else hi)
     cost, inputs = transfer(horizon)
     return cost, horizon, inputs
+
+
+@dataclass(frozen=True)
+class NullCertificate:
+    """`null_certificate`'s bounds on the gauge of x0's unstable part x0_u
+    in C, the set of unstable parts that an input |u| <= 1 steers to the
+    origin, and the weights behind the lower one.
+
+    `mu` weighs the states, 0 on every stable one; `mu_x0` is mu . x0 less a
+    bound on its rounding, and `h` is h(mu) = int_0^inf |psi_mu(s)| ds,
+    psi_mu(s) = sum_i mu_i b_i e^(-lam_i s), C's support function, plus a
+    bound on what its brackets and rounding leave out.  `upper` is the gauge
+    LP's bound from above; mu_x0 / h bounds the gauge from below.
+    """
+
+    mu: tuple[float, ...]
+    mu_x0: float
+    h: float
+    upper: float
+
+    @property
+    def proven(self) -> bool:
+        """mu . x0 > h(mu): x0 reaches the origin at no horizon."""
+        return self.mu_x0 > self.h
+
+    @property
+    def lower(self) -> float:
+        return self.mu_x0 / self.h if self.h > 0.0 else 0.0
+
+
+def _sign_changes(coef: np.ndarray, rates: np.ndarray) -> list[tuple[float, float]]:
+    """Brackets (lo, hi), in order and as narrow as doubles allow, of the
+    sign changes on [0, inf) of f(s) = sum_i coef_i e^(-rates_i s), the rates
+    distinct.  With r the least rate of a nonzero term, g = f e^(r s) has
+    f's roots and tends to that term's coefficient, and g' is a sum of one
+    term fewer, between whose roots, bracketed the same way, g is monotone
+    and changes sign at most once: so f changes sign at most once less than
+    it has nonzero terms.  A zero of g met exactly is a bracket of width 0.
+    """
+    keep = coef != 0.0
+    coef, rates = coef[keep], rates[keep]
+    if len(coef) < 2:
+        return []
+    rates = rates - rates.min()
+    slope = rates != 0.0
+    limit = float(coef[~slope][0])
+    turns = [hi for _lo, hi in _sign_changes(-rates[slope] * coef[slope], rates[slope])]
+
+    def g(s):
+        return float(coef @ np.exp(-rates * s))
+
+    brackets = []
+    for lo, hi in zip([0.0] + turns, turns + [math.inf]):
+        g_lo = g(lo)
+        if g_lo == 0.0:
+            brackets.append((lo, lo))
+            continue
+        if hi == math.inf:
+            if g_lo * limit > 0.0:
+                continue
+            # g tends to `limit` monotonically: double the end until it has that sign
+            hi = max(1.0, 2.0 * lo)
+            while g(hi) * g_lo > 0.0:
+                hi *= 2.0
+        if g(hi) * g_lo > 0.0:
+            continue
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if g(mid) * g_lo > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        brackets.append((lo, hi))
+    return brackets
+
+
+def _support(coef: np.ndarray, rates: np.ndarray) -> float:
+    """An upper bound on int_0^inf |sum_i coef_i e^(-rates_i s)| ds, rates
+    positive: the closed-form integral between the bracketed sign changes,
+    where the sum keeps one sign, plus the integral of sum_i |coef_i|
+    e^(-rates_i s) over each bracket and 1e-12 of its integral over [0, inf)
+    for rounding."""
+    mass = np.abs(coef) / rates
+
+    def antiderivative(s):
+        # 0 at s = inf, where every e^(-rates s) is 0
+        return -float((coef / rates) @ np.exp(-rates * s))
+
+    brackets = _sign_changes(coef, rates)
+    edges = [0.0, *(s for bracket in brackets for s in bracket), math.inf]
+    total = sum(
+        abs(antiderivative(b) - antiderivative(a)) for a, b in zip(edges[::2], edges[1::2])
+    )
+    for lo, hi in brackets:
+        total += float(mass @ (np.exp(-rates * lo) - np.exp(-rates * hi)))
+    return total + 1e-12 * float(mass.sum())
+
+
+def null_certificate(spec: ProblemSpec) -> NullCertificate:
+    """Bounds on the gauge of x0's unstable part x0_u in C, the set of
+    unstable parts that an input |u| <= 1 steers to the origin, and, when
+    the lower one exceeds 1, the proof that x0 reaches the origin at no
+    horizon.
+
+    The null-controllable region of a diagonal system under |u| <= 1 is C
+    times all the stable states (Hu & Lin, Control Systems with Actuator
+    Saturation, 2001), with C = {-int_0^inf e^(-lam_u s) b_u u(s) ds}.  So
+    any mu with mu . x0_u > h(mu), C's support function, proves x0
+    unreachable.  mu is the row duals of the gauge LP, min gamma subject to
+    A v = x0_u and |v_j| <= gamma, A's column j the -b_u e^(-lam_u s)
+    integral over cell j of GAUGE_CELLS cells equal in e^(-r s), r the
+    slowest unstable rate, so that they cover [0, inf); it is solved as
+    max t subject to A v = t x0_u and |v_j| <= 1, gamma = 1/t.  The cells
+    only restrict the input, so 1/t bounds the gauge from above, while h(mu),
+    integrated in closed form (`_support`), makes mu . x0_u / h(mu) a lower
+    bound whatever the grid.  With no unstable mode, or x0_u = 0, mu is 0
+    and both bounds are 0.
+    """
+    lam = spec.system.eigenvalues
+    unstable = lam > 0.0
+    x0_u, rates = spec.x0[unstable], lam[unstable]
+    mu = np.zeros(spec.order)
+    if not np.any(x0_u):
+        return NullCertificate(tuple(mu), 0.0, 0.0, 0.0)
+    gains = spec.system.gains[unstable]
+    # on cell j, e^(-r s) runs over [j, j + 1] / GAUGE_CELLS and e^(-lam s) is its power lam / r
+    powers = np.linspace(0.0, 1.0, GAUGE_CELLS + 1) ** (rates / rates.min())[:, None]
+    cells = -(gains / rates)[:, None] * np.diff(powers, axis=1)
+    # v_j in [-1, 1] at cost 0, then t >= 0 at cost -1
+    highs = _dense_lp(
+        np.r_[np.zeros(GAUGE_CELLS), -1.0],
+        np.r_[np.full(GAUGE_CELLS, -1.0), 0.0],
+        np.r_[np.ones(GAUGE_CELLS), math.inf],
+        np.hstack([cells, -x0_u[:, None]]),
+        np.zeros(len(x0_u)),
+    )
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        return NullCertificate(tuple(mu), 0.0, 0.0, math.inf)
+    t = highs.getSolution().col_value[-1]
+    duals = np.array(highs.getSolution().row_dual)
+    # the duals' sign is HiGHS's convention; mu . x0_u = 1 at the LP's optimum
+    duals = duals if duals @ x0_u >= 0.0 else -duals
+    mu[unstable] = duals
+    mu_x0 = float(duals @ x0_u) - 1e-12 * float(np.abs(duals) @ np.abs(x0_u))
+    h = _support(duals * gains, rates)
+    return NullCertificate(tuple(map(float, mu)), mu_x0, h, 1.0 / t if t > 0.0 else math.inf)

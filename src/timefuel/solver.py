@@ -33,7 +33,10 @@ contains the word, restored and descended like the blind starts.  One
 rule, `_rank`, picks each program's solution among its blind starts, its
 seed and the `SKIPPED` it starts as, within a pass and between the LP-seeded
 and blind passes alike: converged solutions first, by cost, then the rest,
-by constraint residual, the first winning a tie.
+by constraint residual, the first winning a tie.  When the LP finds no
+transfer, `simulate.null_certificate` decides the refusal: a proof that x0
+lies outside the null-controllable region ends the solve at once, and
+without one no refusal claims that x0 is unreachable.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .simulate import (
     SwitchingSchedule,
     evaluate_cost,
     lp_oracle,
+    null_certificate,
     propagate,
     schedule_from_times,
 )
@@ -86,11 +90,14 @@ _log = logging.getLogger("timefuel")
 
 
 class InfeasibleProblemError(RuntimeError):
-    """No verified transfer, and no fixed-horizon LP transfer up to `horizon`."""
+    """x0 is proven unreachable: the fixed-horizon LP found no transfer up to
+    `horizon`, and `simulate.null_certificate` gives mu with mu . x0 > h(mu),
+    which the message quotes."""
 
 
 class SolverFailedError(RuntimeError):
-    """No verified transfer, although the fixed-horizon LP reaches the origin."""
+    """No verified transfer, although the fixed-horizon LP reaches the origin,
+    or although nothing proves x0 unreachable when the LP finds no transfer."""
 
 
 @dataclass(frozen=True)
@@ -577,10 +584,11 @@ def _slots(levels: Sequence[int], word: Sequence[int]) -> Optional[list[int]]:
 def _lp_seeds(instances, word: SwitchingSchedule) -> dict:
     """Program id -> one start row, with the word's durations in the
     matching slots and gap 0 elsewhere, of each program that contains it;
-    a word of no segment seeds nothing.  The seed skips the shrink of
-    `_starts`, which would scale it off its horizon."""
+    a word of no segment embeds in every word, so it seeds every program
+    with gaps all 0.  The seed skips the shrink of `_starts`, which would
+    scale it off its horizon."""
     seeds = {}
-    for inst in instances if word.levels else ():
+    for inst in instances:
         slots = _slots(inst.levels, word.levels)
         if slots is not None:
             seeds[inst.instance_id] = np.zeros((1, inst.slot_count))
@@ -622,9 +630,12 @@ def solve_time_fuel(
     tolerance.  Cost ties are broken by fewer switchings, then by the least
     final time among the tied programs on each level word, then by the
     word, then by id: the programs that embed one word differ in final time
-    only by rounding.  With no verified answer after both passes the
-    problem is infeasible if the LP found no transfer, and the solver has
-    failed otherwise.  The passes that ran, and why, go to the "timefuel"
+    only by rounding.  When the LP finds no transfer and
+    `simulate.null_certificate` proves x0 unreachable, the problem is
+    infeasible at once, before any pass still to run; with no verified
+    answer after both passes the solver has failed, its message quoting the
+    LP's cost or, when the LP found no transfer, the certificate's two
+    gauge bounds.  The passes that ran, and why, go to the "timefuel"
     logger at DEBUG level.
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
@@ -645,6 +656,13 @@ def solve_time_fuel(
             lp_cost, lp_t_f, inputs = lp
             word = _lp_word(inputs, lp_t_f)
             _pass(spec, instances, _lp_seeds(instances, word), solutions)
+        elif (proof := null_certificate(spec)).proven:
+            raise InfeasibleProblemError(
+                f"x0 is outside the null-controllable region, so no input reaches "
+                f"the origin at any horizon: mu = ({', '.join(f'{m:.6g}' for m in proof.mu)}) "
+                f"gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}, the support "
+                f"of the unstable part of that region"
+            )
         verified = _verified(spec, instances, solutions)
         cost = min((v.cost for v in verified), default=math.inf)
         if seeded and lp is not None:
@@ -658,9 +676,11 @@ def solve_time_fuel(
             f"{closest.constraint_residual:.3e} ({closest.instance_id}))"
         )
         if lp is None:
-            raise InfeasibleProblemError(
+            raise SolverFailedError(
                 f"{refusal}, and the fixed-horizon LP found no input reaching "
-                f"the origin at any horizon up to {longest:.6g}"
+                f"the origin at any horizon up to {longest:.6g}, but x0 is not "
+                f"proven unreachable: its gauge in the null-controllable region "
+                f"lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
             )
         hint = "raising `starts` may help"
         if spec.max_switches is not None and word.switch_count > spec.max_switches:

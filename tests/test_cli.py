@@ -110,6 +110,8 @@ class TestSolve:
         )
         assert code == 2
         assert "infeasible" in err.lower()
+        # the certificate of the scalar mode: mu.x0 over h(mu) is its gauge 2
+        assert "mu.x0 = " in err and "> h(mu) = " in err
 
     def test_directory_as_problem_exits_1(self, capsys, tmp_path):
         # an OSError other than a missing file is an input error too

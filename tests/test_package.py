@@ -20,7 +20,8 @@ def test_private_scipy_names_resolve():
         from scipy.optimize._slsqplib import slsqp
 
         names = (slsqp, _Highs, HighsModelStatus.kOptimal)
-        # the `_Highs` methods `simulate._lp_transfer` calls
+        # the `_Highs` methods `simulate._lp_transfer` and
+        # `simulate.null_certificate` call
         methods = [
             getattr(_Highs, method)
             for method in (

@@ -1,8 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.integrate import quad
+from scipy.optimize import brentq, linprog
 
 from timefuel import LtiSystem, build_spectrum, parse_problem, simulate, validate_problem
 from timefuel.simulate import (
@@ -11,8 +14,10 @@ from timefuel.simulate import (
     InvalidScheduleError,
     SwitchingSchedule,
     _lp_transfer,
+    _sign_changes,
     evaluate_cost,
     lp_oracle,
+    null_certificate,
     propagate,
     reachability_x0,
     schedule_from_times,
@@ -481,3 +486,94 @@ class TestLpOracle:
         assert cost == pytest.approx(10.39235, rel=1e-4)
         fuel = horizon / LP_CELLS * np.sum(np.abs(inputs))
         assert spec.k * horizon + fuel == pytest.approx(cost, rel=1e-7)
+
+
+def comparison_set():
+    """(name, spec) of every problem of tools/reports.py's set."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "reports.py"
+    spec = importlib.util.spec_from_file_location("reports_tool", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return [(name, problem) for name, problem, _options in tool.problems()]
+
+
+def scanned_roots(coef, rates):
+    """Sign changes of sum_i coef_i e^(-rates_i s), each bracketed on a
+    dense log grid out to 200 slowest time constants and found by brentq."""
+    def f(s):
+        return float(coef @ np.exp(-rates * s))
+
+    grid = np.geomspace(1e-6, 200.0 / rates.min(), 20001)
+    values = [f(s) for s in grid]
+    pairs = zip(grid, grid[1:], values, values[1:])
+    return [brentq(f, a, b, xtol=1e-15) for a, b, fa, fb in pairs if fa * fb < 0.0]
+
+
+class TestNullCertificate:
+    """Proofs that x0 lies outside the null-controllable region."""
+
+    def test_scalar_gauge(self):
+        # one unstable mode: C = (-b/lam, b/lam), so x0 = 2 has gauge 2
+        system = LtiSystem(build_spectrum([(1, 1)]), (1.0,))
+        proof = null_certificate(validate_problem(system, [2.0], 1.0))
+        assert proof.proven
+        assert proof.lower == pytest.approx(2.0, rel=1e-9)
+        assert proof.upper == pytest.approx(2.0, rel=1e-9)
+
+    def test_stable_system_proves_nothing(self):
+        proof = null_certificate(counterexample())
+        assert not proof.proven and proof.mu == (0.0,) * 4 and proof.upper == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sign_changes_match_a_dense_scan(self, seed):
+        # at most one sign change fewer than terms, each bracketed to
+        # rounding around the root a scan finds
+        rng = np.random.default_rng(seed)
+        rates = np.sort(rng.choice(np.arange(1, 9), 5, replace=False)).astype(float)
+        coef = rng.uniform(-1.0, 1.0, 5) * np.array([1.0, 6.0, 20.0, 40.0, 60.0])
+        brackets = _sign_changes(coef, rates)
+        roots = scanned_roots(coef, rates)
+        assert len(brackets) == len(roots) <= len(coef) - 1
+        for (lo, hi), root in zip(brackets, roots):
+            assert lo <= hi and hi - lo <= 1e-14 * max(1.0, hi)
+            assert lo - 1e-9 <= root <= hi + 1e-9
+
+    def test_most_sign_changes(self):
+        # z (z - 0.2)(z - 0.4)(z - 0.6)(z - 0.8) in z = e^(-s): five terms,
+        # four sign changes, at s = -ln(0.8), ..., -ln(0.2)
+        coef = np.polynomial.polynomial.polyfromroots([0.0, 0.2, 0.4, 0.6, 0.8])[1:]
+        brackets = _sign_changes(coef, np.arange(1.0, 6.0))
+        roots = -np.log([0.8, 0.6, 0.4, 0.2])
+        assert len(brackets) == 4
+        for (lo, hi), root in zip(brackets, roots):
+            assert lo - 1e-12 <= root <= hi + 1e-12
+
+    def test_certifies_exactly_the_unreachable_comparison_problems(self):
+        # the three refusals of the set are proven unreachable, with h(mu)
+        # re-integrated by quadrature between the roots; the 36 reachable
+        # problems with an unstable mode get no proof, and the gauge LP
+        # bounds each of their gauges below 1
+        proven, unproven = {}, []
+        for name, spec in comparison_set():
+            if np.any(spec.system.eigenvalues > 0.0):
+                proof = null_certificate(spec)
+                if proof.proven:
+                    proven[name] = (spec, proof)
+                else:
+                    unproven.append(name)
+                    assert proof.upper < 1.0, name
+                assert proof.lower <= proof.upper * (1.0 + 1e-9), name
+        assert sorted(proven) == ["mixed-3", "sweep-22", "sweep-26"]
+        assert len(unproven) == 36 and "unstable" in unproven
+        for name, (spec, proof) in proven.items():
+            unstable = spec.system.eigenvalues > 0.0
+            rates = spec.system.eigenvalues[unstable]
+            coef = np.array(proof.mu)[unstable] * spec.system.gains[unstable]
+            edges = [0.0, *scanned_roots(coef, rates), math.inf]
+            h = sum(
+                quad(lambda s: abs(coef @ np.exp(-rates * s)), a, b, epsabs=0.0, epsrel=1e-12)[0]
+                for a, b in zip(edges, edges[1:])
+            )
+            assert h <= proof.h <= h * (1.0 + 1e-9), name
+            assert proof.mu_x0 <= float(np.dot(proof.mu, spec.x0)), name
+            assert proof.mu_x0 > h, name

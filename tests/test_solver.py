@@ -19,6 +19,7 @@ from timefuel.simulate import (
     SwitchingSchedule,
     _lp_transfer,
     lp_oracle,
+    null_certificate,
     propagate,
     schedule_from_times,
 )
@@ -675,6 +676,15 @@ SUBOPTIMAL = {
 }
 
 
+#: `unstable` of tools/reports.py: b = 1, lambda = -1/2, 1, 4.
+UNSTABLE = {
+    "eigenvalues": [[-1, 2], [1, 1], [4, 1]],
+    "b": [1, 1, 1],
+    "x0": [0.2, 0.2109, -0.1805],
+    "k": 1,
+}
+
+
 def test_sixteen_starts_find_the_optimum():
     # 16 blind starts verify OP2-plus--, OP2-minus-+ and OP1-minus--+, all on
     # the embedded word 0,-1,0,1 at 2.324992; the LP-first path seeds
@@ -751,29 +761,64 @@ def test_passes_merge_by_rank(monkeypatch):
     assert all(got is want for got, (_, _, want) in zip(solutions, pairs))
 
 
-def test_refusal_runs_the_blind_pass_and_one_lp(monkeypatch):
-    # `mixed-3` of the benchmark is unreachable: with the LP finding no
-    # transfer first, every program's blind starts still run before the
-    # refusal, and the LP is not consulted a second time
-    lp_calls, drawn = [], []
-    real_starts = solver._starts
+def test_certified_refusal_runs_one_lp_and_no_blind_pass(monkeypatch):
+    # `mixed-3` of the benchmark is unreachable: the LP finds no transfer,
+    # and the gauge certificate proves x0 outside the null-controllable
+    # region, so the refusal comes at once, with no blind start drawn, and
+    # quotes mu, mu.x0 and h(mu)
+    lp_calls = []
 
     def no_transfer(spec, t_max):
         lp_calls.append(t_max)
         return None
 
-    def counting_starts(instance, options, longest):
-        drawn.append(instance.instance_id)
-        return real_starts(instance, options, longest)
+    def no_starts(*args, **kwargs):
+        raise AssertionError("blind starts drawn")
 
     monkeypatch.setattr(solver, "lp_oracle", no_transfer)
-    monkeypatch.setattr(solver, "_starts", counting_starts)
+    monkeypatch.setattr(solver, "_starts", no_starts)
     case = next(c for c in benchmark_problems(monkeypatch) if c.name == "mixed-3")
     spec = parse_problem(case.problem)
-    with pytest.raises(InfeasibleProblemError):
+    with pytest.raises(InfeasibleProblemError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert lp_calls == [horizon(spec)]
-    assert sorted(drawn) == sorted(inst.instance_id for inst in build_all(spec))
+    proof = null_certificate(spec)
+    assert proof.proven
+    mu = ", ".join(f"{m:.6g}" for m in proof.mu)
+    assert f"mu = ({mu}) gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}" in str(
+        refusal.value
+    )
+
+
+def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
+    # `unstable` of tools/reports.py is reachable, its gauge 0.99 just
+    # below 1: with the LP made to find no transfer, the certificate proves
+    # nothing, the blind multi-start runs and fails (its optimum is the one
+    # the simulator rejects), and the refusal is exit 3 with both bounds
+    spec = parse_problem(UNSTABLE)
+    proof = null_certificate(spec)
+    assert not proof.proven and proof.lower <= proof.upper < 1.0
+    monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: None)
+    with pytest.raises(SolverFailedError) as refusal:
+        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert str(refusal.value).endswith(
+        f"but x0 is not proven unreachable: its gauge in the null-controllable "
+        f"region lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+    )
+
+
+def test_near_origin_x0_solves_from_the_empty_word(monkeypatch):
+    # x0 within the feasibility tolerance of the origin: the LP word is
+    # empty, which embeds in every word, so it seeds every program with
+    # gaps all 0, and the empty schedule verifies at cost 0 with no blind
+    # start drawn
+    def no_starts(*args, **kwargs):
+        raise AssertionError("blind starts drawn")
+
+    monkeypatch.setattr(solver, "_starts", no_starts)
+    report = solve_time_fuel(stable_spec((1, 2, 3), [1e-9, 0.0, 0.0]), SolverOptions(8, 0))
+    assert report.best.cost == 0.0
+    assert report.best.schedule == SwitchingSchedule.empty()
 
 
 def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
@@ -823,6 +868,9 @@ def test_polish_stops_on_a_non_finite_step(monkeypatch):
         return real_eval1(instance, gaps)
 
     monkeypatch.setattr(solver, "_eval1", finite_eval1)
+    # the LP's empty word would answer at once; without it the blind
+    # starts run, and the certificate of a stable system proves nothing
+    monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: None)
     spec = stable_spec((1, 2, 3), [1e-9, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -861,15 +909,7 @@ def test_unstable_optimum_passes_the_simulator():
     # b = 1, lambda = -1/2, 1, 4: OP2-plus-- converges on word 1,0,-1,0,1
     # at 12.169956 (t_f 6.6954), below the LP's 12.185535 on word 1,-1,0,1;
     # the LP-seeded retry reaches the same point and is rejected alike
-    spec = parse_problem(
-        {
-            "eigenvalues": [[-1, 2], [1, 1], [4, 1]],
-            "b": [1, 1, 1],
-            "x0": [0.2, 0.2109, -0.1805],
-            "k": 1,
-        }
-    )
-    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(parse_problem(UNSTABLE), SolverOptions(starts=16, seed=0))
     assert report.best.cost == pytest.approx(12.169956, rel=1e-6)
 
 
