@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
-0 success, 1 usage, validation or file error, 2 infeasible problem (the
-fixed-horizon LP finds no transfer, and a certificate proves x0 outside
-the null-controllable region), 3 solver failure (no local solve verifies,
-although the LP finds a transfer or nothing proves x0 unreachable).  All outputs
-are deterministic for fixed inputs, flags and seed; JSON is emitted with
-sorted keys and CSV uses '.' decimals with 9 significant digits.
+0 success, 1 usage, validation or file error, 2 infeasible problem (a
+certificate proves x0 outside the null-controllable region, at any order),
+3 solver failure (no local solve verifies, although the LP finds a
+transfer or nothing proves x0 unreachable).  `--starts` and `--seed` drive
+only the blind starts, which run at order 2 and below and wherever the LP's
+word seeds no program.  All outputs are deterministic for fixed inputs,
+flags and seed; JSON is emitted with sorted keys and CSV uses '.' decimals
+with 9 significant digits.
 """
 
 from __future__ import annotations

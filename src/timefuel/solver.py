@@ -28,14 +28,14 @@ paper's static programs.
 The fixed-horizon LP of `simulate.lp_oracle`, searched up to `horizon`,
 gives a cost that bounds the optimum from above, up to the cell
 discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016), and an input
-that, rounded to a level word, is one more start of every program that
-contains the word, restored and descended like the blind starts.  One
-rule, `_rank`, picks each program's solution among its blind starts, its
-seed and the `SKIPPED` it starts as, within a pass and between the LP-seeded
-and blind passes alike: converged solutions first, by cost, then the rest,
-by constraint residual, the first winning a tie.  When the LP finds no
-transfer, `simulate.null_certificate` decides the refusal: a proof that x0
-lies outside the null-controllable region ends the solve at once, and
+that, rounded to a level word, seeds every program that contains the word,
+restored and descended like a blind start.  A solve is one pass: at order 3
+and up the LP's seeds, when its word fits a program, and the blind starts
+otherwise.  `_rank` picks each program's solution among its starts:
+converged solutions first, by cost, then the rest, by constraint residual,
+the first winning a tie.  Wherever there is no LP transfer,
+`simulate.null_certificate` decides the refusal: a proof that x0 lies
+outside the null-controllable region ends the solve before any start, and
 without one no refusal claims that x0 is unreachable.
 """
 
@@ -90,19 +90,21 @@ _log = logging.getLogger("timefuel")
 
 
 class InfeasibleProblemError(RuntimeError):
-    """x0 is proven unreachable: the fixed-horizon LP found no transfer up to
-    `horizon`, and `simulate.null_certificate` gives mu with mu . x0 > h(mu),
-    which the message quotes."""
+    """x0 is proven unreachable: `simulate.null_certificate` gives mu with
+    mu . x0 > h(mu), which the message quotes.  It is asked at every order
+    where there is no LP transfer: always below order 3, and at order 3 and
+    up when the fixed-horizon LP finds none up to `horizon`."""
 
 
 class SolverFailedError(RuntimeError):
     """No verified transfer, although the fixed-horizon LP reaches the origin,
-    or although nothing proves x0 unreachable when the LP finds no transfer."""
+    or although nothing proves x0 unreachable where there is no LP transfer."""
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Multi-start knobs; defaults suit small systems."""
+    """Knobs of the blind starts, which the LP's seeds do not use; defaults
+    suit small systems."""
 
     starts: int = 64
     seed: int = 0
@@ -500,10 +502,9 @@ def _descend(instance, gaps, c, known):
 
 
 def _rank(solution: LocalSolution) -> tuple:
-    """The key by which `min` picks a program's solution, among its starts
-    and between passes alike: converged solutions first, by cost, then the
-    rest, `SKIPPED` among them, by constraint residual; `min` keeps the
-    first of a tie."""
+    """The key by which `min` picks a program's solution among its starts:
+    converged solutions first, by cost, then the rest by constraint
+    residual; `min` keeps the first of a tie."""
     converged = solution.status == CONVERGED
     return not converged, solution.cost if converged else solution.constraint_residual
 
@@ -553,18 +554,6 @@ def _restore(spec, instances, starts: dict) -> dict:
         inst.instance_id: (g[:, : inst.slot_count], r)
         for inst, g, r in zip(programs, np.split(gaps, ends), np.split(c, ends))
     }
-
-
-def _pass(spec, instances, starts: dict, solutions: list) -> None:
-    """One pass of the solve: the start rows that `starts` maps program ids
-    to, restored in one `_restore` stack and descended by `solve_nlp`, each
-    program's result merged into its entry of solutions by `_rank`, which
-    keeps the entry on a tie."""
-    restored = _restore(spec, instances, starts)
-    for j, inst in enumerate(instances):
-        if inst.instance_id in restored:
-            solution = solve_nlp(inst, restored[inst.instance_id])
-            solutions[j] = min(solutions[j], solution, key=_rank)
 
 
 def _lp_word(inputs: np.ndarray, horizon: float) -> SwitchingSchedule:
@@ -621,78 +610,84 @@ def solve_time_fuel(
 ) -> SolveReport:
     """Solve the programs, verify against the simulator, keep the cheapest.
 
-    Two passes, the LP-seeded starts and the blind starts, fill one
-    solution per program by `_rank`: LP first at order 3 and up, blind first
-    below.  The solve stops after the first pass when its cheapest verified
-    answer costs no more than the LP's (any answer, when the LP has not
-    run).  A converged program only competes after its decoded schedule,
-    propagated from x0, lands on the origin within 10x the feasibility
-    tolerance.  Cost ties are broken by fewer switchings, then by the least
-    final time among the tied programs on each level word, then by the
-    word, then by id: the programs that embed one word differ in final time
-    only by rounding.  When the LP finds no transfer and
-    `simulate.null_certificate` proves x0 unreachable, the problem is
-    infeasible at once, before any pass still to run; with no verified
-    answer after both passes the solver has failed, its message quoting the
-    LP's cost or, when the LP found no transfer, the certificate's two
-    gauge bounds.  The passes that ran, and why, go to the "timefuel"
-    logger at DEBUG level.
+    One pass of starts, restored in one `_restore` stack and each program
+    descended by `solve_nlp`.  At order 3 and up the fixed-horizon LP runs
+    first, and when its word fits a program, the seeds of `_lp_seeds` are
+    the only starts: every other program stays `SKIPPED`.  Otherwise every
+    program gets its blind `_starts`: below order 3, when the LP finds no
+    transfer, and when its word fits no program, as under a switch budget
+    it exceeds.  Wherever there is no LP transfer, a proof from
+    `simulate.null_certificate` that x0 is unreachable makes the problem
+    infeasible before any start.  A converged program only competes after
+    its decoded schedule, propagated from x0, lands on the origin within
+    10x the feasibility tolerance.  Cost ties are broken by fewer
+    switchings, then by the least final time among the tied programs on
+    each level word, then by the word, then by id: the programs that embed
+    one word differ in final time only by rounding.  With no verified
+    answer the solver has failed, its message quoting the LP's cost and
+    word or, where there is no LP transfer, the certificate's two gauge
+    bounds, and suggesting more `starts` only when blind starts ran.  The
+    starts used, and why, go to the "timefuel" logger at DEBUG level.
     """
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     longest = horizon(spec)
+    lp = lp_oracle(spec, longest) if spec.order >= 3 else None
+    seeds = {}
+    why = f"order {spec.order} runs no LP" if spec.order < 3 else "the LP found no transfer"
+    if lp is not None:
+        lp_cost, lp_t_f, inputs = lp
+        word = _lp_word(inputs, lp_t_f)
+        shown = ",".join(map(str, word.levels))
+        seeds = _lp_seeds(instances, word)
+        why = f"the LP's word {shown} fits {len(seeds)} of {len(instances)} programs"
+    elif (proof := null_certificate(spec)).proven:
+        raise InfeasibleProblemError(
+            f"x0 is outside the null-controllable region, so no input reaches "
+            f"the origin at any horizon: mu = ({', '.join(f'{m:.6g}' for m in proof.mu)}) "
+            f"gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}, the support "
+            f"of the unstable part of that region"
+        )
+    _log.debug("the %s starts run: %s", "LP-seeded" if seeds else "blind", why)
+    starts = seeds or {inst.instance_id: _starts(inst, options, longest) for inst in instances}
+    restored = _restore(spec, instances, starts)
     solutions = [
-        LocalSolution(i.instance_id, (), math.inf, math.inf, math.inf, SKIPPED) for i in instances
+        solve_nlp(inst, restored[inst.instance_id])
+        if inst.instance_id in restored
+        else LocalSolution(inst.instance_id, (), math.inf, math.inf, math.inf, SKIPPED)
+        for inst in instances
     ]
-    lp, lp_cost, ran = None, math.inf, []
-    why = f"order {spec.order} runs no LP first" if spec.order < 3 else "the LP found no transfer"
-    # the LP-seeded pass first at order 3 and up, the blind pass first below
-    for seeded in (spec.order >= 3, spec.order < 3):
-        if not seeded:
-            ran.append("the blind multi-start")
-            starts = {inst.instance_id: _starts(inst, options, longest) for inst in instances}
-            _pass(spec, instances, starts, solutions)
-        elif (lp := lp_oracle(spec, longest)) is not None:
-            ran.append("the LP-seeded starts")
-            lp_cost, lp_t_f, inputs = lp
-            word = _lp_word(inputs, lp_t_f)
-            _pass(spec, instances, _lp_seeds(instances, word), solutions)
-        elif (proof := null_certificate(spec)).proven:
-            raise InfeasibleProblemError(
-                f"x0 is outside the null-controllable region, so no input reaches "
-                f"the origin at any horizon: mu = ({', '.join(f'{m:.6g}' for m in proof.mu)}) "
-                f"gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}, the support "
-                f"of the unstable part of that region"
-            )
-        verified = _verified(spec, instances, solutions)
-        cost = min((v.cost for v in verified), default=math.inf)
-        if seeded and lp is not None:
-            why = f"seeded cost {cost:.6f}, the LP's {lp_cost:.6f}"
-        if verified and cost <= lp_cost:
-            break
+    verified = _verified(spec, instances, solutions)
     if not verified:
         closest = min(solutions, key=lambda s: s.constraint_residual)
         refusal = (
             f"no program verified (best constraint residual "
             f"{closest.constraint_residual:.3e} ({closest.instance_id}))"
         )
-        if lp is None:
-            raise SolverFailedError(
-                f"{refusal}, and the fixed-horizon LP found no input reaching "
-                f"the origin at any horizon up to {longest:.6g}, but x0 is not "
-                f"proven unreachable: its gauge in the null-controllable region "
-                f"lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+        if lp is not None:
+            refusal += (
+                f", although the fixed-horizon LP reaches the origin at cost "
+                f"{lp_cost:.6f} (t_f {lp_t_f:.6g}, word {shown})"
             )
-        hint = "raising `starts` may help"
-        if spec.max_switches is not None and word.switch_count > spec.max_switches:
-            hint = (
-                f"its word has {word.switch_count} switches, over the budget of "
-                f"{spec.max_switches}, so it says nothing of the budgeted problem"
+        else:
+            if spec.order >= 3:
+                refusal += (
+                    f", and the fixed-horizon LP found no input reaching the "
+                    f"origin at any horizon up to {longest:.6g}"
+                )
+            refusal += (
+                f", but x0 is not proven unreachable: its gauge in the "
+                f"null-controllable region lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
             )
-        raise SolverFailedError(
-            f"{refusal}, although the fixed-horizon LP reaches the origin at "
-            f"cost {lp_cost:.6f} (t_f {lp_t_f:.6g}, word "
-            f"{','.join(map(str, word.levels))}); {hint}"
-        )
+        budget = spec.max_switches
+        if lp is not None and budget is not None and word.switch_count > budget:
+            refusal += (
+                f"; its word has {word.switch_count} switches, over the budget of "
+                f"{budget}, so it says nothing of the budgeted problem"
+            )
+        elif not seeds:
+            refusal += "; raising `starts` may help"
+        raise SolverFailedError(refusal)
+    cost = min(v.cost for v in verified)
     tied = [v for v in verified if v.cost <= cost * (1.0 + TIE_REL_TOL) + 1e-300]
     word_t_f = {}
     for v in tied:
@@ -707,7 +702,6 @@ def solve_time_fuel(
             v.instance_id,
         ),
     )
-    _log.debug("%s answered by %s (%s)", ties[0].instance_id, " then ".join(ran), why)
     return SolveReport(
         per_instance=tuple(solutions),
         best=ties[0],

@@ -6,7 +6,6 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +62,17 @@ def blind_starts(instances, options):
 def restored_alone(inst, options=OPTS):
     """One program's blind starts restored on their own, for `solve_nlp`."""
     return _restore(inst.spec, [inst], blind_starts([inst], options))[inst.instance_id]
+
+
+def no_starts(*args, **kwargs):
+    """A stand-in for `solver._starts` in a solve that must draw none."""
+    raise AssertionError("blind starts drawn")
+
+
+def cheaper_lp_oracle(spec, t_max):
+    """`lp_oracle` with its cost scaled by 0.99, below the optimum."""
+    cost, t_f, inputs = lp_oracle(spec, t_max)
+    return 0.99 * cost, t_f, inputs
 
 
 @pytest.mark.parametrize(
@@ -240,9 +250,9 @@ class TestHigherOrder:
         self._check(4, [0.1, 0.2, 0.4, 0.5], starts=8)
 
     def test_sixth_order_transfer(self):
-        # the six starts all stall, so the answer comes from the LP-seeded
-        # retry: the only feasible shape is an eleven-slot alternating word
-        # at t_f ~ 2.2
+        # six blind starts all stall; the answer comes from the LP's seeds:
+        # the only feasible shape is an eleven-slot alternating word at
+        # t_f ~ 2.2
         report = self._check(6, [0.1, 0.2, 0.4, 0.5, 0.8, 1.0], starts=6)
         assert report.best.schedule.levels == (-1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1)
 
@@ -577,9 +587,9 @@ class TestLpRetry:
 
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
         # each program that contains the LP word gets one seeded solve of a
-        # single restored start, first; the 8 programs' blind solves of
-        # their restored starts follow only when no seeded answer costs at
-        # most the LP's, here once the LP's cost is halved
+        # single restored start, and no other program runs, whatever the
+        # LP's cost: halved, it is below every answer, and still no blind
+        # start is drawn
         calls, words = [], []
 
         def counting_solve_nlp(instance, restored):
@@ -609,16 +619,10 @@ class TestLpRetry:
                 for inst in instances
                 if _slots(inst.levels, words[0].levels) is not None
             }
-            blind = [i for i, gaps in calls if len(gaps) == self.OPTIONS.starts]
-            seeded = [i for i, gaps in calls if len(gaps) == 1]
-            assert self.OPTIONS.starts > 1 and len(blind) + len(seeded) == len(calls)
-            assert len(words) == 1 and containing and sorted(seeded) == sorted(containing)
-            assert [i for i, _ in calls[: len(seeded)]] == seeded
-            if lp_scale == 1.0:
-                assert blind == []
-            else:
-                assert len(blind) == len(instances) == 8
-                assert sorted(blind) == sorted(inst.instance_id for inst in instances)
+            assert all(len(gaps) == 1 for _, gaps in calls)
+            assert len(words) == 1 and containing
+            assert sorted(i for i, _ in calls) == sorted(containing)
+            assert len(containing) < len(instances) == 8
 
     def test_counterexample_deterministic(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
@@ -644,11 +648,8 @@ class TestLpRetry:
 
 def test_stable_1_solves_from_the_lp_seed(monkeypatch):
     # the free n=4 draw `stable-1` of the benchmark's stable_free set: at
-    # n >= 3 the LP runs first, and its seeded answer verifies at no more
-    # than the LP's cost, so no blind start is drawn
-    def no_starts(*args, **kwargs):
-        raise AssertionError("blind starts drawn")
-
+    # n >= 3 the LP runs first, and its word seeds programs, so no blind
+    # start is drawn
     monkeypatch.setattr(solver, "_starts", no_starts)
     spec = stable_spec((3, 4, 5, 6), [0.0883, -0.3688, -0.2573, -0.0863])
     options = SolverOptions(starts=16, seed=0)
@@ -656,8 +657,7 @@ def test_stable_1_solves_from_the_lp_seed(monkeypatch):
 
 
 def test_order_two_solves_blind(monkeypatch, example_spec):
-    # at n <= 2 the blind multi-start runs first, and a verified blind
-    # answer leaves the LP unconsulted
+    # at n <= 2 only the blind starts run, and the LP is never consulted
     def no_lp(*args, **kwargs):
         raise AssertionError("lp_oracle consulted")
 
@@ -695,44 +695,26 @@ def test_sixteen_starts_find_the_optimum():
     assert report.best.schedule.levels == (1, 0, -1, 0, 1)
 
 
-def test_guard_falls_through_to_the_blind_pass(monkeypatch, caplog):
-    # an LP cost below every seeded answer fails the guard, and the blind
-    # multi-start runs; each program keeps the better of its seeded and
-    # blind solutions, so OP2-plus-- keeps its seeded optimum, word
-    # 1,0,-1,0,1 at 2.315893, over the blind starts' embedded word 0,-1,0,1
-    # at 2.324992, and no program is skipped
-    seeded = {}
-
-    def recording_solve_nlp(instance, restored):
-        solution = solve_nlp(instance, restored)
-        if len(restored[0]) == 1:
-            seeded[instance.instance_id] = solution
-        return solution
-
-    def cheaper_lp_oracle(spec, t_max):
-        cost, t_f, inputs = lp_oracle(spec, t_max)
-        return 0.99 * cost, t_f, inputs
-
+def test_seeded_answer_stands_below_the_lp_cost(monkeypatch, caplog):
+    # an LP cost below every seeded answer draws no blind start: OP2-plus--
+    # answers from its seed at the optimum, word 1,0,-1,0,1 at 2.315893,
+    # which 16 blind starts miss (they give word 0,-1,0,1 at 2.324992)
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
-    monkeypatch.setattr(solver, "solve_nlp", recording_solve_nlp)
+    monkeypatch.setattr(solver, "_starts", no_starts)
     with caplog.at_level(logging.DEBUG, logger="timefuel"):
         report = solve_time_fuel(parse_problem(SUBOPTIMAL), SolverOptions(starts=16, seed=0))
     assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
     assert report.best.schedule.levels == (1, 0, -1, 0, 1)
     assert report.ties == ("OP2-plus--",)
-    per_instance = {s.instance_id: s for s in report.per_instance}
-    assert per_instance["OP2-plus--"] == seeded["OP2-plus--"]
-    assert all(s.status != solver.SKIPPED for s in report.per_instance)
-    assert caplog.messages[-1] == (
-        "OP2-plus-- answered by the LP-seeded starts then the blind multi-start "
-        "(seeded cost 2.315893, the LP's 2.292747)"
+    assert caplog.messages[0] == (
+        "the LP-seeded starts run: the LP's word 1,0,-1,0,1 fits 1 of 4 programs"
     )
 
 
-def test_passes_merge_by_rank(monkeypatch):
-    # each program's entry keeps the better of it and the pass's result:
+def test_rank_picks_a_programs_solution():
     # converged beats unconverged and skipped, the cheaper converged beats
-    # the dearer, and on a tie the entry stays
+    # the dearer, the closer unconverged beats the farther, and on a tie
+    # the first stays
     def sol(name, cost, residual, status):
         return solver.LocalSolution(name, (), cost, 0.0, residual, status)
 
@@ -752,13 +734,7 @@ def test_passes_merge_by_rank(monkeypatch):
         (cheap, tie, cheap),
         (tie, cheap, tie),
     ]
-    instances = [SimpleNamespace(instance_id=str(j)) for j in range(len(pairs))]
-    results = {str(j): new for j, (_, new, _) in enumerate(pairs)}
-    monkeypatch.setattr(solver, "_restore", lambda spec, insts, starts: dict.fromkeys(starts))
-    monkeypatch.setattr(solver, "solve_nlp", lambda inst, restored: results[inst.instance_id])
-    solutions = [old for old, _, _ in pairs]
-    solver._pass(None, instances, {inst.instance_id: None for inst in instances}, solutions)
-    assert all(got is want for got, (_, _, want) in zip(solutions, pairs))
+    assert all(min(old, new, key=solver._rank) is want for old, new, want in pairs)
 
 
 def test_certified_refusal_runs_one_lp_and_no_blind_pass(monkeypatch):
@@ -771,9 +747,6 @@ def test_certified_refusal_runs_one_lp_and_no_blind_pass(monkeypatch):
     def no_transfer(spec, t_max):
         lp_calls.append(t_max)
         return None
-
-    def no_starts(*args, **kwargs):
-        raise AssertionError("blind starts drawn")
 
     monkeypatch.setattr(solver, "lp_oracle", no_transfer)
     monkeypatch.setattr(solver, "_starts", no_starts)
@@ -793,8 +766,9 @@ def test_certified_refusal_runs_one_lp_and_no_blind_pass(monkeypatch):
 def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
     # `unstable` of tools/reports.py is reachable, its gauge 0.99 just
     # below 1: with the LP made to find no transfer, the certificate proves
-    # nothing, the blind multi-start runs and fails (its optimum is the one
-    # the simulator rejects), and the refusal is exit 3 with both bounds
+    # nothing, the blind starts run and fail (their optimum is the one the
+    # simulator rejects), and the refusal is exit 3 with both bounds and
+    # the hint to raise `starts`, since blind starts ran
     spec = parse_problem(UNSTABLE)
     proof = null_certificate(spec)
     assert not proof.proven and proof.lower <= proof.upper < 1.0
@@ -803,8 +777,58 @@ def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert str(refusal.value).endswith(
         f"but x0 is not proven unreachable: its gauge in the null-controllable "
-        f"region lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+        f"region lies in [{proof.lower:.6g}, {proof.upper:.6g}]; raising `starts` may help"
     )
+
+
+def test_seeded_refusal_draws_no_blind_start(monkeypatch):
+    # `unstable`'s LP word seeds programs whose answers the simulator
+    # rejects: the solve refuses at once, as exit 3 quoting the LP, with no
+    # blind start drawn and no hint to raise `starts`
+    monkeypatch.setattr(solver, "_starts", no_starts)
+    with pytest.raises(SolverFailedError) as refusal:
+        solve_time_fuel(parse_problem(UNSTABLE), SolverOptions(starts=16, seed=0))
+    message = str(refusal.value)
+    assert "although the fixed-horizon LP reaches the origin at cost" in message
+    assert "starts" not in message
+
+
+def test_certified_refusal_below_order_three_runs_nothing(monkeypatch):
+    # x' = x + u from x0 = 2: the null-controllable region is (-1, 1), and
+    # at n <= 2 the certificate is asked before any start, so the refusal
+    # is exit 2 with neither the LP nor a blind start run
+    def no_lp(*args, **kwargs):
+        raise AssertionError("lp_oracle consulted")
+
+    monkeypatch.setattr(solver, "lp_oracle", no_lp)
+    monkeypatch.setattr(solver, "_starts", no_starts)
+    with pytest.raises(InfeasibleProblemError, match="outside the null-controllable region"):
+        solve_time_fuel(scalar_spec(lam=1.0, b=1.0, x0=2.0), OPTS)
+
+
+def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
+    # n = 3 under a switch budget: the LP's word -1,0,1,0,-1 has 4
+    # switches, so under a budget of 4 it seeds the program that contains
+    # it, whose answer stands with no blind start drawn, even with the LP's
+    # cost (0.637067) scaled below it; under a budget of 2 the word fits no
+    # program, and the blind starts run
+    drawn = []
+
+    def recording_starts(instance, options, longest):
+        drawn.append(instance.instance_id)
+        return _starts(instance, options, longest)
+
+    spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
+    budgeted = {m: validate_problem(spec.system, spec.x0, spec.k, max_switches=m) for m in (2, 4)}
+    monkeypatch.setattr(solver, "_starts", no_starts)
+    report = solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0))
+    assert report.best.cost == 0.6370635537714359
+    monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
+    assert solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0)) == report
+    monkeypatch.setattr(solver, "_starts", recording_starts)
+    with pytest.raises(SolverFailedError, match="its word has 4 switches, over the budget of 2"):
+        solve_time_fuel(budgeted[2], SolverOptions(starts=16, seed=0))
+    assert sorted(drawn) == sorted(inst.instance_id for inst in build_all(budgeted[2]))
 
 
 def test_near_origin_x0_solves_from_the_empty_word(monkeypatch):
@@ -812,9 +836,6 @@ def test_near_origin_x0_solves_from_the_empty_word(monkeypatch):
     # empty, which embeds in every word, so it seeds every program with
     # gaps all 0, and the empty schedule verifies at cost 0 with no blind
     # start drawn
-    def no_starts(*args, **kwargs):
-        raise AssertionError("blind starts drawn")
-
     monkeypatch.setattr(solver, "_starts", no_starts)
     report = solve_time_fuel(stable_spec((1, 2, 3), [1e-9, 0.0, 0.0]), SolverOptions(8, 0))
     assert report.best.cost == 0.0
@@ -902,13 +923,13 @@ def test_skipped_programs_are_deterministic():
     strict=True,
     raises=SolverFailedError,
     reason="converged but rejected: OP2-plus-- meets the reach residual at "
-    "1.3e-14, while the simulator's |x(t_f)| is 2.1e-5, rounding amplified "
+    "1.8e-14, while the simulator's |x(t_f)| is 2.1e-5, rounding amplified "
     "by e^(4 t_f) ~ 4e11 (ROADMAP item 1: terminal-state residuals)",
 )
 def test_unstable_optimum_passes_the_simulator():
-    # b = 1, lambda = -1/2, 1, 4: OP2-plus-- converges on word 1,0,-1,0,1
-    # at 12.169956 (t_f 6.6954), below the LP's 12.185535 on word 1,-1,0,1;
-    # the LP-seeded retry reaches the same point and is rejected alike
+    # b = 1, lambda = -1/2, 1, 4: from the LP's seed, OP2-plus-- converges
+    # on word 1,0,-1,0,1 at 12.169956 (t_f 6.6954), below the LP's 12.182977
+    # on the same word, and the simulator rejects it
     report = solve_time_fuel(parse_problem(UNSTABLE), SolverOptions(starts=16, seed=0))
     assert report.best.cost == pytest.approx(12.169956, rel=1e-6)
 
@@ -1270,11 +1291,11 @@ class TestMergeIntoKnownMinimum:
             report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
         assert [r.name for r in caplog.records] == ["timefuel"] * 5
         assert caplog.messages == [
+            "the blind starts run: order 2 runs no LP",
             "OP1-minus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
             "OP1-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
             "OP2-minus: 16 starts, 16 descended, 1 converged, 15 merged into a known minimum",
             "OP2-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
-            "OP2-minus answered by the blind multi-start (order 2 runs no LP first)",
         ]
         # the log leaves the report as it is
         quiet = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))

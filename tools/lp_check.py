@@ -4,12 +4,12 @@ One line per problem of `tools/reports.py`'s set, tab-separated: its name,
 then `infeasible` when `lp_oracle(spec, solver.horizon(spec))` returns
 None, followed by what `simulate.null_certificate` makes of it: the reprs
 of mu.x0 and h(mu) when it proves x0 unreachable, or else `uncertified`
-and the reprs of its lower and upper gauge bounds (nothing, for a package
-that has no certificate).  Otherwise the line has `feasible`, the LP word
-(the cell inputs rounded and condensed by `solver._lp_word`) as its
-levels, the repr of the cost and of the horizon, and the CRC-32 of the
-cell inputs' bytes.  The LP and the certificate do not depend on timing,
-so two runs print the same bytes, and two trees compare by `diff`:
+and the reprs of its lower and upper gauge bounds.  Otherwise the line
+has `feasible`, the LP word (the cell inputs rounded and condensed by
+`solver._lp_word`) as its levels, the repr of the cost and of the
+horizon, and the CRC-32 of the cell inputs' bytes.  The LP and the
+certificate do not depend on timing, so two runs print the same bytes,
+and two trees compare by `diff`:
 
     python3 tools/lp_check.py [--src OTHER/src] > lp.txt
 
@@ -35,8 +35,6 @@ def lp_line(name, spec) -> str:
 
     lp = simulate.lp_oracle(spec, horizon(spec))
     if lp is None:
-        if not hasattr(simulate, "null_certificate"):
-            return f"{name}\tinfeasible"
         proof = simulate.null_certificate(spec)
         if proof.proven:
             return f"{name}\tinfeasible\t{proof.mu_x0!r}\t{proof.h!r}"
