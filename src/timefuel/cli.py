@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
-0 success, 1 usage, validation or file error, 2 infeasible problem (a
-certificate proves x0 outside the null-controllable region, at any order),
-3 solver failure (no local solve verifies, although the LP finds a
-transfer or nothing proves x0 unreachable).  `--starts` and `--seed` drive
+0 success, 1 usage, validation or file error, 2 infeasible problem (the
+certificate, asked first at every order, proves x0 outside the
+null-controllable region), 3 solver failure (no local solve verifies, and
+nothing proves x0 unreachable).  `--starts` and `--seed` drive
 only the blind starts, which run at order 2 and below and wherever the LP's
 word seeds no program.  All outputs are deterministic for fixed inputs,
 flags and seed; JSON is emitted with sorted keys and CSV uses '.' decimals

@@ -129,15 +129,6 @@ class Trajectory:
     terminal_state: np.ndarray
 
 
-def _pulse(lam: np.ndarray, dt: float) -> np.ndarray:
-    # (e^(lam dt) - 1) / lam, with the lam -> 0 limit dt
-    out = np.empty_like(lam)
-    nz = lam != 0.0
-    out[nz] = np.expm1(lam[nz] * dt) / lam[nz]
-    out[~nz] = dt
-    return out
-
-
 def propagate(
     system: LtiSystem,
     x0: Sequence[float],
@@ -161,7 +152,7 @@ def propagate(
         seg = bp[i + 1] - bp[i]
         for s in range(1, samples_per_segment + 1):
             dt = seg * s / samples_per_segment
-            xi = np.exp(lam * dt) * x + level * b * _pulse(lam, dt)
+            xi = np.exp(lam * dt) * x + level * b * (np.expm1(lam * dt) / lam)
             ts.append(bp[i] + dt)
             xs.append(xi)
         x = xs[-1]

@@ -29,14 +29,14 @@ The fixed-horizon LP of `simulate.lp_oracle`, searched up to `horizon`,
 gives a cost that bounds the optimum from above, up to the cell
 discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016), and an input
 that, rounded to a level word, seeds every program that contains the word,
-restored and descended like a blind start.  A solve is one pass: at order 3
-and up the LP's seeds, when its word fits a program, and the blind starts
-otherwise.  `_rank` picks each program's solution among its starts:
-converged solutions first, by cost, then the rest, by constraint residual,
-the first winning a tie.  Wherever there is no LP transfer,
-`simulate.null_certificate` decides the refusal: a proof that x0 lies
-outside the null-controllable region ends the solve before any start, and
-without one no refusal claims that x0 is unreachable.
+restored and descended like a blind start.  A solve opens with
+`simulate.null_certificate`, which alone decides the refusal: a proof that
+x0 lies outside the null-controllable region ends it before anything else
+runs, and without one no refusal claims that x0 is unreachable.  Then it is
+one pass: at order 3 and up the LP's seeds, when its word fits a program,
+and the blind starts otherwise.  `_rank` picks each program's solution
+among its starts: converged solutions first, by cost, then the rest, by
+constraint residual, the first winning a tie.
 """
 
 from __future__ import annotations
@@ -90,15 +90,12 @@ _log = logging.getLogger("timefuel")
 
 
 class InfeasibleProblemError(RuntimeError):
-    """x0 is proven unreachable: `simulate.null_certificate` gives mu with
-    mu . x0 > h(mu), which the message quotes.  It is asked at every order
-    where there is no LP transfer: always below order 3, and at order 3 and
-    up when the fixed-horizon LP finds none up to `horizon`."""
+    """x0 is proven unreachable: `simulate.null_certificate`, asked first at
+    every order, gives mu with mu . x0 > h(mu), which the message quotes."""
 
 
 class SolverFailedError(RuntimeError):
-    """No verified transfer, although the fixed-horizon LP reaches the origin,
-    or although nothing proves x0 unreachable where there is no LP transfer."""
+    """No verified transfer, although nothing proves x0 unreachable."""
 
 
 @dataclass(frozen=True)
@@ -610,25 +607,34 @@ def solve_time_fuel(
 ) -> SolveReport:
     """Solve the programs, verify against the simulator, keep the cheapest.
 
-    One pass of starts, restored in one `_restore` stack and each program
-    descended by `solve_nlp`.  At order 3 and up the fixed-horizon LP runs
-    first, and when its word fits a program, the seeds of `_lp_seeds` are
-    the only starts: every other program stays `SKIPPED`.  Otherwise every
-    program gets its blind `_starts`: below order 3, when the LP finds no
-    transfer, and when its word fits no program, as under a switch budget
-    it exceeds.  Wherever there is no LP transfer, a proof from
-    `simulate.null_certificate` that x0 is unreachable makes the problem
-    infeasible before any start.  A converged program only competes after
-    its decoded schedule, propagated from x0, lands on the origin within
-    10x the feasibility tolerance.  Cost ties are broken by fewer
-    switchings, then by the least final time among the tied programs on
-    each level word, then by the word, then by id: the programs that embed
-    one word differ in final time only by rounding.  With no verified
-    answer the solver has failed, its message quoting the LP's cost and
-    word or, where there is no LP transfer, the certificate's two gauge
-    bounds, and suggesting more `starts` only when blind starts ran.  The
-    starts used, and why, go to the "timefuel" logger at DEBUG level.
+    A proof from `simulate.null_certificate` that x0 is unreachable makes
+    the problem infeasible before anything else runs.  Otherwise one pass of
+    starts, restored in one `_restore` stack and each program descended by
+    `solve_nlp`.  At order 3 and up the fixed-horizon LP runs first, and
+    when its word fits a program, the seeds of `_lp_seeds` are the only
+    starts: every other program stays `SKIPPED`.  Otherwise every program
+    gets its blind `_starts`: below order 3, when the LP finds no transfer,
+    and when its word fits no program, as under a switch budget it exceeds.
+    A converged program only competes after its decoded schedule,
+    propagated from x0, lands on the origin within 10x the feasibility
+    tolerance.  Cost ties are broken by fewer switchings, then by the least
+    final time among the tied programs on each level word, then by the
+    word, then by id: the programs that embed one word differ in final time
+    only by rounding.  With no verified answer the solver has failed, its
+    message quoting the least residual after the descents and after
+    restoration, the LP's cost and word or that it found none, and the
+    certificate's two gauge bounds, and suggesting more `starts` only when
+    blind starts ran.  The starts used, and why, go to the "timefuel"
+    logger at DEBUG level.
     """
+    proof = null_certificate(spec)
+    if proof.proven:
+        raise InfeasibleProblemError(
+            f"x0 is outside the null-controllable region, so no input reaches "
+            f"the origin at any horizon: mu = ({', '.join(f'{m:.6g}' for m in proof.mu)}) "
+            f"gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}, the support "
+            f"of the unstable part of that region"
+        )
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     longest = horizon(spec)
     lp = lp_oracle(spec, longest) if spec.order >= 3 else None
@@ -640,13 +646,6 @@ def solve_time_fuel(
         shown = ",".join(map(str, word.levels))
         seeds = _lp_seeds(instances, word)
         why = f"the LP's word {shown} fits {len(seeds)} of {len(instances)} programs"
-    elif (proof := null_certificate(spec)).proven:
-        raise InfeasibleProblemError(
-            f"x0 is outside the null-controllable region, so no input reaches "
-            f"the origin at any horizon: mu = ({', '.join(f'{m:.6g}' for m in proof.mu)}) "
-            f"gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}, the support "
-            f"of the unstable part of that region"
-        )
     _log.debug("the %s starts run: %s", "LP-seeded" if seeds else "blind", why)
     starts = seeds or {inst.instance_id: _starts(inst, options, longest) for inst in instances}
     restored = _restore(spec, instances, starts)
@@ -659,30 +658,32 @@ def solve_time_fuel(
     verified = _verified(spec, instances, solutions)
     if not verified:
         closest = min(solutions, key=lambda s: s.constraint_residual)
+        # the least residual of any restored start row, and its program
+        least, least_id = min((np.abs(c).max(axis=1).min(), i) for i, (_, c) in restored.items())
         refusal = (
             f"no program verified (best constraint residual "
-            f"{closest.constraint_residual:.3e} ({closest.instance_id}))"
+            f"{closest.constraint_residual:.3e} ({closest.instance_id}), best restored "
+            f"residual {least:.3e} ({least_id}))"
         )
         if lp is not None:
             refusal += (
                 f", although the fixed-horizon LP reaches the origin at cost "
                 f"{lp_cost:.6f} (t_f {lp_t_f:.6g}, word {shown})"
             )
-        else:
-            if spec.order >= 3:
-                refusal += (
-                    f", and the fixed-horizon LP found no input reaching the "
-                    f"origin at any horizon up to {longest:.6g}"
-                )
+        elif spec.order >= 3:
             refusal += (
-                f", but x0 is not proven unreachable: its gauge in the "
-                f"null-controllable region lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+                f", and the fixed-horizon LP found no input reaching the "
+                f"origin at any horizon up to {longest:.6g}"
             )
+        refusal += (
+            f"; the gauge of x0's unstable part in the null-controllable region "
+            f"lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+        )
         budget = spec.max_switches
         if lp is not None and budget is not None and word.switch_count > budget:
             refusal += (
-                f"; its word has {word.switch_count} switches, over the budget of "
-                f"{budget}, so it says nothing of the budgeted problem"
+                f"; the LP's word has {word.switch_count} switches, over the budget "
+                f"of {budget}, so it says nothing of the budgeted problem"
             )
         elif not seeds:
             refusal += "; raising `starts` may help"

@@ -27,7 +27,7 @@ from timefuel.solver import _lp_word, horizon
 from conftest import random_schedule, random_system
 
 
-def rk4_propagate(system, x0, schedule, step=1e-5):
+def rk4_propagate(system, x0, schedule, step=2e-4):
     """Reference integrator: classic fourth-order Runge-Kutta per segment."""
     lam = system.eigenvalues
     b = system.gains
@@ -547,6 +547,36 @@ class TestNullCertificate:
         assert len(brackets) == 4
         for (lo, hi), root in zip(brackets, roots):
             assert lo - 1e-12 <= root <= hi + 1e-12
+
+    def test_sound_on_both_sides_of_the_boundary(self):
+        # 24 spectra, 8 each at n = 2, 3, 4: one unstable lambda from 1..3,
+        # the rest distinct from -6..-1, 1..3, b = 1, x0 uniform in [-1, 1],
+        # all from default_rng(4242) with every draw kept.  x0's unstable
+        # part scaled to gauge 0.5, 0.9, 0.99 by the upper bound is inside
+        # the region, so no proof may come; scaled to 1.01, 1.1 by the
+        # lower bound it is outside, and the proof must come
+        rng = np.random.default_rng(4242)
+        wrong = []
+        for i in range(24):
+            n = 2 + i % 3
+            first = int(rng.choice([1, 2, 3]))
+            rest = [v for v in (-6, -5, -4, -3, -2, -1, 1, 2, 3) if v != first]
+            lam = [first, *(int(v) for v in rng.choice(rest, n - 1, replace=False))]
+            system = LtiSystem(build_spectrum([(v, 1) for v in lam]), (1.0,) * n)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            unstable = system.eigenvalues > 0.0
+            proof = null_certificate(validate_problem(system, x0, 1.0))
+            for gauge, bound, want in [
+                (0.5, proof.upper, False),
+                (0.9, proof.upper, False),
+                (0.99, proof.upper, False),
+                (1.01, proof.lower, True),
+                (1.1, proof.lower, True),
+            ]:
+                scaled = np.where(unstable, x0 * gauge / bound, x0)
+                if null_certificate(validate_problem(system, scaled, 1.0)).proven != want:
+                    wrong.append((lam, gauge))
+        assert not wrong
 
     def test_certifies_exactly_the_unreachable_comparison_problems(self):
         # the three refusals of the set are proven unreachable, with h(mu)

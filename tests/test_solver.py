@@ -521,7 +521,8 @@ def check_against_lp(spec, report, options):
 
 
 class TestLpRetry:
-    """Feasible problems on which every multi-start start stalls."""
+    """Stable problems on which every blind start stalls, solved from the
+    LP's seeds."""
 
     OPTIONS = SolverOptions(starts=16, seed=0)
     COUNTEREXAMPLE = ((1, 2, 3, 4), [0.2, 0.15, 0.1, 0.05])
@@ -737,24 +738,20 @@ def test_rank_picks_a_programs_solution():
     assert all(min(old, new, key=solver._rank) is want for old, new, want in pairs)
 
 
-def test_certified_refusal_runs_one_lp_and_no_blind_pass(monkeypatch):
-    # `mixed-3` of the benchmark is unreachable: the LP finds no transfer,
-    # and the gauge certificate proves x0 outside the null-controllable
-    # region, so the refusal comes at once, with no blind start drawn, and
-    # quotes mu, mu.x0 and h(mu)
-    lp_calls = []
+def test_certified_refusal_runs_no_lp_and_no_start(monkeypatch):
+    # `mixed-3` of the benchmark is unreachable: the gauge certificate,
+    # asked first, proves x0 outside the null-controllable region, so the
+    # refusal comes at once, with no program built, no LP and no blind
+    # start, and quotes mu, mu.x0 and h(mu)
+    def never(*args, **kwargs):
+        raise AssertionError("the solve went past the certificate")
 
-    def no_transfer(spec, t_max):
-        lp_calls.append(t_max)
-        return None
-
-    monkeypatch.setattr(solver, "lp_oracle", no_transfer)
-    monkeypatch.setattr(solver, "_starts", no_starts)
+    for name in ("build_all", "lp_oracle", "_starts"):
+        monkeypatch.setattr(solver, name, never)
     case = next(c for c in benchmark_problems(monkeypatch) if c.name == "mixed-3")
     spec = parse_problem(case.problem)
     with pytest.raises(InfeasibleProblemError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
-    assert lp_calls == [horizon(spec)]
     proof = null_certificate(spec)
     assert proof.proven
     mu = ", ".join(f"{m:.6g}" for m in proof.mu)
@@ -763,12 +760,51 @@ def test_certified_refusal_runs_one_lp_and_no_blind_pass(monkeypatch):
     )
 
 
+def test_certificate_is_asked_once_before_the_lp(monkeypatch):
+    # `mixed-0` of the benchmark is reachable at n = 4 with one unstable
+    # mode: the certificate is asked once, first, proves nothing, and the
+    # LP then runs and seeds the answer
+    calls = []
+
+    def recorded(name, inner):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("null_certificate", "lp_oracle"):
+        monkeypatch.setattr(solver, name, recorded(name, getattr(solver, name)))
+    case = next(c for c in benchmark_problems(monkeypatch) if c.name == "mixed-0")
+    spec = parse_problem(case.problem)
+    assert spec.order >= 3 and np.any(spec.system.eigenvalues > 0.0)
+    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert report.best is not None
+    assert calls == ["null_certificate", "lp_oracle"]
+
+
+def test_refusal_quotes_the_least_restored_residual():
+    # `hi-n7-1` of tools/reports.py refuses: OP2-minus-+-+-+ restores its
+    # seed to 3.439e-07, but its descent ends at 3.209e+00, and the refusal
+    # quotes both
+    spec = stable_spec(
+        (2, 3, 6, 7, 8, 9, 10), [-0.0349, -0.3387, 0.2665, -0.3929, -0.0555, -0.429, -0.0281]
+    )
+    with pytest.raises(SolverFailedError) as refusal:
+        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert str(refusal.value).startswith(
+        "no program verified (best constraint residual 3.209e+00 (OP2-minus-+-+-+), "
+        "best restored residual 3.439e-07 (OP2-minus-+-+-+)), "
+    )
+
+
 def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
     # `unstable` of tools/reports.py is reachable, its gauge 0.99 just
-    # below 1: with the LP made to find no transfer, the certificate proves
-    # nothing, the blind starts run and fail (their optimum is the one the
-    # simulator rejects), and the refusal is exit 3 with both bounds and
-    # the hint to raise `starts`, since blind starts ran
+    # below 1: the certificate proves nothing, and with the LP made to find
+    # no transfer the blind starts run and fail (their optimum is the one
+    # the simulator rejects), and the refusal is exit 3 saying that the LP
+    # found nothing, with both bounds and the hint to raise `starts`, since
+    # blind starts ran
     spec = parse_problem(UNSTABLE)
     proof = null_certificate(spec)
     assert not proof.proven and proof.lower <= proof.upper < 1.0
@@ -776,8 +812,10 @@ def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
     with pytest.raises(SolverFailedError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert str(refusal.value).endswith(
-        f"but x0 is not proven unreachable: its gauge in the null-controllable "
-        f"region lies in [{proof.lower:.6g}, {proof.upper:.6g}]; raising `starts` may help"
+        f", and the fixed-horizon LP found no input reaching the origin at any "
+        f"horizon up to {horizon(spec):.6g}; the gauge of x0's unstable part in the "
+        f"null-controllable region lies in [{proof.lower:.6g}, {proof.upper:.6g}]; "
+        f"raising `starts` may help"
     )
 
 
@@ -826,7 +864,7 @@ def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
     assert solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0)) == report
     monkeypatch.setattr(solver, "_starts", recording_starts)
-    with pytest.raises(SolverFailedError, match="its word has 4 switches, over the budget of 2"):
+    with pytest.raises(SolverFailedError, match="LP's word has 4 switches, over the budget of 2"):
         solve_time_fuel(budgeted[2], SolverOptions(starts=16, seed=0))
     assert sorted(drawn) == sorted(inst.instance_id for inst in build_all(budgeted[2]))
 
@@ -860,20 +898,25 @@ def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
     assert closest.instance_id == "OP2-plus--+-+"
     assert str(refusal.value).startswith(
         f"no program verified (best constraint residual "
-        f"{closest.constraint_residual:.3e} (OP2-plus--+-+)), "
+        f"{closest.constraint_residual:.3e} (OP2-plus--+-+), best restored residual "
     )
     assert f"{closest.constraint_residual:.3e}" == "1.904e-06"
 
 
 def test_refusal_over_the_switch_budget_names_it():
     # the LP's word -1,0,1,0,-1 has 4 switches, so no program under a
-    # budget of 2 contains it and more starts cannot be what is missing
+    # budget of 2 contains it and more starts cannot be what is missing;
+    # the note follows the gauge bounds, [0, 0] on a stable system
     spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
     spec = validate_problem(spec.system, spec.x0, spec.k, max_switches=2)
     with pytest.raises(SolverFailedError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     message = str(refusal.value)
-    assert "word -1,0,1,0,-1); its word has 4 switches, over the budget of 2" in message
+    assert message.endswith(
+        "word -1,0,1,0,-1); the gauge of x0's unstable part in the null-controllable "
+        "region lies in [0, 0]; the LP's word has 4 switches, over the budget of 2, "
+        "so it says nothing of the budgeted problem"
+    )
     assert "starts" not in message
 
 

@@ -13,6 +13,7 @@ COUNTS = {
     "slsqp_steps",
     "polish_calls",
     "lp_solves",
+    "highs_runs",
 }
 
 
@@ -34,7 +35,9 @@ def test_ref2_counts_are_byte_identical(tmp_path):
         assert set(counts) == COUNTS and all(isinstance(v, int) for v in counts.values())
         # every restoration pass solves at least one row
         assert 0 < counts["lm_passes"] <= counts["lm_row_passes"]
-        assert counts["kernel_calls"] > counts["lm_passes"] and counts["lp_solves"] == 0
+        assert counts["kernel_calls"] > counts["lm_passes"]
+        # the reference system is stable: no transfer LP and no gauge LP
+        assert counts["lp_solves"] == counts["highs_runs"] == 0
 
 
 def test_compare_shows_totals_and_moves(tmp_path, capsys):

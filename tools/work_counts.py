@@ -11,7 +11,10 @@ at 16 starts, seed 0, and per problem these integer counts are kept:
 - `slsqp_steps`: calls of scipy's SLSQP routine `solver.slsqp` (0 in
   trees that called it through `minimize`);
 - `polish_calls`: calls of `solver._polish`;
-- `lp_solves`: fixed-horizon LPs solved, the calls of `simulate._lp_transfer`.
+- `lp_solves`: fixed-horizon LPs solved, the calls of `simulate._lp_transfer`;
+- `highs_runs`: HiGHS runs, the calls of `simulate._dense_lp`: the
+  transfer LPs and the certificate's gauge LP, which runs on every problem
+  whose x0 has an unstable part.
 
 The counts do not depend on timing, so two runs give the same bytes.  Write
 them, for this tree's package or for the `src` directory of another tree
@@ -45,6 +48,7 @@ COUNTS = (
     "slsqp_steps",
     "polish_calls",
     "lp_solves",
+    "highs_runs",
 )
 STARTS, SEED = 16, 0
 
@@ -78,6 +82,7 @@ def count_work(workloads: dict) -> dict:
     _counted(solver, "slsqp", counts, "slsqp_steps")
     _counted(solver, "_polish", counts, "polish_calls")
     _counted(simulate, "_lp_transfer", counts, "lp_solves")
+    _counted(simulate, "_dense_lp", counts, "highs_runs")
     options = SolverOptions(starts=STARTS, seed=SEED)
     result = {}
     for workload, cases in workloads.items():
