@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .builder import EXP_CLIP
@@ -27,10 +26,6 @@ COLLAPSE_TOL = 1e-9
 
 #: Equal input cells of one `lp_oracle` linear program.
 LP_CELLS = 400
-
-#: `lp_oracle` refuses only when the LPs at t_max and at LP_CONFIRM halved
-#: horizons are all infeasible.
-LP_CONFIRM = 6
 
 #: Input cells of the `null_certificate` gauge LP, equal in e^(-lam s) of the
 #: slowest unstable mode, so that they cover [0, inf).
@@ -218,33 +213,56 @@ def _dense_lp(costs, lower, upper, rows: np.ndarray, target: np.ndarray):
 
 
 def _lp_transfer(spec: ProblemSpec, horizon: float):
-    """(k*T plus the least fuel, cell inputs) of the transfer at T = horizon.
+    """(J = k*T plus the least fuel, cell inputs, dJ/dT) of the transfer at
+    T = horizon.
 
     The input is constant on LP_CELLS equal cells with |u| <= 1, written as
     u = u+ - u- so that the fuel is linear, and `_dense_lp` solves it.
-    Returns (inf, None) when HiGHS reports no optimum, as when no such
-    input reaches the origin at T.
+    dJ/dT is the LP's envelope derivative: dL/dT at the optimum of the
+    Lagrangian L = k*T + (T / LP_CELLS) sum(u+ + u-) - y . (A u - r), with
+    y the row duals, A the cell rows and r the target, both differentiated
+    in closed form; where J has a kink it is one of the one-sided slopes.
+    Returns (inf, None, -inf) when HiGHS reports no optimum, as when no
+    such input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
     h = horizon / LP_CELLS
-    starts = h * np.arange(LP_CELLS)
     # row i: x0_i + sum_j u_j b_i int_{cell j} e^(-lam_i s) ds = 0, scaled by
-    # e^(min(lam_i, 0) T) so that no entry grows with the horizon
+    # e^(min(lam_i, 0) T) so that no entry grows with the horizon; edges[i, j]
+    # is that scale times e^(-lam_i s) at the start of cell j
     shift = np.minimum(lam, 0.0) * horizon
-    cells = -(b / lam * np.expm1(-lam * h))[:, None] * np.exp(
-        shift[:, None] - np.outer(lam, starts)
-    )
+    edges = np.exp(shift[:, None] - np.outer(lam, h * np.arange(LP_CELLS + 1)))
+    cells = -(b / lam * np.expm1(-lam * h))[:, None] * edges[:, :-1]
     cols = 2 * LP_CELLS
     highs = _dense_lp(
         np.full(cols, h), np.zeros(cols), np.ones(cols), np.hstack([cells, -cells]),
         -spec.x0 * np.exp(shift),
     )
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
-        return math.inf, None
+        return math.inf, None, -math.inf
     fuel = highs.getInfo().objective_function_value
-    x = np.array(highs.getSolution().col_value)
-    return spec.k * horizon + fuel, x[:LP_CELLS] - x[LP_CELLS:]
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    u = x[:LP_CELLS] - x[LP_CELLS:]
+    # cell j spans [j, j + 1] T / LP_CELLS, so dA_ij/dT is b_i times the
+    # difference of s/T e^(-lam_i s) between its ends, plus min(lam_i, 0) A_ij,
+    # which cancels against dr_i/dT = min(lam_i, 0) r_i where A u = r
+    tilt = np.diff(edges * (np.arange(LP_CELLS + 1) / LP_CELLS), axis=1)
+    slope = spec.k + x.sum() / LP_CELLS - np.array(solution.row_dual) @ (b * (tilt @ u))
+    return spec.k * horizon + fuel, u, float(slope)
+
+
+def _time_bound(spec: ProblemSpec) -> float:
+    """A lower bound on the minimum time: the longest of the modes' own
+    minimum times, each mode steered alone by one full bang,
+    ln(1 + |lam x0 / b|) / |lam| when stable and -ln(1 - lam |x0 / b|) / lam
+    when unstable; inf when an unstable mode alone is out of reach."""
+    lam = spec.system.eigenvalues
+    reach = lam * np.abs(spec.x0 / spec.system.gains)
+    if np.any(reach >= 1.0):
+        return math.inf
+    return float(np.max(-np.log1p(-reach) / lam, initial=0.0))
 
 
 def lp_oracle(
@@ -254,50 +272,53 @@ def lp_oracle(
 
     At a fixed horizon T the least-fuel transfer over inputs constant on
     equal cells is a linear program (the L1/LP link of maximum hands-off
-    control).  For continuous inputs feasibility is monotone in T, since the
-    input can idle at the origin; on the cell grid it is only roughly so:
-    the cells are coarsest at t_max, at times too coarse for a fast mode
-    that the finer cells of a shorter horizon serve.  So the result is None
-    only when the LPs at t_max, t_max / 2, ..., t_max / 2^LP_CONFIRM are all
-    infeasible.  Otherwise, with hi the first feasible one of those and
-    J(T) = k*T + fuel(T) >= k*T, one bounded 1-D search over
-    (0, min(t_max, J(hi)/k)) minimizes J, and the inputs are those of the
-    horizon that gave it (hi when the search finds nothing lower).  The
-    cell grid only restricts the input, so up to HiGHS's feasibility
-    tolerance the cost lies above the optimum, by the discretization error.
-    Each horizon's LP is solved once: the inputs returned are those kept
-    from the search.  Shares nothing with the solver.
+    control), and `_lp_transfer` gives its cost J(T) = k*T + fuel(T) and
+    slope dJ/dT.  The search starts at `_time_bound`, below which no input
+    reaches the origin, at no LP's cost, and doubles the horizon, up to
+    t_max, until an LP is feasible and J stops falling (dJ/dT >= 0).  The
+    result is None only when no horizon up to t_max is feasible.  Inside
+    the bracket of the last two horizons, each step goes to the minimum of
+    the cubic through both ends' values and slopes (Nocedal & Wright,
+    Numerical Optimization, 2006, eq. 3.59), kept half the stop width from
+    either end, or to the midpoint when the left end is infeasible or the
+    last two steps did not halve the bracket; a step whose LP is infeasible
+    or whose J still falls replaces the left end, any other the right, and
+    the search stops at a relative width of 1e-4.  The cells move with T,
+    so J is jagged, with kinks, and the search local.  The inputs are those
+    of the least cost of every horizon solved, each solved once.  The cell
+    grid only restricts the input, so up to HiGHS's feasibility tolerance
+    the cost lies above the optimum, by the discretization error.  Shares
+    nothing with the solver.
     """
     if _is_bool(t_max) or not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
-    solved = {}
-
-    def transfer(T):
-        T = float(T)
-        if T not in solved:
-            solved[T] = _lp_transfer(spec, T)
-        return solved[T]
-
-    hi = t_max
-    cost = transfer(hi)[0]
-    for _ in range(LP_CONFIRM):
-        if math.isfinite(cost):
-            break
-        hi *= 0.5
-        cost = transfer(hi)[0]
-    if not math.isfinite(cost):
+    T = _time_bound(spec)
+    if not T < t_max:
         return None
-    # the bounded search needs finite values: infeasible horizons read as a
-    # penalty above every feasible cost (at most (k + 1) t_max) falling toward
-    # longer ones
-    refined = minimize_scalar(
-        lambda T: min(transfer(T)[0], (spec.k + 2.0) * t_max - T),
-        bounds=(0.0, min(t_max, cost / spec.k)),
-        method="bounded",
-    )
-    horizon = float(refined.x if refined.fun < cost else hi)
-    cost, inputs = transfer(horizon)
-    return cost, horizon, inputs
+    solved = []
+
+    def solve(T):
+        solved.append((T, *_lp_transfer(spec, T)))
+        return solved[-1]
+
+    # points (T, J, inputs, dJ/dT); the slope of an infeasible LP is -inf
+    lo, hi = None, solve(T)
+    while hi[3] < 0.0 and hi[0] < t_max:
+        lo, hi = hi, solve(min(2.0 * hi[0], t_max))
+    old = older = math.inf
+    while lo and hi[3] >= 0.0 and (width := hi[0] - lo[0]) > 1e-4 * hi[0]:
+        (a, j_a, _, s_a), (b, j_b, _, s_b) = lo, hi
+        step = 0.5 * (a + b)
+        if s_a > -math.inf and width <= 0.5 * older:
+            d1 = s_a + s_b - 3.0 * (j_b - j_a) / width
+            d2 = math.sqrt(d1 * d1 - s_a * s_b)
+            step = b - width * (s_b + d2 - d1) / (s_b - s_a + 2.0 * d2)
+            step = min(max(step, a + 0.5e-4 * b), b - 0.5e-4 * b)
+        mid = solve(step)
+        lo, hi = (mid, hi) if mid[3] < 0.0 else (lo, mid)
+        old, older = width, old
+    T, cost, inputs, _slope = min(solved, key=lambda point: point[1])
+    return None if inputs is None else (cost, T, inputs)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ names the first after the tie rules.  It is bitwise reproducible for a fixed
 seed.  The gaps have no upper bound: the final time is free, as in the
 paper's static programs.
 
-The fixed-horizon LP of `simulate.lp_oracle`, searched up to `horizon`,
-gives a cost that bounds the optimum from above, up to the cell
-discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016), and an input
-that, rounded to a level word, seeds every program that contains the word,
-restored and descended like a blind start.  A solve opens with
+The fixed-horizon LP of `simulate.lp_oracle`, searched from a minimum-time
+bound up to `horizon`, gives a cost that bounds the optimum from above, up
+to the cell discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016),
+and an input that, rounded to a level word, seeds every program that
+contains the word, restored and descended like a blind start.  A solve opens with
 `simulate.null_certificate`, which alone decides the refusal: a proof that
 x0 lies outside the null-controllable region ends it before anything else
 runs, and without one no refusal claims that x0 is unreachable.  Then it is
@@ -121,7 +121,7 @@ class SolverOptions:
 
 def horizon(spec: ProblemSpec) -> float:
     """50 time constants of the problem's slowest mode: the scale of the
-    blind start draws and the longest horizon `lp_oracle` tries."""
+    blind start draws and the cap of `lp_oracle`'s doubling search."""
     spectrum = spec.system.spectrum
     slowest = min(abs(c) for c in spectrum.scaled_numerators)
     return 50.0 * spectrum.common_denominator / slowest

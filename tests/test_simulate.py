@@ -10,11 +10,11 @@ from scipy.optimize import brentq, linprog
 from timefuel import LtiSystem, build_spectrum, parse_problem, simulate, validate_problem
 from timefuel.simulate import (
     LP_CELLS,
-    LP_CONFIRM,
     InvalidScheduleError,
     SwitchingSchedule,
     _lp_transfer,
     _sign_changes,
+    _time_bound,
     evaluate_cost,
     lp_oracle,
     null_certificate,
@@ -266,6 +266,19 @@ def refusal(eigenvalues, x0, k):
     return spec, 50.0 / min(abs(c) for c in eigenvalues)
 
 
+def refusal_horizons(spec, t_max):
+    """The horizons `lp_oracle` solves on its way to a refusal: the
+    minimum-time bound, doubled until it reaches t_max, then t_max; none
+    when the bound is infinite, as when an unstable mode alone is out of
+    reach."""
+    horizons = []
+    T = _time_bound(spec)
+    while T < t_max:
+        horizons.append(T)
+        T *= 2.0
+    return horizons + [t_max] if horizons else []
+
+
 def record_lp_transfers(monkeypatch):
     """A list that gets (horizon, cell inputs) of each LP `lp_oracle` solves."""
     calls = []
@@ -357,8 +370,8 @@ class TestLpOracle:
         spec = counterexample()
         calls = record_lp_transfers(monkeypatch)
         cost, horizon, inputs = lp_oracle(spec, 6.0)
-        # one bounded search, on LP_CELLS-cell LPs only
-        assert len(calls) <= 25
+        # one search, on LP_CELLS-cell LPs only
+        assert len(calls) <= 11
         assert all(x is None or x.shape == (LP_CELLS,) for _T, x in calls)
         assert cost == pytest.approx(1.9461, abs=1e-3)
         # the inputs of the best horizon give the cost, and rounded cell by
@@ -415,20 +428,21 @@ class TestLpOracle:
         calls = record_lp_transfers(monkeypatch)
         lp_oracle(spec, horizon(spec))
         horizons = [T for T, _x in calls]
-        assert len(set(horizons)) == len(horizons) == 20
+        assert len(set(horizons)) == len(horizons) == 11
 
     @REFUSALS
     def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
-        # a refusal takes the LP at t_max and one at each of LP_CONFIRM
-        # halved horizons
+        # a refusal takes the LPs of the doubling from the minimum-time
+        # bound up to t_max, and no other: none on mixed-3, whose mode at 3
+        # alone is out of reach
         spec, t_max = refusal(eigenvalues, x0, k)
         calls = record_lp_transfers(monkeypatch)
         assert lp_oracle(spec, t_max) is None
-        assert [T for T, _x in calls] == [t_max * 0.5**i for i in range(1 + LP_CONFIRM)]
+        assert [T for T, _x in calls] == refusal_horizons(spec, t_max)
 
     @staticmethod
     def assert_transfer_matches_linprog(spec, horizon):
-        cost, inputs = _lp_transfer(spec, horizon)
+        cost, inputs, _slope = _lp_transfer(spec, horizon)
         expected, expected_inputs = linprog_transfer(spec, horizon)
         assert (inputs is None) == (expected_inputs is None)
         if inputs is None:
@@ -444,13 +458,14 @@ class TestLpOracle:
 
     @REFUSALS
     def test_transfer_matches_linprog_on_halved_horizons(self, eigenvalues, x0, k):
+        # the refusal's horizons, or t_max where the search solves none
         spec, t_max = refusal(eigenvalues, x0, k)
-        for i in range(1 + LP_CONFIRM):
-            self.assert_transfer_matches_linprog(spec, t_max * 0.5**i)
+        for T in refusal_horizons(spec, t_max) or [t_max]:
+            self.assert_transfer_matches_linprog(spec, T)
 
     @staticmethod
     def assert_transfer_matches_highs_lp(spec, horizon):
-        cost, inputs = _lp_transfer(spec, horizon)
+        cost, inputs, _slope = _lp_transfer(spec, horizon)
         expected, expected_inputs = highs_lp_transfer(spec, horizon)
         assert cost == expected
         assert (inputs is None) == (expected_inputs is None)
@@ -464,9 +479,10 @@ class TestLpOracle:
 
     @REFUSALS
     def test_two_call_build_is_the_highs_lp_build_on_halved_horizons(self, eigenvalues, x0, k):
+        # the refusal's horizons, or t_max where the search solves none
         spec, t_max = refusal(eigenvalues, x0, k)
-        for i in range(1 + LP_CONFIRM):
-            self.assert_transfer_matches_highs_lp(spec, t_max * 0.5**i)
+        for T in refusal_horizons(spec, t_max) or [t_max]:
+            self.assert_transfer_matches_highs_lp(spec, T)
 
     def test_near_boundary_state_reached_at_a_shorter_horizon(self):
         # x0 just inside the null-controllable set of the modes at 2 and 3:
@@ -486,6 +502,60 @@ class TestLpOracle:
         assert cost == pytest.approx(10.39235, rel=1e-4)
         fuel = horizon / LP_CELLS * np.sum(np.abs(inputs))
         assert spec.k * horizon + fuel == pytest.approx(cost, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "eigenvalue, x0, bound",
+        [(-1, 0.5, math.log(1.5)), (1, 0.5, math.log(2.0)), (1, 2.0, math.inf)],
+        ids=["stable", "unstable", "out-of-reach"],
+    )
+    def test_time_bound_scalar_closed_form(self, eigenvalue, x0, bound):
+        # one full bang from x0 = 0.5: ln(1 + |lam x0 / b|) / |lam| when
+        # stable, -ln(1 - lam |x0 / b|) / lam when unstable; an unstable x0
+        # past b / lam is reached by no horizon
+        system = LtiSystem(build_spectrum([(eigenvalue, 1)]), (1.0,))
+        assert _time_bound(validate_problem(system, [x0], 1.0)) == pytest.approx(bound, rel=1e-15)
+
+    def test_no_lp_feasible_below_the_time_bound(self):
+        # the search starts at `_time_bound`: at 0.99 of it no LP reaches
+        # the origin, on every comparison problem but mixed-3, whose bound
+        # is infinite (its mode at 3 alone is out of reach)
+        for name, spec in comparison_set():
+            bound = _time_bound(spec)
+            if bound < math.inf:
+                assert _lp_transfer(spec, 0.99 * bound)[1] is None, name
+
+    @pytest.mark.parametrize(
+        "name, horizons",
+        [
+            ("hi-n8-1", (3.5, 4.0, 4.5, 5.0, 6.5)),
+            ("hi-n6-0", (2.5, 3.0, 3.5, 5.0)),
+            ("mixed-1", (0.6, 1.0, 1.5, 3.0)),
+        ],
+    )
+    def test_envelope_slope_matches_central_differences(self, name, horizons):
+        # dJ/dT from the row duals, the slope the search steps on, is the
+        # LP's own: on hi-n8-1 it is negative at 3.5 and positive at 6.5,
+        # where its J falls and rises
+        spec = dict(comparison_set())[name]
+        step = 1e-5
+        for T in horizons:
+            central = (_lp_transfer(spec, T + step)[0] - _lp_transfer(spec, T - step)[0]) / (2 * step)
+            assert _lp_transfer(spec, T)[2] == pytest.approx(central, abs=2e-3), T
+
+    def test_envelope_slope_is_one_sided_at_a_kink(self):
+        # mixed-1's J turns at T = 0.45968482676362, from slope -11.2 to
+        # +0.8: on each side the envelope slope is that side's difference
+        # quotient, not a mean of the two
+        spec = dict(comparison_set())["mixed-1"]
+        kink, step = 0.45968482676362, 1e-7
+        slopes = []
+        for side in (-1.0, 1.0):
+            T = kink + side * 1e-6
+            cost, _inputs, slope = _lp_transfer(spec, T)
+            quotient = (_lp_transfer(spec, T + side * step)[0] - cost) / (side * step)
+            assert slope == pytest.approx(quotient, abs=1e-4)
+            slopes.append(slope)
+        assert slopes[0] < -11.0 and 0.5 < slopes[1] < 1.0
 
 
 def comparison_set():

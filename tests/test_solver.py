@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from timefuel import LtiSystem, build_spectrum, parse_problem, solver, validate_problem
+from timefuel import LtiSystem, build_spectrum, parse_problem, simulate, solver, validate_problem
 from timefuel.builder import build_all, sequence_instance
 from timefuel.sequences import CandidateSequence
 from timefuel.simulate import (
@@ -555,7 +555,7 @@ class TestLpRetry:
         # off the manifold into the residual-6.4e-3 valley around it
         spec = stable_spec(*self.COUNTEREXAMPLE)
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-        _cost, inputs = _lp_transfer(spec, horizon)
+        _cost, inputs, _slope = _lp_transfer(spec, horizon)
         word = _lp_word(inputs, horizon)
         restored = _restore(spec, instances, _lp_seeds(instances, word))
         seeded = [inst for inst in instances if inst.instance_id in restored]
@@ -785,7 +785,7 @@ def test_certificate_is_asked_once_before_the_lp(monkeypatch):
 
 def test_refusal_quotes_the_least_restored_residual():
     # `hi-n7-1` of tools/reports.py refuses: OP2-minus-+-+-+ restores its
-    # seed to 3.439e-07, but its descent ends at 3.209e+00, and the refusal
+    # seed to 5.466e-07, but its descent ends at 3.264e+00, and the refusal
     # quotes both
     spec = stable_spec(
         (2, 3, 6, 7, 8, 9, 10), [-0.0349, -0.3387, 0.2665, -0.3929, -0.0555, -0.429, -0.0281]
@@ -793,8 +793,8 @@ def test_refusal_quotes_the_least_restored_residual():
     with pytest.raises(SolverFailedError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert str(refusal.value).startswith(
-        "no program verified (best constraint residual 3.209e+00 (OP2-minus-+-+-+), "
-        "best restored residual 3.439e-07 (OP2-minus-+-+-+)), "
+        "no program verified (best constraint residual 3.264e+00 (OP2-minus-+-+-+), "
+        "best restored residual 5.466e-07 (OP2-minus-+-+-+)), "
     )
 
 
@@ -860,7 +860,7 @@ def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
     budgeted = {m: validate_problem(spec.system, spec.x0, spec.k, max_switches=m) for m in (2, 4)}
     monkeypatch.setattr(solver, "_starts", no_starts)
     report = solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0))
-    assert report.best.cost == 0.6370635537714359
+    assert report.best.cost == 0.6370635537714361
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
     assert solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0)) == report
     monkeypatch.setattr(solver, "_starts", recording_starts)
@@ -882,7 +882,7 @@ def test_near_origin_x0_solves_from_the_empty_word(monkeypatch):
 
 def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
     # `hi-n6-1` of tools/reports.py refuses; its closest program is the
-    # seeded OP2-plus--+-+ at residual 1.904e-06, not the closest blind
+    # seeded OP2-plus--+-+ at residual 2.673e-06, not the closest blind
     # one, OP2-minus--+-+ at 4.3e-01
     results = []
 
@@ -900,17 +900,29 @@ def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
         f"no program verified (best constraint residual "
         f"{closest.constraint_residual:.3e} (OP2-plus--+-+), best restored residual "
     )
-    assert f"{closest.constraint_residual:.3e}" == "1.904e-06"
+    assert f"{closest.constraint_residual:.3e}" == "2.673e-06"
 
 
-def test_refusal_over_the_switch_budget_names_it():
+def test_refusal_over_the_switch_budget_names_it(monkeypatch):
     # the LP's word -1,0,1,0,-1 has 4 switches, so no program under a
     # budget of 2 contains it and more starts cannot be what is missing;
-    # the note follows the gauge bounds, [0, 0] on a stable system
+    # the note follows the gauge bounds, [0, 0] on a stable system.  Every
+    # HiGHS run of the solve serves that unused word: the search from the
+    # minimum-time bound keeps them to at most 16 (a bounded search over
+    # (0, t_max] took 30)
+    runs = []
+    dense_lp = simulate._dense_lp
+
+    def counted(*args):
+        runs.append(args)
+        return dense_lp(*args)
+
+    monkeypatch.setattr(simulate, "_dense_lp", counted)
     spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
     spec = validate_problem(spec.system, spec.x0, spec.k, max_switches=2)
     with pytest.raises(SolverFailedError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert 0 < len(runs) <= 16
     message = str(refusal.value)
     assert message.endswith(
         "word -1,0,1,0,-1); the gauge of x0's unstable part in the null-controllable "
@@ -1087,10 +1099,14 @@ def test_sliver_tail_keeps_its_program_verified():
 def test_seeded_degenerate_start_converges():
     # `mixed-2`: the LP word is one bang of -1, seeded in OP1-minus--+'s
     # first slot; restoration splits the growth between that slot and the
-    # next -1 slot, whose columns differ only by a zero-length off slot
+    # next -1 slot, whose columns differ only by a zero-length off slot.
+    # The seed is the LP's at the horizon where a bounded search over
+    # (0, t_max] ended; `lp_oracle` now ends at the minimum-time bound,
+    # whose seed converges
     spec = parse_problem(MIXED_2)
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    _cost, t_f, inputs = lp_oracle(spec, horizon(spec))
+    t_f = 0.2648827986826366
+    _cost, inputs, _slope = _lp_transfer(spec, t_f)
     word = _lp_word(inputs, t_f)
     assert word.levels == (-1,)
     restored = _restore(spec, instances, _lp_seeds(instances, word))
