@@ -4,8 +4,8 @@ Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
 0 success, 1 usage, validation or file error, 2 infeasible problem (the
 certificate, asked first at every order, proves x0 outside the
 null-controllable region), 3 solver failure (no local solve verifies, and
-nothing proves x0 unreachable).  `--starts` and `--seed` drive
-only the blind starts, which run at order 2 and below and wherever the LP's
+nothing proves x0 unreachable).  `--starts` and `--seed` drive only the
+blind starts, the fallback that runs when the LP finds no transfer or its
 word seeds no program.  All outputs are deterministic for fixed inputs,
 flags and seed; JSON is emitted with sorted keys and CSV uses '.' decimals
 with 9 significant digits.

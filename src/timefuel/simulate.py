@@ -12,6 +12,7 @@ where it can, that no horizon reaches the origin.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +27,10 @@ COLLAPSE_TOL = 1e-9
 
 #: Equal input cells of one `lp_oracle` linear program.
 LP_CELLS = 400
+
+#: Relative gap between the lesser end cost of `lp_oracle`'s bracket and
+#: where the end tangents meet, under which its search stops.
+GAP_TOL = 1e-6
 
 #: Input cells of the `null_certificate` gauge LP, equal in e^(-lam s) of the
 #: slowest unstable mode, so that they cover [0, inf).
@@ -193,15 +198,25 @@ def evaluate_cost(schedule: SwitchingSchedule, k: float) -> tuple[float, float, 
     return k * t_f + on, on, 1.0 - on / t_f
 
 
+#: `highs`: the HiGHS instance of `_dense_lp` in this thread.
+_LOCAL = threading.local()
+
+
 def _dense_lp(costs, lower, upper, rows: np.ndarray, target: np.ndarray):
     """HiGHS, run on min costs . x subject to rows x = target and lower <= x
     <= upper.  Two calls build the LP, `addCols` with the costs and bounds
     and `addRows` with the dense rows as numpy arrays, and one run solves it
     with presolve off: on a few dense rows presolve costs more than the
-    simplex it saves."""
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
+    simplex it saves.  The calls of one thread reuse one instance, its
+    options set once and its model cleared before each build, and each
+    returns it: each caller reads its results before its next call
+    replaces them."""
+    highs = getattr(_LOCAL, "highs", None)
+    if highs is None:
+        highs = _LOCAL.highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+    highs.clearModel()
     highs.addCols(len(costs), costs, lower, upper, 0, [], [], [])
     # the dense rows, row-wise: row i's entries start at index i * columns
     values = rows.ravel()
@@ -282,9 +297,12 @@ def lp_oracle(
     Numerical Optimization, 2006, eq. 3.59), kept half the stop width from
     either end, or to the midpoint when the left end is infeasible or the
     last two steps did not halve the bracket; a step whose LP is infeasible
-    or whose J still falls replaces the left end, any other the right, and
-    the search stops at a relative width of 1e-4.  The cells move with T,
-    so J is jagged, with kinks, and the search local.  The inputs are those
+    or whose J still falls replaces the left end, any other the right.  The
+    search stops at a relative width of 1e-4, or, with the left end
+    feasible, once the lesser end cost lies within `GAP_TOL` of the J where
+    the end tangents meet: with J convex there, no horizon between the ends
+    costs less than that.  The cells move with T, so J is jagged, with
+    kinks, and the search local.  The inputs are those
     of the least cost of every horizon solved, each solved once.  The cell
     grid only restricts the input, so up to HiGHS's feasibility tolerance
     the cost lies above the optimum, by the discretization error.  Shares
@@ -308,6 +326,11 @@ def lp_oracle(
     old = older = math.inf
     while lo and hi[3] >= 0.0 and (width := hi[0] - lo[0]) > 1e-4 * hi[0]:
         (a, j_a, _, s_a), (b, j_b, _, s_b) = lo, hi
+        if s_a > -math.inf:
+            # J where the end tangents meet, s_a < 0 <= s_b
+            floor = j_a + s_a * (j_b - j_a - s_b * width) / (s_a - s_b)
+            if min(j_a, j_b) - floor <= GAP_TOL * min(j_a, j_b):
+                break
         step = 0.5 * (a + b)
         if s_a > -math.inf and width <= 0.5 * older:
             d1 = s_a + s_b - 3.0 * (j_b - j_a) / width

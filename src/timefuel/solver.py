@@ -1,4 +1,4 @@
-"""Deterministic multi-start local solver and cross-instance aggregation.
+"""Deterministic local solver and cross-instance aggregation.
 
 Each program is solved in gap coordinates (nonnegative segment lengths whose
 cumulative sums are the switching times, so ordering holds by construction)
@@ -14,29 +14,27 @@ the problem's spec and a level word.
 `_restore` runs the start rows of all programs as one stack on the fused
 reach/Jacobian kernel, padded to the longest word, each row under its own
 program's levels, and every row gives the bits it would give alone;
-`solve_nlp` then descends one program's restored starts in lockstep, each
-SLSQP step of all of them on one kernel call, each start to a
-`LocalSolution`, and keeps the best by `_rank`; a start whose SLSQP nears a
-local minimizer a finished start found ends there (the clustering stop of
-multistart search; Rinnooy Kan & Timmer, Math. Prog. 39, 1987).  Aggregation
-re-simulates every converged solution before trusting it: each that lands on
-the origin becomes a `BestSolution` costed by the simulator, and the report
-names the first after the tie rules.  It is bitwise reproducible for a fixed
-seed.  The gaps have no upper bound: the final time is free, as in the
+`solve_nlp` then descends each of one program's restored starts to a
+`LocalSolution` and keeps the best by `_rank`.  Aggregation re-simulates
+every converged solution before trusting it: each that lands on the origin
+becomes a `BestSolution` costed by the simulator, and the report names the
+first after the tie rules.  It is bitwise reproducible for a fixed seed.  The gaps have no upper bound: the final time is free, as in the
 paper's static programs.
 
 The fixed-horizon LP of `simulate.lp_oracle`, searched from a minimum-time
 bound up to `horizon`, gives a cost that bounds the optimum from above, up
 to the cell discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016),
 and an input that, rounded to a level word, seeds every program that
-contains the word, restored and descended like a blind start.  A solve opens with
-`simulate.null_certificate`, which alone decides the refusal: a proof that
-x0 lies outside the null-controllable region ends it before anything else
-runs, and without one no refusal claims that x0 is unreachable.  Then it is
-one pass: at order 3 and up the LP's seeds, when its word fits a program,
-and the blind starts otherwise.  `_rank` picks each program's solution
-among its starts: converged solutions first, by cost, then the rest, by
-constraint residual, the first winning a tie.
+contains the word.  A solve opens with `simulate.null_certificate`, which
+alone decides the refusal: a proof that x0 lies outside the
+null-controllable region ends it before anything else runs, and without
+one no refusal claims that x0 is unreachable.  Then it is one pass, at
+every order: the LP's seeds when its word fits a program, and otherwise
+the blind starts of `_starts`, drawn by `SolverOptions`, the fallback for
+the two cases the seeds miss: the LP finds no transfer, or its word fits
+no program, as under a switch budget.  `_rank` picks each program's
+solution among its starts: converged solutions first, by cost, then the
+rest, by constraint residual, the first winning a tie.
 """
 
 from __future__ import annotations
@@ -82,10 +80,6 @@ KKT_TOL = 1e-8
 #: Levenberg-Marquardt iterations a restoration row gets.
 LM_ITERATIONS = 150
 
-#: Max-norm distance, times 1 + the point's largest gap, within which an
-#: SLSQP iterate counts as having reached a known local minimizer.
-MERGE_TOL = 1e-3
-
 _log = logging.getLogger("timefuel")
 
 
@@ -100,7 +94,8 @@ class SolverFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the blind starts, which the LP's seeds do not use; defaults
+    """Knobs of the blind starts, which run only when the LP's seeds do
+    not: the LP finds no transfer, or its word fits no program; defaults
     suit small systems."""
 
     starts: int = 64
@@ -129,7 +124,7 @@ def horizon(spec: ProblemSpec) -> float:
 
 @dataclass(frozen=True)
 class LocalSolution:
-    """Best point one program's multi-start produced."""
+    """Best point of one program's starts."""
 
     instance_id: str
     times: tuple[float, ...]
@@ -316,24 +311,9 @@ def _hessian(instance, J, mult, free):
     return suffix[np.maximum.outer(free, free)]
 
 
-def _is_minimizer(instance, gaps, J, mult) -> bool:
-    """Second-order check of a converged point, from the Jacobian J and
-    multipliers mult the polish ended on there: the Lagrangian's Hessian on
-    the free gaps, reduced to the null space of their Jacobian, has no
-    eigenvalue below -1e-8 of its scale."""
-    free = np.flatnonzero(gaps > COLLAPSE_TOL)
-    H = _hessian(instance, J, mult, free)
-    _, sv, vt = np.linalg.svd(J[:, free])
-    rank = np.sum(sv > max(len(J), len(free)) * np.finfo(float).eps * np.max(sv, initial=0.0))
-    Z = vt[rank:].T
-    floor = -1e-8 * (1.0 + np.max(np.abs(H), initial=0.0))
-    return bool(np.all(np.linalg.eigvalsh(Z.T @ H @ Z) >= floor))
-
-
 def _polish(instance, gaps):
     """Newton iterations on the active-set KKT system, merit safeguarded;
-    the (gaps, feasibility, KKT residual, Jacobian, multipliers) of the last
-    accepted point.
+    the (gaps, feasibility, KKT residual) of the last accepted point.
 
     A point that meets the tolerances (`feas_tol` and `KKT_TOL`, each
     times 1e-2) gets one more Newton step, which is kept only if the merit
@@ -397,21 +377,17 @@ def _polish(instance, gaps):
         gaps = np.where(gaps < COLLAPSE_TOL, 0.0, gaps)
         c, J = _eval1(instance, gaps)
         feas, kkt = _kkt_state(c, J, w, gaps, mult)
-    return gaps, feas, kkt, J, mult
+    return gaps, feas, kkt
 
 
-def _slsqp(instance, gaps, known):
+def _slsqp(instance, gaps):
     """SLSQP (Kraft, DFVLR-FB 88-28, 1988) on min w . gaps subject to
     reach(gaps) = x0 and gaps >= 0, stopped at `feas_tol`: it has to find
-    the active set, not the last digits, which `_polish` supplies.  A
-    generator on scipy's reverse-communication routine, its state and
-    workspace set up as `scipy.optimize.minimize` sets them up: it yields
-    each point whose residuals it needs and is sent their `_eval` pair,
-    whose Jacobian also serves SLSQP's next request, which is always for
-    the same point.  Gives (gaps, None), or (gaps, solution) once a major
-    iterate reaches one of the `known` (gaps, solution) minimizers, the
-    first it reaches: same gaps under `COLLAPSE_TOL`, max-norm distance
-    within `MERGE_TOL` (1 + the minimizer's largest gap)."""
+    the active set, not the last digits, which `_polish` supplies.  It runs
+    scipy's reverse-communication routine, its state and workspace set up
+    as `scipy.optimize.minimize` sets them up, and evaluates each point the
+    routine asks for by `_eval1`, whose Jacobian also serves its next
+    request, which is always for the same point."""
     m, n, w = instance.order, len(gaps), instance.gap_weights
     acc = SolverOptions.feas_tol
     names = "alpha f0 gs h1 h2 h3 h4 t t0 exact inconsistent reset iter line mode"
@@ -421,23 +397,18 @@ def _slsqp(instance, gaps, known):
     # scipy's buffer size, for m equality constraints and no inequalities
     size = n * (21 * n + 75) // 2 + 2 * m * (1 - n) + 28
     work = np.zeros(n), np.full(n, np.nan), np.zeros(size), np.zeros(len(mult), dtype=np.int32)
-    d, J = yield x
+    d, J = _eval1(instance, x)
     C[:] = J
     while True:
-        done = state["iter"]
         slsqp(state, float(w @ x), w, C, d, x, mult, *work)
-        for point, solution in known if state["iter"] > done else ():
-            near = np.max(np.abs(point - x)) <= MERGE_TOL * (1.0 + np.max(point))
-            if near and np.all((point <= COLLAPSE_TOL) == (x <= COLLAPSE_TOL)):
-                return gaps, solution
         if state["mode"] == 1:
-            d, J = yield x
+            d, J = _eval1(instance, x)
         elif state["mode"] == -1:
             C[:] = J
         else:
             break
     out = np.maximum(x, 0.0)
-    return (out if np.all(np.isfinite(out)) else gaps), None
+    return out if np.all(np.isfinite(out)) else gaps
 
 
 def _start_seed(seed: int, instance_id: str, start: int) -> np.random.Generator:
@@ -466,16 +437,12 @@ def _starts(instance: NlpInstance, options: SolverOptions, longest: float) -> np
     return scales[np.argmin(norms, axis=1)][:, None] * draws
 
 
-def _descend(instance, gaps, c, known):
+def _descend(instance, gaps, c) -> LocalSolution:
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
     stopped at the feasibility tolerance, and a Newton polish that finishes
-    to rounding level: a generator of the points `_slsqp` asks for, giving
-    (its gaps, its solution).  A round that ends short of the tolerances
-    hands the polished point to the next one; a start that restoration left
-    off the manifold is reported infeasible as it is, and one whose SLSQP
-    reaches a `known` minimizer as (None, its solution).  A converged point
-    that `_is_minimizer` passes, on the Jacobian and multipliers its polish
-    ended on, joins `known`."""
+    to rounding level.  A round that ends short of the tolerances hands the
+    polished point to the next one; a start that restoration left off the
+    manifold is reported infeasible as it is."""
     x0_scale = max(1.0, float(np.max(np.abs(instance.x0))))
     feas = float(np.max(np.abs(c)))
     kkt = math.inf
@@ -483,19 +450,13 @@ def _descend(instance, gaps, c, known):
     if feas <= 1e-6 * x0_scale:
         status = ITERATION_LIMIT
         for _round in range(SQP_ROUNDS):
-            gaps, merged = yield from _slsqp(instance, gaps, known)
-            if merged is not None:
-                return None, merged
-            gaps, feas, kkt, J, mult = _polish(instance, gaps)
+            gaps, feas, kkt = _polish(instance, _slsqp(instance, gaps))
             if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
                 status = CONVERGED
                 break
     times = np.cumsum(gaps)
     cost = float(instance.cost_value(times))
-    solution = LocalSolution(instance.instance_id, tuple(map(float, times)), cost, kkt, feas, status)
-    if status == CONVERGED and _is_minimizer(instance, gaps, J, mult):
-        known.append((gaps, solution))
-    return gaps, solution
+    return LocalSolution(instance.instance_id, tuple(map(float, times)), cost, kkt, feas, status)
 
 
 def _rank(solution: LocalSolution) -> tuple:
@@ -509,28 +470,13 @@ def _rank(solution: LocalSolution) -> tuple:
 def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     """Best solution by `_rank` of one program over its restored starts,
     the (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
-    descended over gaps >= 0.  The starts descend in lockstep: each step
-    runs every live start's `_descend` to its next request and evaluates all
-    the points asked for in one `_eval` call, so a start merges into the
-    known minimizers of the starts that finished before it.  The counts go to the "timefuel"
-    logger at DEBUG level."""
-    known, merged = [], 0
-    runs = [_descend(instance, g, c, known) for g, c in zip(*restored)]
-    solutions, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
-    while sent:
-        asked = {}
-        for i, pair in sent.items():
-            try:
-                asked[i] = runs[i].send(pair)
-            except StopIteration as end:
-                gaps, solutions[i] = end.value
-                merged += gaps is None
-        points = np.array(list(asked.values()))
-        sent = dict(zip(asked, zip(*_eval(instance.spec, instance._v, points)))) if asked else {}
-    converged = [s for s in solutions if s.status == CONVERGED]
+    descended over gaps >= 0 by `_descend`.  The counts go to the
+    "timefuel" logger at DEBUG level."""
+    solutions = [_descend(instance, g, c) for g, c in zip(*restored)]
     descended = sum(s.status != INFEASIBLE for s in solutions)
-    _log.debug("%s: %d starts, %d descended, %d converged, %d merged into a known minimum",
-               instance.instance_id, len(solutions), descended, len(converged) - merged, merged)
+    converged = sum(s.status == CONVERGED for s in solutions)
+    _log.debug("%s: %d starts, %d descended, %d converged",
+               instance.instance_id, len(solutions), descended, converged)
     return min(solutions, key=_rank)
 
 
@@ -610,14 +556,13 @@ def solve_time_fuel(
     A proof from `simulate.null_certificate` that x0 is unreachable makes
     the problem infeasible before anything else runs.  Otherwise one pass of
     starts, restored in one `_restore` stack and each program descended by
-    `solve_nlp`.  At order 3 and up the fixed-horizon LP runs first, and
-    when its word fits a program, the seeds of `_lp_seeds` are the only
-    starts: every other program stays `SKIPPED`.  Otherwise every program
-    gets its blind `_starts`: below order 3, when the LP finds no transfer,
-    and when its word fits no program, as under a switch budget it exceeds.
-    A converged program only competes after its decoded schedule,
-    propagated from x0, lands on the origin within 10x the feasibility
-    tolerance.  Cost ties are broken by fewer switchings, then by the least
+    `solve_nlp`.  The fixed-horizon LP runs first, and when its word fits a
+    program, the seeds of `_lp_seeds` are the only starts: every other
+    program stays `SKIPPED`.  Otherwise every program gets its blind
+    `_starts`: when the LP finds no transfer, and when its word fits no
+    program, as under a switch budget it exceeds.  A converged program only
+    competes after its decoded schedule, propagated from x0, lands on the
+    origin within 10x the feasibility tolerance.  Cost ties are broken by fewer switchings, then by the least
     final time among the tied programs on each level word, then by the
     word, then by id: the programs that embed one word differ in final time
     only by rounding.  With no verified answer the solver has failed, its
@@ -637,9 +582,9 @@ def solve_time_fuel(
         )
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     longest = horizon(spec)
-    lp = lp_oracle(spec, longest) if spec.order >= 3 else None
+    lp = lp_oracle(spec, longest)
     seeds = {}
-    why = f"order {spec.order} runs no LP" if spec.order < 3 else "the LP found no transfer"
+    why = "the LP found no transfer"
     if lp is not None:
         lp_cost, lp_t_f, inputs = lp
         word = _lp_word(inputs, lp_t_f)
@@ -670,7 +615,7 @@ def solve_time_fuel(
                 f", although the fixed-horizon LP reaches the origin at cost "
                 f"{lp_cost:.6f} (t_f {lp_t_f:.6g}, word {shown})"
             )
-        elif spec.order >= 3:
+        else:
             refusal += (
                 f", and the fixed-horizon LP found no input reaching the "
                 f"origin at any horizon up to {longest:.6g}"

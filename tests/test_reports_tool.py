@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from timefuel import SolverOptions, parse_problem, solve_time_fuel
@@ -25,6 +28,26 @@ def test_comparison_set():
     options = SolverOptions(starts=16, seed=0)
     direct = json.dumps(solve_time_fuel(reference, options).as_dict(), sort_keys=True)
     assert tool.report_line("ref2-k1", *problems["ref2-k1"]) == f"ref2-k1\t{direct}"
+
+
+def test_src_solves_with_another_package(tmp_path):
+    # `--src` solves the set with the package of another `src` directory,
+    # imported before the set's own imports: here a copy whose solve raises
+    package = tmp_path / "src" / "timefuel"
+    shutil.copytree(
+        TOOL.parent.parent / "src" / "timefuel", package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    with open(package / "__init__.py", "a") as init:
+        init.write("\n\ndef solve_time_fuel(spec, options):\n    raise RuntimeError('the copy')\n")
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--src", str(package.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = run.stdout.splitlines()
+    assert len(lines) == 14 + 6 + 6 + 30 + 20
+    assert all(line.endswith("\tRuntimeError: the copy") for line in lines)
 
 
 def report(best_id, word, cost, ties, programs):

@@ -1,11 +1,14 @@
 import importlib.util
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, linprog
+from scipy.optimize._highspy._core import _Highs
 
 from timefuel import LtiSystem, build_spectrum, parse_problem, simulate, validate_problem
 from timefuel.simulate import (
@@ -428,7 +431,7 @@ class TestLpOracle:
         calls = record_lp_transfers(monkeypatch)
         lp_oracle(spec, horizon(spec))
         horizons = [T for T, _x in calls]
-        assert len(set(horizons)) == len(horizons) == 11
+        assert len(set(horizons)) == len(horizons) == 10
 
     @REFUSALS
     def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
@@ -450,6 +453,62 @@ class TestLpOracle:
         else:
             assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert _lp_word(inputs, horizon) == _lp_word(expected_inputs, horizon)
+
+    def test_reused_highs_matches_a_fresh_one(self, monkeypatch):
+        # every LP reuses one HiGHS instance, cleared before each build: an
+        # infeasible transfer LP, then a feasible one, with gauge LPs in
+        # between, give the bits of a fresh instance each
+        sweep_a, t_max = refusal([-5, 2, 3], [0.3739, -0.2274, 0.0801], 2)
+        mixed_3, _ = refusal([1, 3, -2, 2], [0.1407, 0.466, 0.0978, -0.2646], 1)
+        spec = counterexample()
+        calls = [
+            lambda: _lp_transfer(sweep_a, t_max),
+            lambda: null_certificate(sweep_a),
+            lambda: _lp_transfer(spec, 1.5),
+            lambda: null_certificate(mixed_3),
+            lambda: _lp_transfer(spec, 1.45),
+        ]
+
+        def bits(result):
+            if isinstance(result, tuple):
+                return tuple(map(bits, result))
+            return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+        def fresh_highs():
+            highs = _Highs()
+            highs.setOptionValue("output_flag", False)
+            highs.setOptionValue("presolve", "off")
+            return highs
+
+        reused = [bits(call()) for call in calls]
+        expected = []
+        for call in calls:
+            monkeypatch.setattr(simulate._LOCAL, "highs", fresh_highs(), raising=False)
+            expected.append(bits(call()))
+        assert reused == expected
+        assert reused[0][0] == "inf" and reused[2][0] != "inf"
+        assert null_certificate(mixed_3).proven
+        monkeypatch.undo()
+
+        # each thread has its own instance: threads switching every
+        # microsecond, each building and solving LPs, read their own results
+        results = []
+
+        def worker():
+            results.append([bits(call()) for call in calls * 3])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected * 3] * 4
 
     @pytest.mark.parametrize("horizon", [1.40, 1.45, 1.5, 2.0, 6.0])
     def test_transfer_matches_linprog(self, horizon):

@@ -491,12 +491,13 @@ class TestStackedRestoration:
         report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
         assert report.best.instance_id == "OP2-minus"
         assert report.best.cost == pytest.approx(1.893979044212426, rel=1e-12)
+        # the LP's word -1,0,1 seeds OP2-minus alone
         statuses = {s.instance_id: s.status for s in report.per_instance}
         assert statuses == {
-            "OP1-minus": INFEASIBLE,
-            "OP1-plus": INFEASIBLE,
+            "OP1-minus": solver.SKIPPED,
+            "OP1-plus": solver.SKIPPED,
             "OP2-minus": CONVERGED,
-            "OP2-plus": INFEASIBLE,
+            "OP2-plus": solver.SKIPPED,
         }
 
     def test_fourth_order_answer_pinned(self):
@@ -648,24 +649,28 @@ class TestLpRetry:
 
 
 def test_stable_1_solves_from_the_lp_seed(monkeypatch):
-    # the free n=4 draw `stable-1` of the benchmark's stable_free set: at
-    # n >= 3 the LP runs first, and its word seeds programs, so no blind
-    # start is drawn
+    # the free n=4 draw `stable-1` of the benchmark's stable_free set: the
+    # LP runs first, and its word seeds programs, so no blind start is drawn
     monkeypatch.setattr(solver, "_starts", no_starts)
     spec = stable_spec((3, 4, 5, 6), [0.0883, -0.3688, -0.2573, -0.0863])
     options = SolverOptions(starts=16, seed=0)
     check_against_lp(spec, solve_time_fuel(spec, options), options)
 
 
-def test_order_two_solves_blind(monkeypatch, example_spec):
-    # at n <= 2 only the blind starts run, and the LP is never consulted
-    def no_lp(*args, **kwargs):
-        raise AssertionError("lp_oracle consulted")
+def test_order_two_solves_from_the_lp_seed(monkeypatch, example_spec):
+    # the LP runs at every order: at n = 2 it is asked once, its word seeds
+    # the answer, and no blind start is drawn
+    calls = []
 
-    monkeypatch.setattr(solver, "lp_oracle", no_lp)
+    def counted_lp_oracle(spec, t_max):
+        calls.append(spec)
+        return lp_oracle(spec, t_max)
+
+    monkeypatch.setattr(solver, "lp_oracle", counted_lp_oracle)
+    monkeypatch.setattr(solver, "_starts", no_starts)
     report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
     assert report.best.instance_id == "OP2-minus"
-    assert all(s.status != solver.SKIPPED for s in report.per_instance)
+    assert calls == [example_spec]
 
 
 #: `suboptimal` of tools/reports.py: b = 1, lambda = -1, 2, -3.
@@ -785,7 +790,7 @@ def test_certificate_is_asked_once_before_the_lp(monkeypatch):
 
 def test_refusal_quotes_the_least_restored_residual():
     # `hi-n7-1` of tools/reports.py refuses: OP2-minus-+-+-+ restores its
-    # seed to 5.466e-07, but its descent ends at 3.264e+00, and the refusal
+    # seed to 2.253e-07, but its descent ends at 2.231e-01, and the refusal
     # quotes both
     spec = stable_spec(
         (2, 3, 6, 7, 8, 9, 10), [-0.0349, -0.3387, 0.2665, -0.3929, -0.0555, -0.429, -0.0281]
@@ -793,8 +798,8 @@ def test_refusal_quotes_the_least_restored_residual():
     with pytest.raises(SolverFailedError) as refusal:
         solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
     assert str(refusal.value).startswith(
-        "no program verified (best constraint residual 3.264e+00 (OP2-minus-+-+-+), "
-        "best restored residual 5.466e-07 (OP2-minus-+-+-+)), "
+        "no program verified (best constraint residual 2.231e-01 (OP2-minus-+-+-+), "
+        "best restored residual 2.253e-07 (OP2-minus-+-+-+)), "
     )
 
 
@@ -833,8 +838,8 @@ def test_seeded_refusal_draws_no_blind_start(monkeypatch):
 
 def test_certified_refusal_below_order_three_runs_nothing(monkeypatch):
     # x' = x + u from x0 = 2: the null-controllable region is (-1, 1), and
-    # at n <= 2 the certificate is asked before any start, so the refusal
-    # is exit 2 with neither the LP nor a blind start run
+    # the certificate is asked before anything else, so the refusal is
+    # exit 2 with neither the LP nor a blind start run
     def no_lp(*args, **kwargs):
         raise AssertionError("lp_oracle consulted")
 
@@ -860,7 +865,7 @@ def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
     budgeted = {m: validate_problem(spec.system, spec.x0, spec.k, max_switches=m) for m in (2, 4)}
     monkeypatch.setattr(solver, "_starts", no_starts)
     report = solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0))
-    assert report.best.cost == 0.6370635537714361
+    assert report.best.cost == 0.6370635537714232
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
     assert solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0)) == report
     monkeypatch.setattr(solver, "_starts", recording_starts)
@@ -1030,7 +1035,10 @@ class TestDegenerateVertex:
         ],
         ids=["unstable-mode", "stable"],
     )
-    def test_degenerate_optimum_converges(self, problem, programs):
+    def test_degenerate_optimum_converges(self, problem, programs, monkeypatch):
+        # on the blind starts, which the LP's seeds leave out unless it
+        # finds no transfer
+        monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: None)
         report = solve_time_fuel(parse_problem(problem), SolverOptions(starts=24, seed=3))
         statuses = {s.instance_id: s.status for s in report.per_instance}
         for program in programs:
@@ -1169,55 +1177,36 @@ class TestDescentLayer:
         assert abs(report.best.cost - float(optimum)) <= 2e-15 * float(optimum)
 
     def test_slsqp_evaluates_each_point_once(self, example_spec, monkeypatch):
-        # one kernel call a step evaluates every point the runs asked for,
-        # and that call gives a point's residual and Jacobian both
+        # each point SLSQP is handed is evaluated once, by one `_eval1` call
+        # that gives its residual and Jacobian both: a gradient request
+        # reuses the Jacobian of the function request before it
         inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
         restored = restored_alone(inst, SolverOptions(starts=16, seed=0))
-        real_slsqp, real_eval, real_run = solver.slsqp, solver._eval, solver._slsqp
-        received, evaluated, asked, calls, aside = [], [], [], [], []
-
-        def run(*args):
-            # each point a run yields is one it asks to have evaluated
-            inner, pair = real_run(*args), None
-            while True:
-                try:
-                    x = inner.send(pair)
-                except StopIteration as end:
-                    return end.value
-                asked.append(x.tobytes())
-                pair = yield x
+        real_slsqp, real_eval1, real_polish = solver.slsqp, solver._eval1, solver._polish
+        received, evaluated, polishing = [], [], []
 
         def step(state, fx, g, C, d, x, *args):
             received.append(x.tobytes())
             real_slsqp(state, fx, g, C, d, x, *args)
 
-        def counted(spec, levels, gaps, *args, **kwargs):
-            if not aside:
-                rows = [row.tobytes() for row in gaps]
-                assert sorted(rows) == sorted(asked)
-                evaluated.extend(rows)
-                calls.append(len(rows))
-                asked.clear()
-            return real_eval(spec, levels, gaps, *args, **kwargs)
+        def counted(instance, gaps):
+            if not polishing:
+                evaluated.append(gaps.tobytes())
+            return real_eval1(instance, gaps)
 
-        def set_aside(f):
-            # the polish and the second-order check evaluate on their own
-            def g(*args):
-                aside.append(f)
-                try:
-                    return f(*args)
-                finally:
-                    aside.pop()
+        def polish(*args):
+            # the polish evaluates on its own
+            polishing.append(True)
+            try:
+                return real_polish(*args)
+            finally:
+                polishing.pop()
 
-            return g
-
-        monkeypatch.setattr(solver, "_slsqp", run)
         monkeypatch.setattr(solver, "slsqp", step)
-        monkeypatch.setattr(solver, "_eval", counted)
-        monkeypatch.setattr(solver, "_polish", set_aside(solver._polish))
-        monkeypatch.setattr(solver, "_is_minimizer", set_aside(solver._is_minimizer))
+        monkeypatch.setattr(solver, "_eval1", counted)
+        monkeypatch.setattr(solver, "_polish", polish)
         solve_nlp(inst, restored)
-        assert calls[0] == 16 and max(calls[1:]) > 1
+        assert len(received) > len(evaluated) > 16
         assert sorted(evaluated) == sorted(set(received))
 
     @staticmethod
@@ -1257,9 +1246,9 @@ class TestDescentLayer:
         ],
         ids=["ref2-k1", "stable-higher-order", "mixed-2"],
     )
-    def test_lockstep_runs_are_scipy_slsqp(self, problem, monkeypatch):
-        # with nothing to merge into, each descended start's first run ends
-        # bit for bit where scipy's own SLSQP loop ends it
+    def test_slsqp_runs_are_scipy_slsqp(self, problem, monkeypatch):
+        # each descended start's first run ends bit for bit where scipy's
+        # own SLSQP loop ends it
         spec = parse_problem(problem)
         instances = build_all(spec)
         restored = _restore(spec, instances, blind_starts(instances, SolverOptions(16, 0)))
@@ -1270,7 +1259,6 @@ class TestDescentLayer:
             polished[instance.instance_id, gaps.tobytes()] += 1
             return real_polish(instance, gaps)
 
-        monkeypatch.setattr(solver, "_is_minimizer", lambda *args: False)
         monkeypatch.setattr(solver, "_polish", recorded)
         for inst in instances:
             gaps, c = restored[inst.instance_id]
@@ -1283,8 +1271,8 @@ class TestDescentLayer:
 
 
 class TestMergeIntoKnownMinimum:
-    """A start whose SLSQP reaches a local minimizer its program already
-    found ends there, without its own polish."""
+    """What one program's starts cost: one polish per descended start, and
+    one DEBUG line of counts per program that runs."""
 
     SUBOPTIMAL = {
         "eigenvalues": [[-1, 1], [2, 1], [-3, 1]],
@@ -1306,55 +1294,27 @@ class TestMergeIntoKnownMinimum:
         return calls
 
     def test_sixty_four_starts_keep_the_optimum(self):
-        # stopping a program's starts at a repeated point lost this optimum;
-        # merging keeps every start's exploration
+        # the LP's seed reaches this optimum, which 16 blind starts miss;
+        # the start count does not matter, since no blind start runs
         report = solve_time_fuel(parse_problem(self.SUBOPTIMAL), SolverOptions(starts=64, seed=0))
         assert report.best.schedule.levels == (1, 0, -1, 0, 1)
         assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
 
     def test_one_polish_per_converged_program(self, example_spec, monkeypatch):
-        # every later start of OP2-minus reaches the first one's minimizer
+        # the LP's word -1,0,1 seeds OP2-minus alone, with one start
         calls = self.counted_polish(monkeypatch)
         report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
         converged = [s.instance_id for s in report.per_instance if s.status == CONVERGED]
         assert sorted(calls) == sorted(converged) == ["OP2-minus"]
         assert report.best.cost == pytest.approx(1.89397904421243217, rel=2e-15)
 
-    def test_second_order_check(self, example_spec):
-        # the optimum of OP2-minus passes under the Jacobian and multipliers
-        # the polish ends on there; the negated cost -w flips the
-        # multipliers of the free gaps' stationarity w + J^T mult = 0, and
-        # under them the same point is a maximizer along the manifold and
-        # fails
-        inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
-        sol = solve_nlp(inst, restored_alone(inst))
-        gaps, _, _, J, mult = solver._polish(inst, np.diff(sol.times, prepend=0.0))
-        assert solver._is_minimizer(inst, gaps, J, mult)
-        assert not solver._is_minimizer(inst, gaps, J, -mult)
-
-    def test_point_failing_the_check_is_no_target(self, example_spec, monkeypatch, caplog):
-        # with every converged point refused, each start descends on its own
-        monkeypatch.setattr(solver, "_is_minimizer", lambda *args: False)
-        calls = self.counted_polish(monkeypatch)
-        inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
-        with caplog.at_level(logging.DEBUG, logger="timefuel"):
-            sol = solve_nlp(inst, restored_alone(inst, SolverOptions(starts=16, seed=0)))
-        assert sol.status == CONVERGED
-        assert len(calls) >= 16
-        assert caplog.messages == [
-            "OP2-minus: 16 starts, 16 descended, 16 converged, 0 merged into a known minimum"
-        ]
-
     def test_counts_logged_per_program(self, example_spec, caplog):
         with caplog.at_level(logging.DEBUG, logger="timefuel"):
             report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
-        assert [r.name for r in caplog.records] == ["timefuel"] * 5
+        assert [r.name for r in caplog.records] == ["timefuel"] * 2
         assert caplog.messages == [
-            "the blind starts run: order 2 runs no LP",
-            "OP1-minus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
-            "OP1-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
-            "OP2-minus: 16 starts, 16 descended, 1 converged, 15 merged into a known minimum",
-            "OP2-plus: 16 starts, 0 descended, 0 converged, 0 merged into a known minimum",
+            "the LP-seeded starts run: the LP's word -1,0,1 fits 1 of 4 programs",
+            "OP2-minus: 1 starts, 1 descended, 1 converged",
         ]
         # the log leaves the report as it is
         quiet = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
@@ -1362,9 +1322,8 @@ class TestMergeIntoKnownMinimum:
 
 
 class TestPolishState:
-    """The polish evaluates its start once, after the snap, and hands the
-    second-order check the Jacobian and multipliers of the point it
-    returns, so the check evaluates and fits nothing."""
+    """The polish evaluates its start once, after the snap, and returns the
+    feasibility of the point it returns."""
 
     PROBLEMS = pytest.mark.parametrize(
         "problem",
@@ -1393,35 +1352,11 @@ class TestPolishState:
         assert starts
         for inst, start in starts:
             evaluated.clear()
-            gaps, feas, kkt, J, mult = real_polish(inst, start)
+            gaps, feas, _kkt = real_polish(inst, start)
             # the first evaluation is of the snapped start, not of the start
             snapped = np.where(start < solver.COLLAPSE_TOL, 0.0, start)
             assert np.array_equal(evaluated[0], snapped)
-            c, J_point = real_eval1(inst, gaps)
-            assert np.array_equal(J, J_point)
-            assert (feas, kkt) == solver._kkt_state(c, J, inst.gap_weights, gaps, mult)
-
-    @PROBLEMS
-    def test_second_order_check_calls_no_kernel(self, problem, monkeypatch):
-        real_check, real_kernel = solver._is_minimizer, solver.reach_kernel
-        checking, checks, calls_in_check = [], [], []
-
-        def check(*args):
-            checking.append(True)
-            try:
-                checks.append(real_check(*args))
-                return checks[-1]
-            finally:
-                checking.pop()
-
-        def kernel(*args, **kwargs):
-            calls_in_check.append(bool(checking))
-            return real_kernel(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_is_minimizer", check)
-        monkeypatch.setattr(solver, "reach_kernel", kernel)
-        solve_time_fuel(parse_problem(problem), SolverOptions(starts=16, seed=0))
-        assert any(checks) and calls_in_check and not any(calls_in_check)
+            assert feas == float(np.max(np.abs(real_eval1(inst, gaps)[0])))
 
 
 def test_converged_point_with_a_dropped_sliver_verifies():

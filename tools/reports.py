@@ -2,12 +2,13 @@
 
 One line per problem: its name, a tab, then
 `json.dumps(report.as_dict(), sort_keys=True)`, or the exception class and
-message when the solve raises.  Two commits compare by `diff` of their
-output:
+message when the solve raises.  Write it, for this tree's package or for
+the `src` directory of another tree, solved on this tree's problem set:
 
-    python3 tools/reports.py > reports.txt
+    python3 tools/reports.py [--src OTHER/src] > reports.txt
 
-or, one line per changed problem and a count line, by
+Two such files compare by `diff`, or, one line per changed problem and a
+count line, by
 
     python3 tools/reports.py --compare old.txt new.txt
 
@@ -44,14 +45,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
-from conftest import random_schedule, random_system  # noqa: E402
-from timefuel import SolverOptions, parse_problem, solve_time_fuel, validate_problem  # noqa: E402
-from timefuel.simulate import reachability_x0  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-BLIND = SolverOptions(starts=16, seed=0)
+# The package is imported where it is used, so that `main` can choose it;
+# options are (starts, seed) pairs until then.
+BLIND = (16, 0)
 
 
 def _problem(eigenvalues, x0, k) -> dict:
@@ -69,7 +69,7 @@ NAMED = {
     "stiff-n2": (_problem((-4, -5), (0.0248, -0.0663), 0.5), BLIND),
     "n6": (
         _problem(range(-1, -7, -1), (0.1, 0.2, 0.4, 0.5, 0.8, 1.0), 1),
-        SolverOptions(starts=6, seed=0),
+        (6, 0),
     ),
     "n5-lp2.72957": (
         _problem((-2, -3, -4, -5, -6), (0.1222, 0.489, -0.2847, -0.3398, 0.1125), 1),
@@ -84,6 +84,8 @@ NAMED = {
 
 
 def _high_order():
+    from timefuel import parse_problem
+
     rng = np.random.default_rng(77)
     for n in (6, 7, 8):
         for i in range(2):
@@ -93,6 +95,8 @@ def _high_order():
 
 
 def _sweep():
+    from timefuel import parse_problem
+
     rng = np.random.default_rng(2026)
     for i in range(30):
         n = 2 + i % 3
@@ -105,6 +109,10 @@ def _sweep():
 
 
 def _criterion_08():
+    from conftest import random_schedule, random_system
+    from timefuel import validate_problem
+    from timefuel.simulate import reachability_x0
+
     rng = np.random.default_rng(77)
     solved = 0
     while solved < 20:
@@ -115,12 +123,13 @@ def _criterion_08():
         if np.max(np.abs(x0)) < 0.05 or np.max(np.abs(x0)) > 50.0:
             continue
         k = float(rng.uniform(0.5, 3.0))
-        yield f"c08-{solved}", validate_problem(system, x0, k), SolverOptions(starts=24, seed=3)
+        yield f"c08-{solved}", validate_problem(system, x0, k), (24, 3)
         solved += 1
 
 
-def problems():
-    """(name, spec, options) of every problem of the set, in order."""
+def _specs():
+    from timefuel import parse_problem
+
     for cases in WORKLOADS.values():
         for case in cases():
             yield case.name, parse_problem(case.problem), BLIND
@@ -131,7 +140,17 @@ def problems():
     yield from _criterion_08()
 
 
+def problems():
+    """(name, spec, options) of every problem of the set, in order."""
+    from timefuel import SolverOptions
+
+    for name, spec, (starts, seed) in _specs():
+        yield name, spec, SolverOptions(starts=starts, seed=seed)
+
+
 def report_line(name, spec, options) -> str:
+    from timefuel import solve_time_fuel
+
     try:
         text = json.dumps(solve_time_fuel(spec, options).as_dict(), sort_keys=True)
     except Exception as exc:  # the line records every failure; the run goes on
@@ -219,12 +238,14 @@ def compare(old_path, new_path) -> tuple[list[str], bool]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
         lines, moved = compare(*args.compare)
         print("\n".join(lines))
         return 1 if moved else 0
+    sys.path.insert(0, str(args.src.resolve()))
     for problem in problems():
         print(report_line(*problem), flush=True)
     return 0
