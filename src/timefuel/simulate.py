@@ -227,18 +227,37 @@ def _dense_lp(costs, lower, upper, rows: np.ndarray, target: np.ndarray):
     return highs
 
 
+def _farkas(cells: np.ndarray, target: np.ndarray) -> bool:
+    """Whether a Farkas certificate shows that no |u| <= 1 has cells @ u =
+    target, r outside the zonotope of the columns A_j of A = cells.  With
+    z = (A A^T)^-1 r, the least-squares dual, y = z / (r . z) has r . y = 1,
+    while no A u with |u| <= 1 has y . A u above sum_j |A_j . y|: so r is
+    outside when that sum, plus a bound on its rounding, is below 1 - 1e-6.
+    The margin leaves HiGHS the LPs at its feasibility tolerance: where one
+    bang reaches the origin in the least time, x0 is a vertex of the
+    zonotope and the sum is 1 less a few ulps.  A singular A A^T, as at
+    x0 = 0 and T = 0, proves nothing."""
+    try:
+        z = np.linalg.solve(cells @ cells.T, target)
+    except np.linalg.LinAlgError:
+        return False
+    rounding = 1e-12 * (np.abs(z) @ np.abs(cells).sum(axis=1) + np.abs(z) @ np.abs(target))
+    return bool(np.abs(z @ cells).sum() + rounding < (1.0 - 1e-6) * (target @ z))
+
+
 def _lp_transfer(spec: ProblemSpec, horizon: float):
     """(J = k*T plus the least fuel, cell inputs, dJ/dT) of the transfer at
     T = horizon.
 
     The input is constant on LP_CELLS equal cells with |u| <= 1, written as
-    u = u+ - u- so that the fuel is linear, and `_dense_lp` solves it.
+    u = u+ - u- so that the fuel is linear, and `_dense_lp` solves it,
+    unless `_farkas` proves first that no such input reaches the target.
     dJ/dT is the LP's envelope derivative: dL/dT at the optimum of the
     Lagrangian L = k*T + (T / LP_CELLS) sum(u+ + u-) - y . (A u - r), with
     y the row duals, A the cell rows and r the target, both differentiated
     in closed form; where J has a kink it is one of the one-sided slopes.
-    Returns (inf, None, -inf) when HiGHS reports no optimum, as when no
-    such input reaches the origin at T.
+    Returns (inf, None, -inf) when the Farkas screen refuses the LP or
+    HiGHS reports no optimum, as when no such input reaches the origin at T.
     """
     lam = spec.system.eigenvalues
     b = spec.system.gains
@@ -249,10 +268,12 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     shift = np.minimum(lam, 0.0) * horizon
     edges = np.exp(shift[:, None] - np.outer(lam, h * np.arange(LP_CELLS + 1)))
     cells = -(b / lam * np.expm1(-lam * h))[:, None] * edges[:, :-1]
+    target = -spec.x0 * np.exp(shift)
+    if _farkas(cells, target):
+        return math.inf, None, -math.inf
     cols = 2 * LP_CELLS
     highs = _dense_lp(
-        np.full(cols, h), np.zeros(cols), np.ones(cols), np.hstack([cells, -cells]),
-        -spec.x0 * np.exp(shift),
+        np.full(cols, h), np.zeros(cols), np.ones(cols), np.hstack([cells, -cells]), target
     )
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         return math.inf, None, -math.inf
@@ -305,8 +326,10 @@ def lp_oracle(
     kinks, and the search local.  The inputs are those
     of the least cost of every horizon solved, each solved once.  The cell
     grid only restricts the input, so up to HiGHS's feasibility tolerance
-    the cost lies above the optimum, by the discretization error.  Shares
-    nothing with the solver.
+    the cost lies above the optimum, by the discretization error.  An
+    infeasible probe costs no HiGHS run when `_farkas` proves it so, which
+    changes no horizon the search solves and no result.  Shares nothing
+    with the solver.
     """
     if _is_bool(t_max) or not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")

@@ -26,6 +26,7 @@ def test_private_scipy_names_resolve():
             getattr(_Highs, method)
             for method in (
                 "setOptionValue",
+                "clearModel",
                 "addCols",
                 "addRows",
                 "run",

@@ -15,6 +15,7 @@ from timefuel.simulate import (
     LP_CELLS,
     InvalidScheduleError,
     SwitchingSchedule,
+    _farkas,
     _lp_transfer,
     _sign_changes,
     _time_bound,
@@ -296,6 +297,19 @@ def record_lp_transfers(monkeypatch):
     return calls
 
 
+def count_highs_runs(monkeypatch):
+    """A list that gets one entry per HiGHS run, a call of `_dense_lp`."""
+    runs = []
+    inner = simulate._dense_lp
+
+    def counting(*args):
+        runs.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(simulate, "_dense_lp", counting)
+    return runs
+
+
 def highs_lp_transfer(spec, horizon):
     """`_lp_transfer`'s LP filled into a row-wise `HighsLp`, field by field,
     and passed to HiGHS whole, presolve off."""
@@ -457,12 +471,15 @@ class TestLpOracle:
     def test_reused_highs_matches_a_fresh_one(self, monkeypatch):
         # every LP reuses one HiGHS instance, cleared before each build: an
         # infeasible transfer LP, then a feasible one, with gauge LPs in
-        # between, give the bits of a fresh instance each
-        sweep_a, t_max = refusal([-5, 2, 3], [0.3739, -0.2274, 0.0801], 2)
+        # between, give the bits of a fresh instance each.  The infeasible
+        # LP is mixed-1's bisection probe, which the Farkas screen leaves to
+        # HiGHS (its least-squares ratio is 1.041)
+        sweep_a, _ = refusal([-5, 2, 3], [0.3739, -0.2274, 0.0801], 2)
         mixed_3, _ = refusal([1, 3, -2, 2], [0.1407, 0.466, 0.0978, -0.2646], 1)
+        mixed_1 = dict(comparison_set())["mixed-1"]
         spec = counterexample()
         calls = [
-            lambda: _lp_transfer(sweep_a, t_max),
+            lambda: _lp_transfer(mixed_1, 0.44833633737247275),
             lambda: null_certificate(sweep_a),
             lambda: _lp_transfer(spec, 1.5),
             lambda: null_certificate(mixed_3),
@@ -480,7 +497,9 @@ class TestLpOracle:
             highs.setOptionValue("presolve", "off")
             return highs
 
+        runs = count_highs_runs(monkeypatch)
         reused = [bits(call()) for call in calls]
+        assert len(runs) == len(calls)
         expected = []
         for call in calls:
             monkeypatch.setattr(simulate._LOCAL, "highs", fresh_highs(), raising=False)
@@ -615,6 +634,73 @@ class TestLpOracle:
             assert slope == pytest.approx(quotient, abs=1e-4)
             slopes.append(slope)
         assert slopes[0] < -11.0 and 0.5 < slopes[1] < 1.0
+
+
+class TestFarkasScreen:
+    """`_lp_transfer` refuses an LP that a least-squares Farkas certificate
+    proves infeasible, before HiGHS runs."""
+
+    def test_screens_only_lps_highs_finds_infeasible(self, monkeypatch):
+        # over the search horizons of the whole comparison set, every LP the
+        # screen refuses is one that HiGHS, run on the same LP with the
+        # screen off, reports not optimal: 171 of the 180 infeasible LPs,
+        # and none of the 513 feasible ones
+        screened, solved = [], []
+        farkas, transfer = simulate._farkas, simulate._lp_transfer
+
+        def screening(cells, target):
+            screened.append(farkas(cells, target))
+            return screened[-1]
+
+        def solving(spec, T):
+            result = transfer(spec, T)
+            solved.append((spec, T, result[1] is None))
+            return result
+
+        monkeypatch.setattr(simulate, "_farkas", screening)
+        monkeypatch.setattr(simulate, "_lp_transfer", solving)
+        for _name, spec in comparison_set():
+            lp_oracle(spec, horizon(spec))
+        monkeypatch.undo()
+        assert len(screened) == len(solved)
+        refused = [(spec, T) for (spec, T, _), screen in zip(solved, screened) if screen]
+        monkeypatch.setattr(simulate, "_farkas", lambda cells, target: False)
+        runs = count_highs_runs(monkeypatch)
+        for spec, T in refused:
+            assert _lp_transfer(spec, T)[1] is None, T
+        assert len(runs) == len(refused)
+        infeasible = sum(no_input for _spec, _T, no_input in solved)
+        assert (len(solved), infeasible, len(refused)) == (693, 180, 171)
+
+    def test_vertex_at_the_minimum_time_runs_highs(self, monkeypatch):
+        # at mixed-2's time bound one bang reaches the origin, so x0 sits on
+        # a vertex of the cell zonotope and the least-squares ratio is
+        # 1 - 3.3e-16: the margin leaves that feasible LP to HiGHS
+        spec = dict(comparison_set())["mixed-2"]
+        runs = count_highs_runs(monkeypatch)
+        cost, inputs, _slope = _lp_transfer(spec, _time_bound(spec))
+        assert len(runs) == 1 and inputs is not None
+        assert cost == pytest.approx(0.5285483755394647, rel=1e-12)
+
+    def test_counterexample_runs_highs_on_six_of_ten_lps(self, monkeypatch):
+        # the search of stable-counterexample solves 10 LPs; the screen
+        # refuses its 4 infeasible probes before HiGHS runs
+        spec = counterexample()
+        calls = record_lp_transfers(monkeypatch)
+        runs = count_highs_runs(monkeypatch)
+        lp_oracle(spec, horizon(spec))
+        assert (len(calls), len(runs)) == (10, 6)
+
+    def test_singular_rows_fall_through_to_highs(self, monkeypatch):
+        # x0 = 0 has the time bound T = 0, where every cell row is 0 and
+        # A A^T is singular: the screen proves nothing, and HiGHS finds the
+        # zero input
+        assert not _farkas(np.zeros((2, LP_CELLS)), np.zeros(2))
+        system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
+        spec = validate_problem(system, [0.0, 0.0], 1.0)
+        runs = count_highs_runs(monkeypatch)
+        cost, inputs, _slope = _lp_transfer(spec, _time_bound(spec))
+        assert len(runs) == 1 and cost == 0.0 and not np.any(inputs)
 
 
 def comparison_set():

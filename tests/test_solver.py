@@ -1123,6 +1123,36 @@ def test_seeded_degenerate_start_converges():
     assert solve_nlp(inst, restored[inst.instance_id]).status == CONVERGED
 
 
+#: `hi-n6-0` of tools/reports.py: b = 1, lambda = -1, -3, -5, -7, -8, -9.
+HI_N6_0 = {
+    "eigenvalues": [[-1, 1], [-3, 1], [-5, 1], [-7, 1], [-8, 1], [-9, 1]],
+    "b": [1] * 6,
+    "x0": [0.3013, -0.4092, -0.1264, 0.2913, 0.2587, 0.104],
+    "k": 1,
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SolverFailedError,
+    reason="fragile to the LP horizon: from the LP's seed at 1 + 1e-4 times "
+    "its horizon, OP2-minus-+-+- ends at iteration_limit with KKT residual "
+    "2.7e-8 > KKT_TOL and constraint residual 4.5e-9 on the raw reach rows "
+    "(ROADMAP item 1: one feasibility measure on the LP-seeded pass)",
+)
+def test_seed_off_the_lp_horizon_converges(monkeypatch):
+    # `hi-n6-0` solves from the LP's seed at its horizon T; the 400-cell LP
+    # at T (1 + 1e-4) has the same word, at 4.2e-8 relative more cost, and
+    # its seed should solve too
+    spec = parse_problem(HI_N6_0)
+    t_f = 2.1840189471242226 * (1.0 + 1e-4)
+    cost, inputs, _slope = _lp_transfer(spec, t_f)
+    assert lp_oracle(spec, horizon(spec))[1] == 2.1840189471242226
+    monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (cost, t_f, inputs))
+    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    assert report.best.schedule.levels == _lp_word(inputs, t_f).levels
+
+
 class TestDescentLayer:
     """SLSQP stops at the feasibility tolerance; the polish gives the digits."""
 

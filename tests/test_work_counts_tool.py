@@ -37,8 +37,9 @@ def test_ref2_counts_are_byte_identical(tmp_path):
         assert 0 < counts["lm_passes"] <= counts["lm_row_passes"]
         assert counts["kernel_calls"] > counts["lm_passes"]
         # the reference system is stable: transfer LPs, whose word seeds
-        # the solve, and no gauge LP
-        assert counts["lp_solves"] == counts["highs_runs"] > 0
+        # the solve, and no gauge LP; the Farkas screen refuses the
+        # infeasible doubling probes before HiGHS runs
+        assert 0 < counts["highs_runs"] < counts["lp_solves"]
 
 
 def test_compare_shows_totals_and_moves(tmp_path, capsys):

@@ -8,7 +8,9 @@ and the reprs of its lower and upper gauge bounds.  Otherwise the line
 has `feasible`, the LP word (the cell inputs rounded and condensed by
 `solver._lp_word`) as its levels, the repr of the cost and of the
 horizon, and the CRC-32 of the cell inputs' bytes.  Every line ends with
-the number of LPs the search solved, the calls of `simulate._lp_transfer`.
+the number of LPs the search solved, the calls of `simulate._lp_transfer`,
+and the HiGHS runs among them, the calls of `simulate._dense_lp`: an LP
+that `_lp_transfer`'s Farkas screen proves infeasible runs none.
 The LP and the certificate do not depend on timing, so two runs print the
 same bytes:
 
@@ -20,8 +22,8 @@ tree's problem set.  Two such files compare by
     python3 tools/lp_check.py --compare OLD NEW
 
 which prints, per problem, the verdict, word and horizon, old -> new where
-they moved, the cost's relative change and the LP counts, then a count
-line; a problem that only one file has is `added` or `removed`.  It exits
+they moved, the cost's relative change, the LP counts and the HiGHS
+runs, then a count line; a problem that only one file has is `added` or `removed`.  It exits
 1 when a verdict flips, a word moves or a cost rises by more than
 `COST_REL_TOL` on a problem both files have, and 0 otherwise.
 """
@@ -46,18 +48,21 @@ def lp_line(name, spec) -> str:
     from timefuel import simulate
     from timefuel.solver import _lp_word, horizon
 
-    with mock.patch.object(simulate, "_lp_transfer", wraps=simulate._lp_transfer) as transfer:
+    with (
+        mock.patch.object(simulate, "_lp_transfer", wraps=simulate._lp_transfer) as transfer,
+        mock.patch.object(simulate, "_dense_lp", wraps=simulate._dense_lp) as highs,
+    ):
         lp = simulate.lp_oracle(spec, horizon(spec))
-    lps = transfer.call_count
+    counts = f"{transfer.call_count}\t{highs.call_count}"
     if lp is None:
         proof = simulate.null_certificate(spec)
         if proof.proven:
-            return f"{name}\tinfeasible\t{proof.mu_x0!r}\t{proof.h!r}\t{lps}"
-        return f"{name}\tinfeasible\tuncertified\t{proof.lower!r}\t{proof.upper!r}\t{lps}"
+            return f"{name}\tinfeasible\t{proof.mu_x0!r}\t{proof.h!r}\t{counts}"
+        return f"{name}\tinfeasible\tuncertified\t{proof.lower!r}\t{proof.upper!r}\t{counts}"
     cost, t_f, inputs = lp
     word = ",".join(map(str, _lp_word(inputs, t_f).levels))
     crc = zlib.crc32(inputs.tobytes())
-    return f"{name}\tfeasible\t{word}\t{cost!r}\t{t_f!r}\t{crc:08x}\t{lps}"
+    return f"{name}\tfeasible\t{word}\t{cost!r}\t{t_f!r}\t{crc:08x}\t{counts}"
 
 
 def _read(path) -> dict:
@@ -71,8 +76,8 @@ def _change(old: str, new: str) -> str:
 
 
 def compare_line(name: str, old: list, new: list) -> tuple[str, bool]:
-    """The verdict, word and horizon, the cost's relative change and the LP
-    counts of one problem; and whether the verdict, word or cost moved
+    """The verdict, word and horizon, the cost's relative change, the LP
+    count and the HiGHS runs of one problem; and whether the verdict, word or cost moved
     past what a comparison allows."""
     feasible = old[0] == new[0] == "feasible"
     word, horizon = zip(*((f[1], f[3]) if f[0] == "feasible" else ("-", "-") for f in (old, new)))
@@ -80,7 +85,8 @@ def compare_line(name: str, old: list, new: list) -> tuple[str, bool]:
     line = (
         f"{name}\t{_change(old[0], new[0])}\tword {_change(word[0], word[1])}"
         f"\thorizon {_change(horizon[0], horizon[1])}"
-        f"\tcost {f'{rise:+.1e}' if feasible else '-'}\tLPs {_change(old[-1], new[-1])}"
+        f"\tcost {f'{rise:+.1e}' if feasible else '-'}\tLPs {_change(old[-2], new[-2])}"
+        f"\tHiGHS runs {_change(old[-1], new[-1])}"
     )
     return line, old[0] != new[0] or word[0] != word[1] or rise > COST_REL_TOL
 
@@ -98,8 +104,14 @@ def compare(old_path, new_path) -> tuple[list[str], bool]:
             moved += [name] if failed else []
         else:
             lines.append(f"{name}\t{'added' if name in new else 'removed'}")
-    lps = [sum(int(fields[-1]) for fields in side.values()) for side in (old, new)]
-    lines.append(f"{len(moved)} of {len(lines)} problems moved; LPs {lps[0]} -> {lps[1]}")
+    lps, runs = (
+        [sum(int(fields[column]) for fields in side.values()) for side in (old, new)]
+        for column in (-2, -1)
+    )
+    lines.append(
+        f"{len(moved)} of {len(lines)} problems moved; LPs {lps[0]} -> {lps[1]}; "
+        f"HiGHS runs {runs[0]} -> {runs[1]}"
+    )
     return lines, bool(moved)
 
 
