@@ -23,9 +23,10 @@ tree's problem set.  Two such files compare by
 
 which prints, per problem, the verdict, word and horizon, old -> new where
 they moved, the cost's relative change, the LP counts and the HiGHS
-runs, then a count line; a problem that only one file has is `added` or `removed`.  It exits
-1 when a verdict flips, a word moves or a cost rises by more than
-`COST_REL_TOL` on a problem both files have, and 0 otherwise.
+runs, then a count line with the LP and HiGHS-run totals; a problem that
+only one file has is `added` or `removed`.  It exits 1 when a verdict
+flips, a word moves or a cost rises by more than `COST_REL_TOL` on a
+problem both files have, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def _change(old: str, new: str) -> str:
 
 def compare_line(name: str, old: list, new: list) -> tuple[str, bool]:
     """The verdict, word and horizon, the cost's relative change, the LP
-    count and the HiGHS runs of one problem; and whether the verdict, word or cost moved
-    past what a comparison allows."""
+    count and the HiGHS runs of one problem; and whether the verdict, word
+    or cost moved past what a comparison allows."""
     feasible = old[0] == new[0] == "feasible"
     word, horizon = zip(*((f[1], f[3]) if f[0] == "feasible" else ("-", "-") for f in (old, new)))
     rise = (float(new[2]) - float(old[2])) / abs(float(old[2])) if feasible else 0.0
