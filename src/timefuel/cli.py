@@ -4,11 +4,9 @@ Subcommands: enumerate, count, build, solve, simulate, table.  Exit codes:
 0 success, 1 usage, validation or file error, 2 infeasible problem (the
 certificate, asked first at every order, proves x0 outside the
 null-controllable region), 3 solver failure (no local solve verifies, and
-nothing proves x0 unreachable).  `--starts` and `--seed` drive only the
-blind starts, the fallback that runs when the LP finds no transfer or its
-word seeds no program.  All outputs are deterministic for fixed inputs,
-flags and seed; JSON is emitted with sorted keys and CSV uses '.' decimals
-with 9 significant digits.
+nothing proves x0 unreachable).  All outputs are deterministic for fixed
+inputs and flags; JSON is emitted with sorted keys and CSV uses '.'
+decimals with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .simulate import InvalidScheduleError, SwitchingSchedule, propagate
 from .solver import (
     InfeasibleProblemError,
     SolverFailedError,
-    SolverOptions,
     solve_time_fuel,
 )
 
@@ -94,7 +91,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = load_problem(args.problem)
-    report = solve_time_fuel(spec, SolverOptions(args.starts, args.seed))
+    report = solve_time_fuel(spec)
     payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -160,7 +157,7 @@ def cmd_table(args) -> int:
     specs = [validate_problem(spec.system, spec.x0, k, spec.max_switches) for k in args.k]
     rows = []
     for k, kspec in zip(args.k, specs):
-        report = solve_time_fuel(kspec, SolverOptions(args.starts, args.seed))
+        report = solve_time_fuel(kspec)
         best = report.best
         row = {f: getattr(best, f) for f in TABLE_FIELDS[1:]}
         rows.append({"k": k, **row, "sequence": list(best.schedule.levels)})
@@ -212,8 +209,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the time-fuel problem")
     p.add_argument("--problem", required=True)
-    p.add_argument("--starts", type=int, default=SolverOptions.starts)
-    p.add_argument("--seed", type=int, default=SolverOptions.seed)
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_solve)
 
@@ -227,8 +222,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="performance table over several k values")
     p.add_argument("--problem", required=True)
     p.add_argument("--k", type=float, action="append", default=[])
-    p.add_argument("--starts", type=int, default=SolverOptions.starts)
-    p.add_argument("--seed", type=int, default=SolverOptions.seed)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)

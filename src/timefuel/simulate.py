@@ -312,7 +312,11 @@ def lp_oracle(
     slope dJ/dT.  The search starts at `_time_bound`, below which no input
     reaches the origin, at no LP's cost, and doubles the horizon, up to
     t_max, until an LP is feasible and J stops falling (dJ/dT >= 0).  The
-    result is None only when no horizon up to t_max is feasible.  Inside
+    cells coarsen as T grows, so near the reachability boundary the
+    feasible horizons need not form an interval, and the doubling can step
+    over all of them: when t_max is infeasible too, the 64 horizons
+    geometric from the bound to t_max are solved, with no refinement.  The
+    result is None only when no horizon tried is feasible.  Inside
     the bracket of the last two horizons, each step goes to the minimum of
     the cubic through both ends' values and slopes (Nocedal & Wright,
     Numerical Optimization, 2006, eq. 3.59), kept half the stop width from
@@ -324,7 +328,7 @@ def lp_oracle(
     the end tangents meet: with J convex there, no horizon between the ends
     costs less than that.  The cells move with T, so J is jagged, with
     kinks, and the search local.  The inputs are those
-    of the least cost of every horizon solved, each solved once.  The cell
+    of the least cost of every horizon solved, kept from its solve.  The cell
     grid only restricts the input, so up to HiGHS's feasibility tolerance
     the cost lies above the optimum, by the discretization error.  An
     infeasible probe costs no HiGHS run when `_farkas` proves it so, which
@@ -346,6 +350,9 @@ def lp_oracle(
     lo, hi = None, solve(T)
     while hi[3] < 0.0 and hi[0] < t_max:
         lo, hi = hi, solve(min(2.0 * hi[0], t_max))
+    if hi[3] == -math.inf and T > 0.0:
+        for scanned in np.geomspace(T, t_max, 64):
+            solve(scanned)
     old = older = math.inf
     while lo and hi[3] >= 0.0 and (width := hi[0] - lo[0]) > 1e-4 * hi[0]:
         (a, j_a, _, s_a), (b, j_b, _, s_b) = lo, hi

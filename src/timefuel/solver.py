@@ -18,30 +18,31 @@ program's levels, and every row gives the bits it would give alone;
 `LocalSolution` and keeps the best by `_rank`.  Aggregation re-simulates
 every converged solution before trusting it: each that lands on the origin
 becomes a `BestSolution` costed by the simulator, and the report names the
-first after the tie rules.  It is bitwise reproducible for a fixed seed.  The gaps have no upper bound: the final time is free, as in the
-paper's static programs.
+first after the tie rules.  Nothing draws random numbers, so a solve is
+bitwise reproducible.  The gaps have no upper bound: the final time is
+free, as in the paper's static programs.
 
 The fixed-horizon LP of `simulate.lp_oracle`, searched from a minimum-time
 bound up to `horizon`, gives a cost that bounds the optimum from above, up
 to the cell discretization (Nagahara, Quevedo & Nešić, IEEE TAC 61, 2016),
-and an input that, rounded to a level word, seeds every program that
-contains the word.  A solve opens with `simulate.null_certificate`, which
-alone decides the refusal: a proof that x0 lies outside the
-null-controllable region ends it before anything else runs, and without
-one no refusal claims that x0 is unreachable.  Then it is one pass, at
-every order: the LP's seeds when its word fits a program, and otherwise
-the blind starts of `_starts`, drawn by `SolverOptions`, the fallback for
-the two cases the seeds miss: the LP finds no transfer, or its word fits
-no program, as under a switch budget.  `_rank` picks each program's
-solution among its starts: converged solutions first, by cost, then the
-rest, by constraint residual, the first winning a tie.
+and an input that, rounded to a level word, seeds the programs.  A solve
+opens with `simulate.null_certificate`, which alone decides the refusal: a
+proof that x0 lies outside the null-controllable region ends it before
+anything else runs, and without one no refusal claims that x0 is
+unreachable.  Then it is one pass, at every order, from the LP's seeds
+alone: `_embed` places the word's segments in each program's slots, and
+the programs that embed the whole word are seeded with it, or, when none
+does, as under a switch budget, every program with the heaviest part of
+it that it embeds.  A solve whose LP finds no transfer fails at once.
+`_rank` picks each program's solution among its starts: converged
+solutions first, by cost, then the rest, by constraint residual, the first
+winning a tie.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import zlib
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Optional, Sequence
 
@@ -52,11 +53,12 @@ from scipy.optimize import lsq_linear, minimize  # noqa: F401
 from scipy.optimize._slsqplib import slsqp
 
 from .builder import NlpInstance, build_all, reach_kernel
-from .model import ProblemSpec, _is_int
+from .model import ProblemSpec
 from .simulate import (
     COLLAPSE_TOL,
     SwitchingSchedule,
     evaluate_cost,
+    _time_bound,
     lp_oracle,
     null_certificate,
     propagate,
@@ -94,29 +96,19 @@ class SolverFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the blind starts, which run only when the LP's seeds do
-    not: the LP finds no transfer, or its word fits no program; defaults
-    suit small systems."""
+    """The solve's options.  `starts` and `seed` are unused: the LP seeds
+    every solve and nothing is drawn at random; they stay fields so that
+    callers that pass them still run."""
 
     starts: int = 64
     seed: int = 0
     #: Reach residual a converged program must reach (a constant, not a field).
     feas_tol: ClassVar[float] = 1e-8
 
-    def __post_init__(self):
-        for name in ("starts", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
 
 def horizon(spec: ProblemSpec) -> float:
-    """50 time constants of the problem's slowest mode: the scale of the
-    blind start draws and the cap of `lp_oracle`'s doubling search."""
+    """50 time constants of the problem's slowest mode: the cap of
+    `lp_oracle`'s horizon search."""
     spectrum = spec.system.spectrum
     slowest = min(abs(c) for c in spectrum.scaled_numerators)
     return 50.0 * spectrum.common_denominator / slowest
@@ -411,32 +403,6 @@ def _slsqp(instance, gaps):
     return out if np.all(np.isfinite(out)) else gaps
 
 
-def _start_seed(seed: int, instance_id: str, start: int) -> np.random.Generator:
-    digest = zlib.crc32(instance_id.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([seed, digest, start]))
-
-
-def _starts(instance: NlpInstance, options: SolverOptions, longest: float) -> np.ndarray:
-    """The (starts, K) blind start gaps: exponential draws of mean
-    longest / (4 n), one generator per start.  A draw can land dozens of time
-    constants out, where Newton steps barely move, so each is shrunk to the
-    first of the 61 scales 0.7^k with the least residual."""
-    mean_gap = longest / (4.0 * instance.order)
-    draws = np.array(
-        [
-            _start_seed(options.seed, instance.instance_id, start).exponential(
-                mean_gap, instance.slot_count
-            )
-            for start in range(options.starts)
-        ]
-    )
-    scales = np.cumprod(np.r_[1.0, np.full(60, 0.7)])
-    shrunk = (scales[None, :, None] * draws[:, None, :]).reshape(-1, instance.slot_count)
-    c, _ = _eval(instance.spec, instance._v, shrunk, jacobian=False)
-    norms = np.max(np.abs(c), axis=1).reshape(len(draws), len(scales))
-    return scales[np.argmin(norms, axis=1)][:, None] * draws
-
-
 def _descend(instance, gaps, c) -> LocalSolution:
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
     stopped at the feasibility tolerance, and a Newton polish that finishes
@@ -505,26 +471,51 @@ def _lp_word(inputs: np.ndarray, horizon: float) -> SwitchingSchedule:
     return schedule_from_times([int(v) for v in np.rint(inputs)], ends)
 
 
-def _slots(levels: Sequence[int], word: Sequence[int]) -> Optional[list[int]]:
-    """Template slots that carry the word, each segment in the first
-    matching slot after the previous one; None when the word does not fit."""
-    free = iter(range(len(levels)))
-    slots = [next((j for j in free if levels[j] == level), None) for level in word]
-    return None if None in slots else slots
+def _embed(levels: Sequence[int], word: SwitchingSchedule) -> tuple[list[int], list[int]]:
+    """(segments, slots): the heaviest order-preserving embedding of the
+    word's segments in template slots of their own level, weighed by the
+    segments' durations.  best[s][j] is the heaviest of segments s.. in
+    slots j..; read forward, each segment takes the earliest slot that
+    keeps the embedding heaviest, so when the whole word fits, each segment
+    lands in the first matching slot after the previous one."""
+    S, K, durations = len(word.levels), len(levels), word.durations.tolist()
+    best = [[0.0] * (K + 1) for _ in range(S + 1)]
+    for s in range(S - 1, -1, -1):
+        for j in range(K - 1, -1, -1):
+            here = durations[s] + best[s + 1][j + 1] if levels[j] == word.levels[s] else 0.0
+            best[s][j] = max(here, best[s][j + 1], best[s + 1][j])
+    segments, slots, s, j = [], [], 0, 0
+    while s < S and j < K:
+        if levels[j] == word.levels[s] and durations[s] + best[s + 1][j + 1] == best[s][j]:
+            segments.append(s)
+            slots.append(j)
+            s, j = s + 1, j + 1
+        elif best[s][j + 1] == best[s][j]:
+            j += 1
+        else:
+            s += 1
+    return segments, slots
 
 
 def _lp_seeds(instances, word: SwitchingSchedule) -> dict:
-    """Program id -> one start row, with the word's durations in the
-    matching slots and gap 0 elsewhere, of each program that contains it;
-    a word of no segment embeds in every word, so it seeds every program
-    with gaps all 0.  The seed skips the shrink of `_starts`, which would
-    scale it off its horizon."""
+    """Program id -> one start row, the durations of the word's segments in
+    the slots `_embed` gives them and gap 0 elsewhere, for each program that
+    embeds the whole word; when none does, as under a switch budget the word
+    exceeds, for every program, with the heaviest part of the word it
+    embeds, which `_restore` pulls onto the manifold.  A word of no segment
+    embeds in every word, so it seeds every program with gaps all 0."""
+    embedded = {inst.instance_id: _embed(inst.levels, word) for inst in instances}
+    whole = [i for i in instances if len(embedded[i.instance_id][0]) == len(word.levels)]
+    _log.debug(
+        "the LP-seeded starts run: the LP's word %s fits %d of %d programs%s",
+        ",".join(map(str, word.levels)), len(whole), len(instances),
+        "" if whole else ", so each gets the heaviest part of it that it embeds",
+    )
     seeds = {}
-    for inst in instances:
-        slots = _slots(inst.levels, word.levels)
-        if slots is not None:
-            seeds[inst.instance_id] = np.zeros((1, inst.slot_count))
-            seeds[inst.instance_id][0, slots] = word.durations
+    for inst in whole or instances:
+        segments, slots = embedded[inst.instance_id]
+        seeds[inst.instance_id] = np.zeros((1, inst.slot_count))
+        seeds[inst.instance_id][0, slots] = word.durations[segments]
     return seeds
 
 
@@ -554,23 +545,20 @@ def solve_time_fuel(
     """Solve the programs, verify against the simulator, keep the cheapest.
 
     A proof from `simulate.null_certificate` that x0 is unreachable makes
-    the problem infeasible before anything else runs.  Otherwise one pass of
-    starts, restored in one `_restore` stack and each program descended by
-    `solve_nlp`.  The fixed-horizon LP runs first, and when its word fits a
-    program, the seeds of `_lp_seeds` are the only starts: every other
-    program stays `SKIPPED`.  Otherwise every program gets its blind
-    `_starts`: when the LP finds no transfer, and when its word fits no
-    program, as under a switch budget it exceeds.  A converged program only
-    competes after its decoded schedule, propagated from x0, lands on the
-    origin within 10x the feasibility tolerance.  Cost ties are broken by fewer switchings, then by the least
-    final time among the tied programs on each level word, then by the
-    word, then by id: the programs that embed one word differ in final time
-    only by rounding.  With no verified answer the solver has failed, its
-    message quoting the least residual after the descents and after
-    restoration, the LP's cost and word or that it found none, and the
-    certificate's two gauge bounds, and suggesting more `starts` only when
-    blind starts ran.  The starts used, and why, go to the "timefuel"
-    logger at DEBUG level.
+    the problem infeasible before anything else runs.  Then the
+    fixed-horizon LP runs, and a solve whose LP finds no transfer fails at
+    once.  Otherwise one pass of the seeds of `_lp_seeds`, restored in one
+    `_restore` stack and each program descended by `solve_nlp`; a program
+    with no seed stays `SKIPPED`.  A converged program only competes after
+    its decoded schedule, propagated from x0, lands on the origin within 10x
+    the feasibility tolerance.  Cost ties are broken by fewer switchings,
+    then by the least final time among the tied programs on each level word,
+    then by the word, then by id: the programs that embed one word differ in
+    final time only by rounding.  With no verified answer the solver has
+    failed, its message quoting the least residual after the descents and
+    after restoration, the LP's cost and word or the horizons it tried, and
+    the certificate's two gauge bounds.  The seeds used, and why, go to the
+    "timefuel" logger at DEBUG level.  `options` is unused.
     """
     proof = null_certificate(spec)
     if proof.proven:
@@ -580,20 +568,23 @@ def solve_time_fuel(
             f"gives mu.x0 = {proof.mu_x0:.6g} > h(mu) = {proof.h:.6g}, the support "
             f"of the unstable part of that region"
         )
-    instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
+    gauge = (
+        f"the gauge of x0's unstable part in the null-controllable region "
+        f"lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+    )
     longest = horizon(spec)
     lp = lp_oracle(spec, longest)
-    seeds = {}
-    why = "the LP found no transfer"
-    if lp is not None:
-        lp_cost, lp_t_f, inputs = lp
-        word = _lp_word(inputs, lp_t_f)
-        shown = ",".join(map(str, word.levels))
-        seeds = _lp_seeds(instances, word)
-        why = f"the LP's word {shown} fits {len(seeds)} of {len(instances)} programs"
-    _log.debug("the %s starts run: %s", "LP-seeded" if seeds else "blind", why)
-    starts = seeds or {inst.instance_id: _starts(inst, options, longest) for inst in instances}
-    restored = _restore(spec, instances, starts)
+    if lp is None:
+        raise SolverFailedError(
+            f"the fixed-horizon LP found no input reaching the origin at the "
+            f"horizons it tried, doubling from the minimum-time bound "
+            f"{_time_bound(spec):.6g} to {longest:.6g} and 64 geometric steps "
+            f"between the two; {gauge}"
+        )
+    lp_cost, lp_t_f, inputs = lp
+    word = _lp_word(inputs, lp_t_f)
+    instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
+    restored = _restore(spec, instances, _lp_seeds(instances, word))
     solutions = [
         solve_nlp(inst, restored[inst.instance_id])
         if inst.instance_id in restored
@@ -608,30 +599,16 @@ def solve_time_fuel(
         refusal = (
             f"no program verified (best constraint residual "
             f"{closest.constraint_residual:.3e} ({closest.instance_id}), best restored "
-            f"residual {least:.3e} ({least_id}))"
-        )
-        if lp is not None:
-            refusal += (
-                f", although the fixed-horizon LP reaches the origin at cost "
-                f"{lp_cost:.6f} (t_f {lp_t_f:.6g}, word {shown})"
-            )
-        else:
-            refusal += (
-                f", and the fixed-horizon LP found no input reaching the "
-                f"origin at any horizon up to {longest:.6g}"
-            )
-        refusal += (
-            f"; the gauge of x0's unstable part in the null-controllable region "
-            f"lies in [{proof.lower:.6g}, {proof.upper:.6g}]"
+            f"residual {least:.3e} ({least_id})), although the fixed-horizon LP "
+            f"reaches the origin at cost {lp_cost:.6f} (t_f {lp_t_f:.6g}, word "
+            f"{','.join(map(str, word.levels))}); {gauge}"
         )
         budget = spec.max_switches
-        if lp is not None and budget is not None and word.switch_count > budget:
+        if budget is not None and word.switch_count > budget:
             refusal += (
                 f"; the LP's word has {word.switch_count} switches, over the budget "
                 f"of {budget}, so it says nothing of the budgeted problem"
             )
-        elif not seeds:
-            refusal += "; raising `starts` may help"
         raise SolverFailedError(refusal)
     cost = min(v.cost for v in verified)
     tied = [v for v in verified if v.cost <= cost * (1.0 + TIE_REL_TOL) + 1e-300]

@@ -15,7 +15,6 @@ from scipy.optimize import minimize_scalar
 
 from timefuel import (
     LtiSystem,
-    SolverOptions,
     build_spectrum,
     solve_time_fuel,
     validate_problem,
@@ -54,9 +53,6 @@ REFERENCE_TABLE = {
 }
 MIN_TIME_TF = 1.0413
 
-OPTS = SolverOptions(starts=16, seed=0)
-
-
 @contextmanager
 def criterion(label):
     try:
@@ -73,7 +69,7 @@ def example_reports(example_spec_module):
     reports = {}
     for k in REFERENCE_TABLE:
         kspec = validate_problem(spec.system, [0.6, 0.4], k)
-        reports[k] = solve_time_fuel(kspec, OPTS)
+        reports[k] = solve_time_fuel(kspec)
     return reports
 
 
@@ -104,7 +100,7 @@ def test_criterion_02_winning_sequence(example_reports):
 def test_criterion_03_min_time_limit(example_spec_module):
     with criterion("03 min-time-limit"):
         spec = validate_problem(example_spec_module.system, [0.6, 0.4], 100.0)
-        best = solve_time_fuel(spec, OPTS).best
+        best = solve_time_fuel(spec).best
         assert abs(best.final_time - MIN_TIME_TF) < 2e-2
         assert best.on_duration / best.final_time > 0.98
 
@@ -221,7 +217,7 @@ def test_criterion_08_oracle_equivalence():
                 continue
             k = float(rng.uniform(0.5, 3.0))
             spec = validate_problem(system, x0, k)
-            report = solve_time_fuel(spec, SolverOptions(starts=24, seed=3))
+            report = solve_time_fuel(spec)
             oracle = lp_oracle(spec, 3.0 * gen.final_time + 1.0)
             assert oracle is not None
             oracle_best = oracle[0]
@@ -295,10 +291,6 @@ def test_criterion_10_determinism(tmp_path, capsys):
                     "solve",
                     "--problem",
                     str(problem),
-                    "--starts",
-                    "8",
-                    "--seed",
-                    "0",
                     "--out",
                     str(out),
                 ]

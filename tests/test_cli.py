@@ -70,10 +70,6 @@ class TestSolve:
             "solve",
             "--problem",
             str(example_problem_file),
-            "--starts",
-            "8",
-            "--seed",
-            "0",
             "--out",
             str(report_path),
         )
@@ -105,9 +101,7 @@ class TestSolve:
         bad.write_text(
             json.dumps({"eigenvalues": [[1, 1]], "b": [1], "x0": [2.0], "k": 1})
         )
-        code, _, err = run(
-            capsys, "solve", "--problem", str(bad), "--starts", "4", "--seed", "0"
-        )
+        code, _, err = run(capsys, "solve", "--problem", str(bad))
         assert code == 2
         assert "infeasible" in err.lower()
         # the certificate of the scalar mode: mu.x0 over h(mu) is its gauge 2
@@ -122,13 +116,11 @@ class TestSolve:
 
     def test_solver_failure_exits_3(self, capsys, monkeypatch, example_problem_file):
         # a refusal that the LP contradicts is not reported as infeasible
-        def fail(spec, options):
+        def fail(spec):
             raise SolverFailedError("the LP reaches the origin at cost 1.946168")
 
         monkeypatch.setattr(cli, "solve_time_fuel", fail)
-        code, out, err = run(
-            capsys, "solve", "--problem", str(example_problem_file), "--starts", "2"
-        )
+        code, out, err = run(capsys, "solve", "--problem", str(example_problem_file))
         assert code == 3
         assert out == ""
         assert "solver failed" in err and "1.946168" in err
@@ -156,7 +148,7 @@ class TestSolve:
         }
         bad = tmp_path / "bad.json"
         bad.write_text("{" + ", ".join(f'"{f}": {v}' for f, v in data.items()) + "}")
-        code, _, err = run(capsys, "solve", "--problem", str(bad), "--starts", "2")
+        code, _, err = run(capsys, "solve", "--problem", str(bad))
         assert code == 1
         assert "error" in err.lower()
 
@@ -166,18 +158,19 @@ class TestSolve:
         for command in ("solve", "table"):
             code, _, err = run(
                 capsys, command, "--problem", str(example_problem_file),
-                "--starts", "2", "--max-time", value,
+                "--max-time", value,
             )
             assert code == 1
             assert "--max-time" in err
 
-    def test_negative_seed_exits_1(self, capsys, example_problem_file):
-        code, _, err = run(
-            capsys, "solve", "--problem", str(example_problem_file),
-            "--starts", "2", "--seed", "-1",
-        )
-        assert code == 1
-        assert "seed" in err
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    @pytest.mark.parametrize("flag", ["--starts", "--seed"])
+    def test_start_flags_exit_1(self, capsys, example_problem_file, command, flag):
+        # the LP seeds every solve: neither command takes a start count or a
+        # seed
+        code, out, err = run(capsys, command, "--problem", str(example_problem_file), flag, "2")
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flag} 2" in err
 
     def test_same_seed_gives_same_bytes(self, capsys, tmp_path, example_problem_file):
         outputs = []
@@ -188,10 +181,6 @@ class TestSolve:
                 "solve",
                 "--problem",
                 str(example_problem_file),
-                "--starts",
-                "6",
-                "--seed",
-                "0",
                 "--out",
                 str(path),
             )
@@ -294,10 +283,6 @@ class TestTable:
             "1",
             "--k",
             "2",
-            "--starts",
-            "8",
-            "--seed",
-            "0",
         )
         assert code == 0
         lines = out.splitlines()
@@ -324,8 +309,6 @@ class TestTable:
             str(example_problem_file),
             "--k",
             "1",
-            "--starts",
-            "8",
             "--format",
             "csv",
             "--out",
@@ -340,7 +323,7 @@ class TestTable:
         # same numbers whether asked via `table` or via a plain `solve`
         table_path = tmp_path / "table.json"
         report_path = tmp_path / "report.json"
-        common = ["--problem", str(example_problem_file), "--starts", "8", "--seed", "0"]
+        common = ["--problem", str(example_problem_file)]
         assert run(capsys, "table", *common, "--k", "1", "--format", "json",
                    "--out", str(table_path))[0] == 0
         assert run(capsys, "solve", *common, "--out", str(report_path))[0] == 0

@@ -19,7 +19,6 @@ from timefuel.model import (
 )
 from timefuel.sequences import enumerate_candidates
 from timefuel.simulate import SwitchingSchedule, propagate
-from timefuel.solver import SolverOptions
 
 
 class TestBuildSpectrum:
@@ -114,8 +113,8 @@ class TestValidateProblem:
 
     @pytest.mark.parametrize("budget", [np.int64(3), np.uint8(3)])
     def test_numpy_integer_max_switches_accepted(self, budget):
-        # as SolverOptions takes numpy integers; stored as a plain int, so
-        # the spec stays JSON-serializable
+        # as every integer argument takes numpy integers; stored as a plain
+        # int, so the spec stays JSON-serializable
         system = LtiSystem(build_spectrum([(-1, 1), (-2, 1)]), (1.0, 1.0))
         spec = validate_problem(system, [0.6, 0.4], 1.0, max_switches=budget)
         assert type(spec.max_switches) is int and spec.max_switches == 3
@@ -197,7 +196,6 @@ INTEGER_ARGUMENTS = {
     "samples_per_segment": lambda value: propagate(
         EXAMPLE, [0.6, 0.4], SwitchingSchedule((0.0, 1.0), (1,)), value
     ),
-    "starts": lambda value: SolverOptions(starts=value),
     "problem max_switches": lambda value: validate_problem(
         EXAMPLE, [0.6, 0.4], 1.0, max_switches=value
     ),

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from timefuel import SolverOptions, parse_problem, solve_time_fuel
+from timefuel import parse_problem, solve_time_fuel
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "reports.py"
 
@@ -20,14 +20,13 @@ def load_tool():
 def test_comparison_set():
     # names are unique, and a line is the report of a direct solve
     tool = load_tool()
-    problems = {name: (spec, options) for name, spec, options in tool.problems()}
+    problems = dict(tool.problems())
     assert len(problems) == len(list(tool.problems())) == 14 + 6 + 6 + 30 + 20
     reference = parse_problem(
         {"eigenvalues": [[-1, 1], [-2, 1]], "b": [1, 1], "x0": [0.6, 0.4], "k": 1}
     )
-    options = SolverOptions(starts=16, seed=0)
-    direct = json.dumps(solve_time_fuel(reference, options).as_dict(), sort_keys=True)
-    assert tool.report_line("ref2-k1", *problems["ref2-k1"]) == f"ref2-k1\t{direct}"
+    direct = json.dumps(solve_time_fuel(reference).as_dict(), sort_keys=True)
+    assert tool.report_line("ref2-k1", problems["ref2-k1"]) == f"ref2-k1\t{direct}"
 
 
 def test_src_solves_with_another_package(tmp_path):
@@ -38,7 +37,7 @@ def test_src_solves_with_another_package(tmp_path):
         TOOL.parent.parent / "src" / "timefuel", package, ignore=shutil.ignore_patterns("__pycache__")
     )
     with open(package / "__init__.py", "a") as init:
-        init.write("\n\ndef solve_time_fuel(spec, options):\n    raise RuntimeError('the copy')\n")
+        init.write("\n\ndef solve_time_fuel(spec, options=None):\n    raise RuntimeError('the copy')\n")
     run = subprocess.run(
         [sys.executable, str(TOOL), "--src", str(package.parent)],
         capture_output=True,

@@ -272,15 +272,17 @@ def refusal(eigenvalues, x0, k):
 
 def refusal_horizons(spec, t_max):
     """The horizons `lp_oracle` solves on its way to a refusal: the
-    minimum-time bound, doubled until it reaches t_max, then t_max; none
-    when the bound is infinite, as when an unstable mode alone is out of
-    reach."""
+    minimum-time bound, doubled until it reaches t_max, then t_max, then the
+    64 horizons geometric from the bound to t_max; none when the bound is
+    infinite, as when an unstable mode alone is out of reach."""
     horizons = []
     T = _time_bound(spec)
     while T < t_max:
         horizons.append(T)
         T *= 2.0
-    return horizons + [t_max] if horizons else []
+    if not horizons:
+        return []
+    return [*horizons, t_max, *np.geomspace(horizons[0], t_max, 64)]
 
 
 def record_lp_transfers(monkeypatch):
@@ -450,12 +452,27 @@ class TestLpOracle:
     @REFUSALS
     def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
         # a refusal takes the LPs of the doubling from the minimum-time
-        # bound up to t_max, and no other: none on mixed-3, whose mode at 3
-        # alone is out of reach
+        # bound up to t_max and of the 64-horizon scan between the two, and
+        # no other: none on mixed-3, whose mode at 3 alone is out of reach
         spec, t_max = refusal(eigenvalues, x0, k)
         calls = record_lp_transfers(monkeypatch)
         assert lp_oracle(spec, t_max) is None
         assert [T for T, _x in calls] == refusal_horizons(spec, t_max)
+
+    def test_scan_finds_a_transfer_the_doubling_steps_over(self, monkeypatch):
+        # near the reachability boundary the feasible horizons of the
+        # 400-cell LP are scattered: on boundary draw 0 at gauge 0.9999
+        # every doubling horizon and t_max is infeasible, so the 64-horizon
+        # scan runs, and it finds a transfer on the optimum's word -1,0,1
+        spec = near_boundary_draw_0()
+        assert spec.x0 == pytest.approx([0.1354473, -0.2074274], abs=1e-7)
+        t_max = horizon(spec)
+        calls = record_lp_transfers(monkeypatch)
+        _cost, T, inputs = lp_oracle(spec, t_max)
+        assert [T for T, _x in calls] == refusal_horizons(spec, t_max)
+        assert _lp_word(inputs, T).levels == (-1, 0, 1)
+        assert T == pytest.approx(10.78, abs=5e-3)
+        assert T in np.geomspace(_time_bound(spec), t_max, 64)
 
     @staticmethod
     def assert_transfer_matches_linprog(spec, horizon):
@@ -643,8 +660,9 @@ class TestFarkasScreen:
     def test_screens_only_lps_highs_finds_infeasible(self, monkeypatch):
         # over the search horizons of the whole comparison set, every LP the
         # screen refuses is one that HiGHS, run on the same LP with the
-        # screen off, reports not optimal: 171 of the 180 infeasible LPs,
-        # and none of the 513 feasible ones
+        # screen off, reports not optimal: 299 of the 308 infeasible LPs,
+        # among them the 128 of the scans of sweep-22 and sweep-26, and
+        # none of the 513 feasible ones
         screened, solved = [], []
         farkas, transfer = simulate._farkas, simulate._lp_transfer
 
@@ -670,7 +688,7 @@ class TestFarkasScreen:
             assert _lp_transfer(spec, T)[1] is None, T
         assert len(runs) == len(refused)
         infeasible = sum(no_input for _spec, _T, no_input in solved)
-        assert (len(solved), infeasible, len(refused)) == (693, 180, 171)
+        assert (len(solved), infeasible, len(refused)) == (821, 308, 299)
 
     def test_vertex_at_the_minimum_time_runs_highs(self, monkeypatch):
         # at mixed-2's time bound one bang reaches the origin, so x0 sits on
@@ -709,7 +727,30 @@ def comparison_set():
     spec = importlib.util.spec_from_file_location("reports_tool", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    return [(name, problem) for name, problem, _options in tool.problems()]
+    return list(tool.problems())
+
+
+def boundary_draws():
+    """(system, x0) of 24 draws, 8 each at n = 2, 3, 4: one unstable
+    lambda from 1..3, the rest distinct from -6..-1, 1..3, b = 1, x0
+    uniform in [-1, 1], all from default_rng(4242) with every draw kept."""
+    rng = np.random.default_rng(4242)
+    for i in range(24):
+        n = 2 + i % 3
+        first = int(rng.choice([1, 2, 3]))
+        rest = [v for v in (-6, -5, -4, -3, -2, -1, 1, 2, 3) if v != first]
+        lam = [first, *(int(v) for v in rng.choice(rest, n - 1, replace=False))]
+        system = LtiSystem(build_spectrum([(v, 1) for v in lam]), (1.0,) * n)
+        yield system, rng.uniform(-1.0, 1.0, n)
+
+
+def near_boundary_draw_0():
+    """The first of `boundary_draws` (lambda = 2, 1), x0 scaled to gauge
+    0.9999 by the certificate's upper bound."""
+    system, x0 = next(boundary_draws())
+    proof = null_certificate(validate_problem(system, x0, 1.0))
+    scaled = np.where(system.eigenvalues > 0.0, x0 * 0.9999 / proof.upper, x0)
+    return validate_problem(system, scaled, 1.0)
 
 
 def scanned_roots(coef, rates):
@@ -764,21 +805,13 @@ class TestNullCertificate:
             assert lo - 1e-12 <= root <= hi + 1e-12
 
     def test_sound_on_both_sides_of_the_boundary(self):
-        # 24 spectra, 8 each at n = 2, 3, 4: one unstable lambda from 1..3,
-        # the rest distinct from -6..-1, 1..3, b = 1, x0 uniform in [-1, 1],
-        # all from default_rng(4242) with every draw kept.  x0's unstable
-        # part scaled to gauge 0.5, 0.9, 0.99 by the upper bound is inside
-        # the region, so no proof may come; scaled to 1.01, 1.1 by the
-        # lower bound it is outside, and the proof must come
-        rng = np.random.default_rng(4242)
+        # the 24 draws of `boundary_draws`: x0's unstable part scaled to
+        # gauge 0.5, 0.9, 0.99 by the upper bound is inside the region, so
+        # no proof may come; scaled to 1.01, 1.1 by the lower bound it is
+        # outside, and the proof must come
         wrong = []
-        for i in range(24):
-            n = 2 + i % 3
-            first = int(rng.choice([1, 2, 3]))
-            rest = [v for v in (-6, -5, -4, -3, -2, -1, 1, 2, 3) if v != first]
-            lam = [first, *(int(v) for v in rng.choice(rest, n - 1, replace=False))]
-            system = LtiSystem(build_spectrum([(v, 1) for v in lam]), (1.0,) * n)
-            x0 = rng.uniform(-1.0, 1.0, n)
+        for system, x0 in boundary_draws():
+            lam = system.eigenvalues.tolist()
             unstable = system.eigenvalues > 0.0
             proof = null_certificate(validate_problem(system, x0, 1.0))
             for gauge, bound, want in [

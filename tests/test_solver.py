@@ -33,10 +33,9 @@ from timefuel.solver import (
     _lp_seeds,
     _lp_word,
     _ls_multipliers,
+    _embed,
     _restore,
-    _slots,
     _solve_rows,
-    _starts,
     _verified,
     horizon,
     solve_nlp,
@@ -44,57 +43,32 @@ from timefuel.solver import (
 )
 
 from test_builder import make_spec
-
-OPTS = SolverOptions(starts=12, seed=0)
-
+from test_simulate import comparison_set, near_boundary_draw_0
 
 def scalar_spec(lam=-1.0, b=1.0, x0=0.5, k=1.0):
     system = LtiSystem(build_spectrum([(int(lam), 1)]), (b,))
     return validate_problem(system, [x0], k)
 
 
-def blind_starts(instances, options):
-    """The `_starts` rows of every program, by id."""
-    scale = horizon(instances[0].spec)
-    return {inst.instance_id: _starts(inst, options, scale) for inst in instances}
+def random_rows(instances, count=16, seed=0):
+    """Program id -> (count, K) start rows of gaps drawn uniform in
+    [0, 1 / n) by default_rng(seed), program by program."""
+    rng = np.random.default_rng(seed)
+    return {
+        inst.instance_id: rng.uniform(0.0, 1.0 / inst.order, (count, inst.slot_count))
+        for inst in instances
+    }
 
 
-def restored_alone(inst, options=OPTS):
-    """One program's blind starts restored on their own, for `solve_nlp`."""
-    return _restore(inst.spec, [inst], blind_starts([inst], options))[inst.instance_id]
-
-
-def no_starts(*args, **kwargs):
-    """A stand-in for `solver._starts` in a solve that must draw none."""
-    raise AssertionError("blind starts drawn")
+def restored_alone(inst, count=12):
+    """One program's random rows restored on their own, for `solve_nlp`."""
+    return _restore(inst.spec, [inst], random_rows([inst], count))[inst.instance_id]
 
 
 def cheaper_lp_oracle(spec, t_max):
     """`lp_oracle` with its cost scaled by 0.99, below the optimum."""
     cost, t_f, inputs = lp_oracle(spec, t_max)
     return 0.99 * cost, t_f, inputs
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("starts", True),
-        ("starts", 2.5),
-        ("starts", 0),
-        ("seed", False),
-        ("seed", 1.0),
-        ("seed", -1),
-        ("seed", np.int64(-1)),
-    ],
-)
-def test_malformed_options_rejected(field, value):
-    with pytest.raises(ValueError, match=field):
-        SolverOptions(**{field: value})
-
-
-def test_numpy_integer_options_accepted():
-    options = SolverOptions(starts=np.int64(3), seed=np.uint32(5))
-    assert (options.starts, options.seed) == (3, 5)
 
 
 def test_no_time_box_option():
@@ -135,7 +109,7 @@ class TestSolveNlp:
             sol = solve_nlp(inst, restored_alone(inst))
             if sol.status != CONVERGED:
                 continue
-            assert sol.constraint_residual <= OPTS.feas_tol
+            assert sol.constraint_residual <= SolverOptions.feas_tol
             assert sol.kkt_residual <= KKT_TOL
             assert sol.cost == pytest.approx(
                 inst.cost_value(np.asarray(sol.times)), rel=1e-12
@@ -167,7 +141,7 @@ class TestDecodeSchedule:
 
 class TestSolveTimeFuel:
     def test_example_k1(self, example_spec):
-        report = solve_time_fuel(example_spec, OPTS)
+        report = solve_time_fuel(example_spec)
         best = report.best
         assert best.schedule.levels == (-1, 0, 1)
         assert best.cost == pytest.approx(1.8940, abs=5e-4)
@@ -176,7 +150,7 @@ class TestSolveTimeFuel:
         assert best.instance_id == "OP2-minus"
 
     def test_best_reverifies(self, example_spec):
-        report = solve_time_fuel(example_spec, OPTS)
+        report = solve_time_fuel(example_spec)
         terminal = propagate(
             example_spec.system, example_spec.x0, report.best.schedule
         ).terminal_state
@@ -188,7 +162,7 @@ class TestSolveTimeFuel:
 
     def test_origin_needs_no_control(self, example_spec):
         spec = validate_problem(example_spec.system, [0.0, 0.0], 1.0)
-        report = solve_time_fuel(spec, OPTS)
+        report = solve_time_fuel(spec)
         assert report.best.cost == 0.0
         assert report.best.schedule == SwitchingSchedule.empty()
         assert report.best.sparsity == 1.0
@@ -198,28 +172,28 @@ class TestSolveTimeFuel:
         system = LtiSystem(build_spectrum([(1, 1)]), (1.0,))
         spec = validate_problem(system, [2.0], 1.0)
         with pytest.raises(InfeasibleProblemError):
-            solve_time_fuel(spec, SolverOptions(starts=6, seed=0))
+            solve_time_fuel(spec)
 
     def test_monotone_in_k(self, example_spec):
         costs = []
         times = []
         for k in (0.5, 1.0, 2.0, 3.0):
             spec = validate_problem(example_spec.system, [0.6, 0.4], k)
-            report = solve_time_fuel(spec, OPTS)
+            report = solve_time_fuel(spec)
             costs.append(report.best.cost)
             times.append(report.best.final_time)
         assert all(a < b for a, b in zip(costs, costs[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(times, times[1:]))
 
     def test_deterministic_same_seed_twice(self, example_spec):
-        a = solve_time_fuel(example_spec, OPTS)
-        b = solve_time_fuel(example_spec, OPTS)
+        a = solve_time_fuel(example_spec)
+        b = solve_time_fuel(example_spec)
         assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
             b.as_dict(), sort_keys=True
         )
 
     def test_report_shape(self, example_spec):
-        report = solve_time_fuel(example_spec, OPTS)
+        report = solve_time_fuel(example_spec)
         assert len(report.per_instance) == 4
         ids = [s.instance_id for s in report.per_instance]
         assert ids == sorted(ids)
@@ -227,7 +201,7 @@ class TestSolveTimeFuel:
 
 
 class TestHigherOrder:
-    def _check(self, n, x0, starts):
+    def _check(self, n, x0):
         from timefuel import LtiSystem, build_spectrum
         from timefuel.sequences import enumerate_candidates
         from timefuel.simulate import evaluate_cost
@@ -236,7 +210,7 @@ class TestHigherOrder:
             build_spectrum([(-i, 1) for i in range(1, n + 1)]), (1.0,) * n
         )
         spec = validate_problem(system, x0, 1.0)
-        report = solve_time_fuel(spec, SolverOptions(starts=starts, seed=0))
+        report = solve_time_fuel(spec)
         best = report.best
         terminal = propagate(spec.system, spec.x0, best.schedule).terminal_state
         assert np.max(np.abs(terminal)) <= 1e-8
@@ -247,13 +221,12 @@ class TestHigherOrder:
         return report
 
     def test_fourth_order_transfer(self):
-        self._check(4, [0.1, 0.2, 0.4, 0.5], starts=8)
+        self._check(4, [0.1, 0.2, 0.4, 0.5])
 
     def test_sixth_order_transfer(self):
-        # six blind starts all stall; the answer comes from the LP's seeds:
-        # the only feasible shape is an eleven-slot alternating word at
-        # t_f ~ 2.2
-        report = self._check(6, [0.1, 0.2, 0.4, 0.5, 0.8, 1.0], starts=6)
+        # the answer comes from the LP's seeds: the only feasible shape is
+        # an eleven-slot alternating word at t_f ~ 2.2
+        report = self._check(6, [0.1, 0.2, 0.4, 0.5, 0.8, 1.0])
         assert report.best.schedule.levels == (-1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1)
 
 
@@ -334,7 +307,6 @@ class TestStackedRestoration:
     def test_lm_rows_match_reference(self, example_spec, monkeypatch):
         # each row of one stacked run is bitwise the start-by-start run
         monkeypatch.setattr(solver, "LM_ITERATIONS", 60)
-        options = SolverOptions(starts=16, seed=0)
         # n = 6 has 12- and 13-slot programs, where BLAS would round the
         # stacked J^T J differently from the plain loop
         specs = (
@@ -343,7 +315,7 @@ class TestStackedRestoration:
             make_spec(6, x0=[0.1, 0.2, 0.4, 0.5, 0.8, 1.0]),
         )
         for inst in (inst for spec in specs for inst in build_all(spec)[:3]):
-            gaps = _starts(inst, options, horizon(inst.spec))
+            gaps = random_rows([inst])[inst.instance_id]
             stacked, c = _lm(inst.spec, gaps, inst.levels)
             for i in range(len(gaps)):
                 ref_gaps, ref_c = lm_reference(inst, gaps[i], 60)
@@ -355,7 +327,7 @@ class TestStackedRestoration:
         [
             # the reference problem: 4 programs
             [0.6, 0.4],
-            # the n=4 counterexample the multi-start alone refuses: 8 programs
+            # the n=4 counterexample: 8 programs
             [0.2, 0.15, 0.1, 0.05],
             # the n=4 problem of TestHigherOrder: 8 programs
             [0.1, 0.2, 0.4, 0.5],
@@ -364,9 +336,8 @@ class TestStackedRestoration:
     def test_stack_matches_single_rows(self, x0):
         # restoring all starts of a program as one stack gives, row by row,
         # the bits of restoring each start alone
-        options = SolverOptions(starts=16, seed=0)
         for inst in build_all(make_spec(len(x0), x0=x0)):
-            starts = _starts(inst, options, horizon(inst.spec))
+            starts = random_rows([inst])[inst.instance_id]
             gaps, c = _lm(inst.spec, starts, inst.levels)
             for i in range(len(starts)):
                 gaps_1, c_1 = _lm(inst.spec, starts[i:i + 1], inst.levels)
@@ -374,7 +345,7 @@ class TestStackedRestoration:
                 assert np.array_equal(c[i], c_1[0])
 
     @pytest.mark.parametrize(
-        "x0, max_switches, starts",
+        "x0, max_switches, count",
         [
             ([0.6, 0.4], None, 16),
             # the n=4 counterexample
@@ -389,7 +360,7 @@ class TestStackedRestoration:
         ],
         ids=["ref2", "counterexample", "n4", "n6", "ref2-ms3"],
     )
-    def test_programs_share_a_stack(self, x0, max_switches, starts, monkeypatch):
+    def test_programs_share_a_stack(self, x0, max_switches, count, monkeypatch):
         # every program's starts are restored in one stack, padded to the
         # longest word; row by row it has the bits of restoring each
         # program's starts alone at the stack's width, and padded gaps end
@@ -397,17 +368,16 @@ class TestStackedRestoration:
         spec = make_spec(len(x0), x0=x0)
         if max_switches is not None:
             spec = validate_problem(spec.system, spec.x0, spec.k, max_switches)
-        options = SolverOptions(starts=starts, seed=0)
         instances = build_all(spec)
         assert len({inst.slot_count for inst in instances}) > 1
-        check_one_stack(spec, instances, blind_starts(instances, options), monkeypatch)
+        check_one_stack(spec, instances, random_rows(instances, count), monkeypatch)
 
     def test_held_gaps_cut_restoration_passes(self, example_spec, monkeypatch):
         # a gap at 0 whose gradient points below 0 is held out of the
         # step, not clipped to a near-null move, so the runs no longer
-        # crawl along the bound to `LM_ITERATIONS`: the one stack of the
-        # reference problem takes 38 passes, 74 as one stack per slot count,
-        # and 469 with clipped steps
+        # crawl along the bound to `LM_ITERATIONS`: the one stack of 16
+        # random rows per program of the reference problem takes 42 passes,
+        # and 234 with clipped steps
         passes = []
 
         def counting_solve_rows(A, rhs):
@@ -416,7 +386,7 @@ class TestStackedRestoration:
 
         monkeypatch.setattr(solver, "_solve_rows", counting_solve_rows)
         instances = build_all(example_spec)
-        _restore(example_spec, instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
+        _restore(example_spec, instances, random_rows(instances))
         assert len(passes) <= 60
 
     def test_no_rows_restore_to_nothing(self, example_spec):
@@ -466,16 +436,6 @@ class TestStackedRestoration:
         assert passes == [1] * 20
         assert np.array_equal(gaps, start)
 
-    def test_starts_are_prefixes(self):
-        # start i does not depend on how many starts follow it
-        spec = make_spec(4, x0=[0.2, 0.15, 0.1, 0.05])
-        for inst in build_all(spec):
-            scale = horizon(spec)
-            starts = _starts(inst, SolverOptions(starts=16, seed=0), scale)
-            for i in range(len(starts)):
-                fewer = _starts(inst, SolverOptions(starts=i + 1, seed=0), scale)
-                assert np.array_equal(fewer[i], starts[i])
-
     def test_singular_system_falls_back_to_rows(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 3, 3))
@@ -488,7 +448,7 @@ class TestStackedRestoration:
             assert np.array_equal(step[i], np.linalg.solve(A[i], rhs[i]))
 
     def test_reference_answer_pinned(self, example_spec):
-        report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        report = solve_time_fuel(example_spec)
         assert report.best.instance_id == "OP2-minus"
         assert report.best.cost == pytest.approx(1.893979044212426, rel=1e-12)
         # the LP's word -1,0,1 seeds OP2-minus alone
@@ -502,7 +462,7 @@ class TestStackedRestoration:
 
     def test_fourth_order_answer_pinned(self):
         spec = make_spec(4, x0=[0.1, 0.2, 0.4, 0.5])
-        report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+        report = solve_time_fuel(spec)
         assert report.best.instance_id == "OP2-minus-+-"
         assert report.best.cost == pytest.approx(1.5052358615884727, rel=1e-12)
 
@@ -512,26 +472,24 @@ def stable_spec(rates, x0):
     return validate_problem(system, x0, 1.0)
 
 
-def check_against_lp(spec, report, options):
+def check_against_lp(spec, report):
     """The answer lands on the origin and costs within 5e-3 of the LP."""
     best = report.best
     terminal = propagate(spec.system, spec.x0, best.schedule).terminal_state
-    assert np.max(np.abs(terminal)) <= 10.0 * options.feas_tol
+    assert np.max(np.abs(terminal)) <= 10.0 * SolverOptions.feas_tol
     oracle, _horizon, _inputs = lp_oracle(spec, 3.0 * best.final_time + 1.0)
     assert abs(best.cost - oracle) / oracle < 5e-3, (best.cost, oracle)
 
 
 class TestLpRetry:
-    """Stable problems on which every blind start stalls, solved from the
-    LP's seeds."""
+    """Stable problems solved from the LP's seeds."""
 
-    OPTIONS = SolverOptions(starts=16, seed=0)
     COUNTEREXAMPLE = ((1, 2, 3, 4), [0.2, 0.15, 0.1, 0.05])
 
     def test_counterexample_solves(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
-        report = solve_time_fuel(spec, self.OPTIONS)
-        check_against_lp(spec, report, self.OPTIONS)
+        report = solve_time_fuel(spec)
+        check_against_lp(spec, report)
         assert report.best.cost == pytest.approx(1.9461, abs=1e-3)
         assert report.best.schedule.levels == (-1, 0, 1, 0, -1, 0, 1)
 
@@ -547,7 +505,7 @@ class TestLpRetry:
     )
     def test_stable_draw_solves(self, rates, x0):
         spec = stable_spec(rates, x0)
-        check_against_lp(spec, solve_time_fuel(spec, self.OPTIONS), self.OPTIONS)
+        check_against_lp(spec, solve_time_fuel(spec))
 
     @pytest.mark.parametrize("horizon", [1.40, 1.45, 1.5, 1.6, 1.7, 2.0])
     def test_counterexample_seed_converges(self, horizon):
@@ -577,21 +535,26 @@ class TestLpRetry:
         check_one_stack(spec, instances, seeds, monkeypatch)
 
     def test_lp_word_fitting_no_program_is_a_solver_failure(self, monkeypatch):
-        # an LP word that no program contains seeds nothing; the solve then
-        # refuses with the LP's word, as for seeds that fail
+        # an LP word that no program contains seeds every program with the
+        # heaviest part of it that the program embeds, here five of its ten
+        # bangs in an OP1 program and four in an OP2 one; from those seeds
+        # the solve refuses with the LP's word, as for seeds that fail
         inputs = np.array([1.0, -1.0] * 5)
         monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (3.0, 2.0, inputs))
         spec = stable_spec(*self.COUNTEREXAMPLE)
         word = _lp_word(inputs, 2.0)
-        assert not _lp_seeds(build_all(spec), word)
+        seeds = _lp_seeds(build_all(spec), word)
+        assert len(seeds) == 8
+        for program, row in seeds.items():
+            bangs = 5 if program.startswith("OP1") else 4
+            assert row[row > 0.0] == pytest.approx([0.2] * bangs, rel=1e-12)
         with pytest.raises(SolverFailedError, match="word 1,-1,1,-1,1,-1,1,-1,1,-1"):
-            solve_time_fuel(spec, self.OPTIONS)
+            solve_time_fuel(spec)
 
     def test_seeded_starts_run_through_solve_nlp(self, monkeypatch):
         # each program that contains the LP word gets one seeded solve of a
         # single restored start, and no other program runs, whatever the
-        # LP's cost: halved, it is below every answer, and still no blind
-        # start is drawn
+        # LP's cost: halved, it is below every answer
         calls, words = [], []
 
         def counting_solve_nlp(instance, restored):
@@ -615,11 +578,11 @@ class TestLpRetry:
             calls.clear()
             words.clear()
             monkeypatch.setattr(solver, "lp_oracle", scaled_lp_oracle)
-            solve_time_fuel(spec, self.OPTIONS)
+            solve_time_fuel(spec)
             containing = {
                 inst.instance_id
                 for inst in instances
-                if _slots(inst.levels, words[0].levels) is not None
+                if len(_embed(inst.levels, words[0])[0]) == len(words[0].levels)
             }
             assert all(len(gaps) == 1 for _, gaps in calls)
             assert len(words) == 1 and containing
@@ -628,8 +591,8 @@ class TestLpRetry:
 
     def test_counterexample_deterministic(self):
         spec = stable_spec(*self.COUNTEREXAMPLE)
-        a = solve_time_fuel(spec, self.OPTIONS)
-        b = solve_time_fuel(spec, self.OPTIONS)
+        a = solve_time_fuel(spec)
+        b = solve_time_fuel(spec)
         assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
             b.as_dict(), sort_keys=True
         )
@@ -645,21 +608,20 @@ class TestLpRetry:
             rates = sorted(int(r) for r in rng.choice(np.arange(1, 7), n, replace=False))
             x0 = [round(float(v), 4) for v in rng.uniform(-0.5, 0.5, n)]
             spec = stable_spec(rates, x0)
-            check_against_lp(spec, solve_time_fuel(spec, self.OPTIONS), self.OPTIONS)
+            check_against_lp(spec, solve_time_fuel(spec))
 
 
 def test_stable_1_solves_from_the_lp_seed(monkeypatch):
     # the free n=4 draw `stable-1` of the benchmark's stable_free set: the
-    # LP runs first, and its word seeds programs, so no blind start is drawn
-    monkeypatch.setattr(solver, "_starts", no_starts)
+    # LP's word seeds the programs that contain it, and the answer comes
+    # from those seeds
     spec = stable_spec((3, 4, 5, 6), [0.0883, -0.3688, -0.2573, -0.0863])
-    options = SolverOptions(starts=16, seed=0)
-    check_against_lp(spec, solve_time_fuel(spec, options), options)
+    check_against_lp(spec, solve_time_fuel(spec))
 
 
 def test_order_two_solves_from_the_lp_seed(monkeypatch, example_spec):
-    # the LP runs at every order: at n = 2 it is asked once, its word seeds
-    # the answer, and no blind start is drawn
+    # the LP runs at every order: at n = 2 it is asked once, and its word
+    # seeds the answer
     calls = []
 
     def counted_lp_oracle(spec, t_max):
@@ -667,8 +629,7 @@ def test_order_two_solves_from_the_lp_seed(monkeypatch, example_spec):
         return lp_oracle(spec, t_max)
 
     monkeypatch.setattr(solver, "lp_oracle", counted_lp_oracle)
-    monkeypatch.setattr(solver, "_starts", no_starts)
-    report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(example_spec)
     assert report.best.instance_id == "OP2-minus"
     assert calls == [example_spec]
 
@@ -692,23 +653,20 @@ UNSTABLE = {
 
 
 def test_sixteen_starts_find_the_optimum():
-    # 16 blind starts verify OP2-plus--, OP2-minus-+ and OP1-minus--+, all on
-    # the embedded word 0,-1,0,1 at 2.324992; the LP-first path seeds
-    # OP2-plus-- from the LP word (LP cost 2.315906) and reaches the
-    # optimum, word 1,0,-1,0,1 at 2.315893
-    report = solve_time_fuel(parse_problem(SUBOPTIMAL), SolverOptions(starts=16, seed=0))
+    # the LP word (LP cost 2.315906) seeds OP2-plus--, which reaches the
+    # optimum, word 1,0,-1,0,1 at 2.315893, not the local minimum on the
+    # embedded word 0,-1,0,1 at 2.324992 that random starts find
+    report = solve_time_fuel(parse_problem(SUBOPTIMAL))
     assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
     assert report.best.schedule.levels == (1, 0, -1, 0, 1)
 
 
 def test_seeded_answer_stands_below_the_lp_cost(monkeypatch, caplog):
-    # an LP cost below every seeded answer draws no blind start: OP2-plus--
-    # answers from its seed at the optimum, word 1,0,-1,0,1 at 2.315893,
-    # which 16 blind starts miss (they give word 0,-1,0,1 at 2.324992)
+    # an LP cost below every seeded answer changes nothing: OP2-plus--
+    # answers from its seed at the optimum, word 1,0,-1,0,1 at 2.315893
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
-    monkeypatch.setattr(solver, "_starts", no_starts)
     with caplog.at_level(logging.DEBUG, logger="timefuel"):
-        report = solve_time_fuel(parse_problem(SUBOPTIMAL), SolverOptions(starts=16, seed=0))
+        report = solve_time_fuel(parse_problem(SUBOPTIMAL))
     assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
     assert report.best.schedule.levels == (1, 0, -1, 0, 1)
     assert report.ties == ("OP2-plus--",)
@@ -743,20 +701,22 @@ def test_rank_picks_a_programs_solution():
     assert all(min(old, new, key=solver._rank) is want for old, new, want in pairs)
 
 
+def never(*args, **kwargs):
+    """A stand-in for a step that the solve must not reach."""
+    raise AssertionError("called")
+
+
 def test_certified_refusal_runs_no_lp_and_no_start(monkeypatch):
     # `mixed-3` of the benchmark is unreachable: the gauge certificate,
     # asked first, proves x0 outside the null-controllable region, so the
-    # refusal comes at once, with no program built, no LP and no blind
-    # start, and quotes mu, mu.x0 and h(mu)
-    def never(*args, **kwargs):
-        raise AssertionError("the solve went past the certificate")
-
-    for name in ("build_all", "lp_oracle", "_starts"):
+    # refusal comes at once, with no program built and no LP, and quotes
+    # mu, mu.x0 and h(mu)
+    for name in ("build_all", "lp_oracle"):
         monkeypatch.setattr(solver, name, never)
     case = next(c for c in benchmark_problems(monkeypatch) if c.name == "mixed-3")
     spec = parse_problem(case.problem)
     with pytest.raises(InfeasibleProblemError) as refusal:
-        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+        solve_time_fuel(spec)
     proof = null_certificate(spec)
     assert proof.proven
     mu = ", ".join(f"{m:.6g}" for m in proof.mu)
@@ -783,7 +743,7 @@ def test_certificate_is_asked_once_before_the_lp(monkeypatch):
     case = next(c for c in benchmark_problems(monkeypatch) if c.name == "mixed-0")
     spec = parse_problem(case.problem)
     assert spec.order >= 3 and np.any(spec.system.eigenvalues > 0.0)
-    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(spec)
     assert report.best is not None
     assert calls == ["null_certificate", "lp_oracle"]
 
@@ -796,7 +756,7 @@ def test_refusal_quotes_the_least_restored_residual():
         (2, 3, 6, 7, 8, 9, 10), [-0.0349, -0.3387, 0.2665, -0.3929, -0.0555, -0.429, -0.0281]
     )
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+        solve_time_fuel(spec)
     assert str(refusal.value).startswith(
         "no program verified (best constraint residual 2.231e-01 (OP2-minus-+-+-+), "
         "best restored residual 2.253e-07 (OP2-minus-+-+-+)), "
@@ -806,31 +766,29 @@ def test_refusal_quotes_the_least_restored_residual():
 def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
     # `unstable` of tools/reports.py is reachable, its gauge 0.99 just
     # below 1: the certificate proves nothing, and with the LP made to find
-    # no transfer the blind starts run and fail (their optimum is the one
-    # the simulator rejects), and the refusal is exit 3 saying that the LP
-    # found nothing, with both bounds and the hint to raise `starts`, since
-    # blind starts ran
+    # no transfer the solve refuses at once, with no program built, as
+    # exit 3 naming the horizons the LP tried and both gauge bounds
     spec = parse_problem(UNSTABLE)
     proof = null_certificate(spec)
     assert not proof.proven and proof.lower <= proof.upper < 1.0
     monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: None)
+    monkeypatch.setattr(solver, "build_all", never)
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
-    assert str(refusal.value).endswith(
-        f", and the fixed-horizon LP found no input reaching the origin at any "
-        f"horizon up to {horizon(spec):.6g}; the gauge of x0's unstable part in the "
-        f"null-controllable region lies in [{proof.lower:.6g}, {proof.upper:.6g}]; "
-        f"raising `starts` may help"
+        solve_time_fuel(spec)
+    assert str(refusal.value) == (
+        f"the fixed-horizon LP found no input reaching the origin at the horizons "
+        f"it tried, doubling from the minimum-time bound {simulate._time_bound(spec):.6g} "
+        f"to {horizon(spec):.6g} and 64 geometric steps between the two; the gauge "
+        f"of x0's unstable part in the null-controllable region lies in "
+        f"[{proof.lower:.6g}, {proof.upper:.6g}]"
     )
 
 
-def test_seeded_refusal_draws_no_blind_start(monkeypatch):
+def test_seeded_refusal_draws_no_blind_start():
     # `unstable`'s LP word seeds programs whose answers the simulator
-    # rejects: the solve refuses at once, as exit 3 quoting the LP, with no
-    # blind start drawn and no hint to raise `starts`
-    monkeypatch.setattr(solver, "_starts", no_starts)
+    # rejects: the solve refuses at once, as exit 3 quoting the LP
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(parse_problem(UNSTABLE), SolverOptions(starts=16, seed=0))
+        solve_time_fuel(parse_problem(UNSTABLE))
     message = str(refusal.value)
     assert "although the fixed-horizon LP reaches the origin at cost" in message
     assert "starts" not in message
@@ -839,56 +797,166 @@ def test_seeded_refusal_draws_no_blind_start(monkeypatch):
 def test_certified_refusal_below_order_three_runs_nothing(monkeypatch):
     # x' = x + u from x0 = 2: the null-controllable region is (-1, 1), and
     # the certificate is asked before anything else, so the refusal is
-    # exit 2 with neither the LP nor a blind start run
+    # exit 2 with no LP run
     def no_lp(*args, **kwargs):
         raise AssertionError("lp_oracle consulted")
 
     monkeypatch.setattr(solver, "lp_oracle", no_lp)
-    monkeypatch.setattr(solver, "_starts", no_starts)
     with pytest.raises(InfeasibleProblemError, match="outside the null-controllable region"):
-        solve_time_fuel(scalar_spec(lam=1.0, b=1.0, x0=2.0), OPTS)
+        solve_time_fuel(scalar_spec(lam=1.0, b=1.0, x0=2.0))
 
 
 def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
     # n = 3 under a switch budget: the LP's word -1,0,1,0,-1 has 4
     # switches, so under a budget of 4 it seeds the program that contains
-    # it, whose answer stands with no blind start drawn, even with the LP's
-    # cost (0.637067) scaled below it; under a budget of 2 the word fits no
-    # program, and the blind starts run
-    drawn = []
+    # it, whose answer stands, even with the LP's cost (0.637067) scaled
+    # below it; under a budget of 2 the word fits no program, so every
+    # program is seeded with the heaviest part of it that it embeds, and
+    # the solve still refuses, at the residual that blind starts reached
+    seeded = []
 
-    def recording_starts(instance, options, longest):
-        drawn.append(instance.instance_id)
-        return _starts(instance, options, longest)
+    def recording_lp_seeds(instances, word):
+        seeded.append(_lp_seeds(instances, word))
+        return seeded[-1]
 
     spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
     budgeted = {m: validate_problem(spec.system, spec.x0, spec.k, max_switches=m) for m in (2, 4)}
-    monkeypatch.setattr(solver, "_starts", no_starts)
-    report = solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(budgeted[4])
     assert report.best.cost == 0.6370635537714232
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
-    assert solve_time_fuel(budgeted[4], SolverOptions(starts=16, seed=0)) == report
-    monkeypatch.setattr(solver, "_starts", recording_starts)
-    with pytest.raises(SolverFailedError, match="LP's word has 4 switches, over the budget of 2"):
-        solve_time_fuel(budgeted[2], SolverOptions(starts=16, seed=0))
-    assert sorted(drawn) == sorted(inst.instance_id for inst in build_all(budgeted[2]))
+    assert solve_time_fuel(budgeted[4]) == report
+    monkeypatch.setattr(solver, "_lp_seeds", recording_lp_seeds)
+    with pytest.raises(SolverFailedError) as refusal:
+        solve_time_fuel(budgeted[2])
+    assert sorted(seeded[0]) == sorted(inst.instance_id for inst in build_all(budgeted[2]))
+    message = str(refusal.value)
+    assert message.startswith("no program verified (best constraint residual 3.725e-04 ")
+    assert message.endswith("the LP's word has 4 switches, over the budget of 2, so it says "
+                            "nothing of the budgeted problem")
 
 
-def test_near_origin_x0_solves_from_the_empty_word(monkeypatch):
+def first_fit(levels, word):
+    """Template slots that carry the word, each segment in the first
+    matching slot after the previous one; None when the word does not fit."""
+    free = iter(range(len(levels)))
+    slots = [next((j for j in free if levels[j] == level), None) for level in word]
+    return None if None in slots else slots
+
+
+def test_embed_keeps_the_heaviest_part():
+    # 1, -1, 1 of lengths 0.1, 0.5, 0.2 in the slots 0, -1, 0, 1: the
+    # heaviest part that fits is -1, 1, not the first bang alone; of two
+    # slots of one level, the earlier wins
+    word = SwitchingSchedule((0.0, 0.1, 0.6, 0.8), (1, -1, 1))
+    assert _embed((0, -1, 0, 1), word) == ([1, 2], [1, 3])
+    assert _embed((1, 0, 1), schedule_from_times((1,), [0.3])) == ([0], [0])
+    assert _embed((0, 1), SwitchingSchedule.empty()) == ([], [])
+
+
+def test_embed_is_first_fit_when_the_whole_word_fits():
+    # every comparison problem's LP word in every one of its programs: a
+    # word that fits whole embeds whole, in the first-fit slots, and any
+    # other in part, each segment in a later slot of its own level: 112
+    # pairs whole and 650 in part
+    whole = part = 0
+    for _name, spec in comparison_set():
+        lp = lp_oracle(spec, horizon(spec))
+        if lp is None:
+            continue
+        word = _lp_word(lp[2], lp[1])
+        for inst in build_all(spec):
+            segments, slots = _embed(inst.levels, word)
+            fitting = first_fit(inst.levels, word.levels)
+            if fitting is None:
+                assert len(segments) < len(word.levels)
+                part += 1
+            else:
+                assert (segments, slots) == (list(range(len(word.levels))), fitting)
+                whole += 1
+            assert all(inst.levels[j] == word.levels[s] for s, j in zip(segments, slots))
+            assert all(np.diff(segments) > 0) and all(np.diff(slots) > 0)
+    assert (whole, part) == (112, 650)
+
+
+#: (name, budget) -> (word, cost) of the budgeted problems below that 64
+#: random starts per program answered, before the LP seeded them.
+BUDGETED_ANSWERS = {
+    ("stable-higher-order", 5): ((-1, 0, -1, 0, 1), 1.512807547453698),
+    ("stable-higher-order", 4): ((-1, 0, -1, 0, 1), 1.512807547453698),
+    ("stable-1", 6): ((-1, 0, 1, 0, -1, 0, 1), 2.223149867252297),
+    ("mixed-0", 2): ((1, 0, -1), 2.994567517510456),
+    ("suboptimal", 3): ((0, -1, 0, 1), 2.3249919975274698),
+    ("stiff-n2", 2): ((-1, 0, 1), 0.41823433105119456),
+    ("n5-lp2.63353", 8): ((-1, 0, 1, 0, -1, 0, 1, 0, -1), 2.668259891873112),
+}
+
+
+def budgeted(spec, budget):
+    return validate_problem(spec.system, spec.x0, spec.k, max_switches=budget)
+
+
+def test_sub_word_seeds_keep_the_budgeted_answers():
+    # the first 20 problems of tools/reports.py's set, each under the
+    # budgets one and two switches below its LP word's that the problem
+    # admits: 29 budgeted problems, whose LP words fit no program.  The
+    # sub-word seeds answer the same 7 as the random starts did, on the
+    # same words, at the same costs
+    answers, tried = {}, 0
+    for name, spec in comparison_set()[:20]:
+        lp = lp_oracle(spec, horizon(spec))
+        if lp is None:
+            continue
+        switches = _lp_word(lp[2], lp[1]).switch_count
+        for budget in (switches - 1, switches - 2):
+            try:
+                problem = budgeted(spec, budget)
+            except ValueError:
+                continue
+            tried += 1
+            try:
+                best = solve_time_fuel(problem).best
+            except SolverFailedError:
+                continue
+            answers[name, budget] = best.schedule.levels, best.cost
+    assert tried == 29
+    assert answers.keys() == BUDGETED_ANSWERS.keys()
+    for key, (word, cost) in BUDGETED_ANSWERS.items():
+        assert answers[key][0] == word
+        assert answers[key][1] == pytest.approx(cost, rel=1e-9)
+
+
+def test_sweep_13_solves_under_a_budget_of_2():
+    # `sweep-13`'s LP word 0,1,0,-1 has 3 switches; under a budget of 2
+    # it fits no program, and the heaviest part of it that SEQ-1_0_-1
+    # embeds seeds the answer
+    spec = budgeted(dict(comparison_set())["sweep-13"], 2)
+    report = solve_time_fuel(spec)
+    assert report.best.instance_id == "SEQ-1_0_-1"
+    assert report.best.schedule.levels == (1, 0, -1)
+    assert report.best.cost == pytest.approx(1.352653253, rel=1e-9)
+
+
+def test_near_boundary_solve_from_the_scanned_horizon():
+    # boundary draw 0 at gauge 0.9999: the LP's transfer comes from its
+    # scan, and its word -1,0,1 seeds the answer that 64 random starts
+    # per program found
+    report = solve_time_fuel(near_boundary_draw_0())
+    assert report.best.schedule.levels == (-1, 0, 1)
+    assert report.best.cost == pytest.approx(17.79751804504663, rel=1e-12)
+
+
+def test_near_origin_x0_solves_from_the_empty_word():
     # x0 within the feasibility tolerance of the origin: the LP word is
     # empty, which embeds in every word, so it seeds every program with
-    # gaps all 0, and the empty schedule verifies at cost 0 with no blind
-    # start drawn
-    monkeypatch.setattr(solver, "_starts", no_starts)
-    report = solve_time_fuel(stable_spec((1, 2, 3), [1e-9, 0.0, 0.0]), SolverOptions(8, 0))
+    # gaps all 0, and the empty schedule verifies at cost 0
+    report = solve_time_fuel(stable_spec((1, 2, 3), [1e-9, 0.0, 0.0]))
     assert report.best.cost == 0.0
     assert report.best.schedule == SwitchingSchedule.empty()
 
 
 def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
-    # `hi-n6-1` of tools/reports.py refuses; its closest program is the
-    # seeded OP2-plus--+-+ at residual 2.673e-06, not the closest blind
-    # one, OP2-minus--+-+ at 4.3e-01
+    # `hi-n6-1` of tools/reports.py refuses; its closest program over all
+    # the seeded ones is OP2-plus--+-+, at residual 2.673e-06
     results = []
 
     def recording_solve_nlp(instance, restored):
@@ -898,7 +966,7 @@ def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
     monkeypatch.setattr(solver, "solve_nlp", recording_solve_nlp)
     spec = stable_spec((1, 2, 4, 6, 7, 10), [-0.3391, 0.3785, -0.3381, -0.1606, -0.1468, -0.1118])
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(spec, SolverOptions(starts=4, seed=0))
+        solve_time_fuel(spec)
     closest = min(results, key=lambda s: s.constraint_residual)
     assert closest.instance_id == "OP2-plus--+-+"
     assert str(refusal.value).startswith(
@@ -910,8 +978,7 @@ def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
 
 def test_refusal_over_the_switch_budget_names_it(monkeypatch):
     # the LP's word -1,0,1,0,-1 has 4 switches, so no program under a
-    # budget of 2 contains it and more starts cannot be what is missing;
-    # the note follows the gauge bounds, [0, 0] on a stable system.  Every
+    # budget of 2 contains it, and the refusal says so; the note follows the gauge bounds, [0, 0] on a stable system.  Every
     # HiGHS run of the solve serves that unused word: the search from the
     # minimum-time bound keeps them to at most 16 (a bounded search over
     # (0, t_max] took 30)
@@ -926,7 +993,7 @@ def test_refusal_over_the_switch_budget_names_it(monkeypatch):
     spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
     spec = validate_problem(spec.system, spec.x0, spec.k, max_switches=2)
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+        solve_time_fuel(spec)
     assert 0 < len(runs) <= 16
     message = str(refusal.value)
     assert message.endswith(
@@ -938,10 +1005,10 @@ def test_refusal_over_the_switch_budget_names_it(monkeypatch):
 
 
 def test_polish_stops_on_a_non_finite_step(monkeypatch):
-    # x0 within the feasibility tolerance of the origin: SLSQP leaves
-    # OP2-minus-+ at residual 1.9e130, where the Newton step is not finite;
-    # the polish stops there, with no NaN trial, and the solve answers at
-    # cost 0
+    # x0 within the feasibility tolerance of the origin: SLSQP, from a
+    # random start, left OP2-minus-+ at these gaps, at residual 1.9e130,
+    # where the Newton step is not finite; the polish stops there and
+    # returns the point, with no NaN trial and no warning
     real_eval1 = solver._eval1
 
     def finite_eval1(instance, gaps):
@@ -949,33 +1016,41 @@ def test_polish_stops_on_a_non_finite_step(monkeypatch):
         return real_eval1(instance, gaps)
 
     monkeypatch.setattr(solver, "_eval1", finite_eval1)
-    # the LP's empty word would answer at once; without it the blind
-    # starts run, and the certificate of a stable system proves nothing
-    monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: None)
     spec = stable_spec((1, 2, 3), [1e-9, 0.0, 0.0])
+    inst = next(i for i in build_all(spec) if i.instance_id == "OP2-minus-+")
+    gaps = np.array(
+        [
+            149.99999999995467,
+            461.5219688093891,
+            4.5384167859585646e-08,
+            1.389094884213707e-07,
+            5.1209175828730185e-08,
+            5.1853846638777755e-06,
+        ]
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = solve_time_fuel(spec, SolverOptions(starts=8, seed=0))
-    assert report.best.cost == 0.0
+        polished, feas, _kkt = solver._polish(inst, gaps)
+    assert np.array_equal(polished, gaps)
+    assert feas == pytest.approx(1.9424263952412558e130, rel=1e-12)
 
 
 def test_skipped_programs_are_deterministic():
     # the programs that do not contain the LP word run nothing and are
     # reported alike on every solve: no times, infinite cost and residuals
     spec = stable_spec(*TestLpRetry.COUNTEREXAMPLE)
-    options = SolverOptions(starts=16, seed=0)
-    report = solve_time_fuel(spec, options)
+    report = solve_time_fuel(spec)
     _cost, t_f, inputs = lp_oracle(spec, horizon(spec))
     word = _lp_word(inputs, t_f)
     levels = {inst.instance_id: inst.levels for inst in build_all(spec)}
     skipped = [s for s in report.per_instance if s.status == solver.SKIPPED]
     assert {s.instance_id for s in skipped} == {
-        i for i, lv in levels.items() if _slots(lv, word.levels) is None
+        i for i, lv in levels.items() if len(_embed(lv, word)[0]) < len(word.levels)
     }
     assert len(skipped) == 7
     for s in skipped:
         assert s == solver.LocalSolution(s.instance_id, (), math.inf, math.inf, math.inf, "skipped")
-    again = solve_time_fuel(spec, options)
+    again = solve_time_fuel(spec)
     assert json.dumps(again.as_dict()) == json.dumps(report.as_dict())
 
 
@@ -990,7 +1065,7 @@ def test_unstable_optimum_passes_the_simulator():
     # b = 1, lambda = -1/2, 1, 4: from the LP's seed, OP2-plus-- converges
     # on word 1,0,-1,0,1 at 12.169956 (t_f 6.6954), below the LP's 12.182977
     # on the same word, and the simulator rejects it
-    report = solve_time_fuel(parse_problem(UNSTABLE), SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(parse_problem(UNSTABLE))
     assert report.best.cost == pytest.approx(12.169956, rel=1e-6)
 
 
@@ -1036,10 +1111,12 @@ class TestDegenerateVertex:
         ids=["unstable-mode", "stable"],
     )
     def test_degenerate_optimum_converges(self, problem, programs, monkeypatch):
-        # on the blind starts, which the LP's seeds leave out unless it
-        # finds no transfer
-        monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: None)
-        report = solve_time_fuel(parse_problem(problem), SolverOptions(starts=24, seed=3))
+        # every program runs: an LP made to give the empty word seeds each
+        # one with gaps all 0, where every gap is at its bound
+        empty = np.zeros(simulate.LP_CELLS)
+        monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (0.0, 1.0, empty))
+        report = solve_time_fuel(parse_problem(problem))
+        assert solver.SKIPPED not in [s.status for s in report.per_instance]
         statuses = {s.instance_id: s.status for s in report.per_instance}
         for program in programs:
             assert statuses[program] == CONVERGED
@@ -1059,7 +1136,7 @@ def test_same_word_ties_pick_the_lowest_id():
             "k": 1,
         }
     )
-    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(spec)
     levels = {inst.instance_id: inst.levels for inst in build_all(spec)}
     times = {s.instance_id: s.times for s in report.per_instance}
     best_word = report.best.schedule.levels
@@ -1081,19 +1158,20 @@ MIXED_2 = {
 
 
 def test_sliver_tail_keeps_its_program_verified():
-    # OP1-minus--+ converges from its blind starts at reach residual 1.4e-14
-    # with its single bang split by zero-length segments; dropping the
-    # 1.1e-7 tail after them ended the schedule early and the simulator
-    # rejected the program
+    # OP1-minus--+ converges from random starts at reach residual 1.7e-16
+    # with its single bang split in two by a zero-length off slot, and must
+    # verify as that one bang (a 1.1e-7 tail after such a split was once
+    # dropped, which ended the schedule early, and the simulator rejected
+    # the program)
     spec = parse_problem(MIXED_2)
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    restored = _restore(spec, instances, blind_starts(instances, SolverOptions(starts=16, seed=0)))
+    restored = _restore(spec, instances, random_rows(instances))
     solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
     verified = {v.instance_id: v for v in _verified(spec, instances, solutions)}
     least = min(v.cost for v in verified.values())
     assert verified["OP1-minus--+"].cost <= least * (1.0 + solver.TIE_REL_TOL)
     assert verified["OP1-minus--+"].schedule.levels == (-1,)
-    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(spec)
     assert report.best.schedule.levels == (-1,)
 
 
@@ -1149,7 +1227,7 @@ def test_seed_off_the_lp_horizon_converges(monkeypatch):
     cost, inputs, _slope = _lp_transfer(spec, t_f)
     assert lp_oracle(spec, horizon(spec))[1] == 2.1840189471242226
     monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (cost, t_f, inputs))
-    report = solve_time_fuel(spec, SolverOptions(starts=16, seed=0))
+    report = solve_time_fuel(spec)
     assert report.best.schedule.levels == _lp_word(inputs, t_f).levels
 
 
@@ -1167,7 +1245,7 @@ class TestDescentLayer:
             states[id(state)] = state  # held, so that no id is reused
 
         monkeypatch.setattr(solver, "slsqp", counted)
-        solve_time_fuel(parse_problem(MIXED_2), SolverOptions(starts=16, seed=0))
+        solve_time_fuel(parse_problem(MIXED_2))
         assert 0 < sum(state["iter"] for state in states.values()) <= 400
 
     def test_reference_cost_to_rounding(self, example_spec):
@@ -1178,7 +1256,7 @@ class TestDescentLayer:
         # doubles the solver reads, not the decimals 0.6 and 0.4
         import mpmath as mp
 
-        report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        report = solve_time_fuel(example_spec)
         assert report.best.schedule.levels == (-1, 0, 1)
         lam, x0, k = (-1, -2), (mp.mpf(0.6), mp.mpf(0.4)), 1
 
@@ -1211,7 +1289,7 @@ class TestDescentLayer:
         # that gives its residual and Jacobian both: a gradient request
         # reuses the Jacobian of the function request before it
         inst = next(i for i in build_all(example_spec) if i.instance_id == "OP2-minus")
-        restored = restored_alone(inst, SolverOptions(starts=16, seed=0))
+        restored = restored_alone(inst, 16)
         real_slsqp, real_eval1, real_polish = solver.slsqp, solver._eval1, solver._polish
         received, evaluated, polishing = [], [], []
 
@@ -1281,7 +1359,7 @@ class TestDescentLayer:
         # own SLSQP loop ends it
         spec = parse_problem(problem)
         instances = build_all(spec)
-        restored = _restore(spec, instances, blind_starts(instances, SolverOptions(16, 0)))
+        restored = _restore(spec, instances, random_rows(instances))
         polished, expected = Counter(), Counter()
         real_polish = solver._polish
 
@@ -1326,28 +1404,28 @@ class TestMergeIntoKnownMinimum:
     def test_sixty_four_starts_keep_the_optimum(self):
         # the LP's seed reaches this optimum, which 16 blind starts miss;
         # the start count does not matter, since no blind start runs
-        report = solve_time_fuel(parse_problem(self.SUBOPTIMAL), SolverOptions(starts=64, seed=0))
+        report = solve_time_fuel(parse_problem(self.SUBOPTIMAL))
         assert report.best.schedule.levels == (1, 0, -1, 0, 1)
         assert report.best.cost == pytest.approx(2.315893, rel=1e-6)
 
     def test_one_polish_per_converged_program(self, example_spec, monkeypatch):
         # the LP's word -1,0,1 seeds OP2-minus alone, with one start
         calls = self.counted_polish(monkeypatch)
-        report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        report = solve_time_fuel(example_spec)
         converged = [s.instance_id for s in report.per_instance if s.status == CONVERGED]
         assert sorted(calls) == sorted(converged) == ["OP2-minus"]
         assert report.best.cost == pytest.approx(1.89397904421243217, rel=2e-15)
 
     def test_counts_logged_per_program(self, example_spec, caplog):
         with caplog.at_level(logging.DEBUG, logger="timefuel"):
-            report = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+            report = solve_time_fuel(example_spec)
         assert [r.name for r in caplog.records] == ["timefuel"] * 2
         assert caplog.messages == [
             "the LP-seeded starts run: the LP's word -1,0,1 fits 1 of 4 programs",
             "OP2-minus: 1 starts, 1 descended, 1 converged",
         ]
         # the log leaves the report as it is
-        quiet = solve_time_fuel(example_spec, SolverOptions(starts=16, seed=0))
+        quiet = solve_time_fuel(example_spec)
         assert json.dumps(quiet.as_dict()) == json.dumps(report.as_dict())
 
 
@@ -1370,7 +1448,7 @@ class TestPolishState:
             return real_polish(instance, gaps)
 
         monkeypatch.setattr(solver, "_polish", recorded)
-        solve_time_fuel(parse_problem(problem), SolverOptions(starts=16, seed=0))
+        solve_time_fuel(parse_problem(problem))
         monkeypatch.undo()
         real_eval1, evaluated = solver._eval1, []
 
@@ -1448,7 +1526,7 @@ def test_converged_gaps_are_zero_or_at_least_the_zero_length(monkeypatch):
     for case in problems:
         checked.clear()
         try:
-            solve_time_fuel(parse_problem(case.problem), SolverOptions(starts=16, seed=0))
+            solve_time_fuel(parse_problem(case.problem))
         except InfeasibleProblemError:
             assert not case.feasible
         found = [(inst, sol) for inst, sol in checked if sol.status == CONVERGED]

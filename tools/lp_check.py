@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     spec = importlib.util.spec_from_file_location("reports_tool", ROOT / "tools" / "reports.py")
     reports = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reports)
-    for name, problem, _options in reports.problems():
+    for name, problem in reports.problems():
         print(lp_line(name, problem), flush=True)
     return 0
 

@@ -17,20 +17,18 @@ exits 1 when an exit kind, a best id or word, a tie list or a program
 status of a problem both files have changes, and 0 when only floats or
 exception messages do.
 
-The set, in this order:
+The set, in this order, each solved with the default options:
 
-- the 14 benchmark problems of `bench/workloads.py`, at 16 starts, seed 0;
-- six named problems at 16 starts, seed 0 (the n=6 one at 6): the
-  silently suboptimal problem, the stiff n=2 problem, the n=6 test
-  problem, the two n=5 draws that only the LP-seeded start solves, and the
-  unstable problem whose converged optimum the simulator rejects;
+- the 14 benchmark problems of `bench/workloads.py`;
+- six named problems: the silently suboptimal problem, the stiff n=2
+  problem, the n=6 test problem, the two n=5 draws that only the
+  LP-seeded start solves, and the unstable problem whose converged
+  optimum the simulator rejects;
 - the six `default_rng(77)` draws `hi-n6-0` ... `hi-n8-1` (ROADMAP,
-  Baseline), two for each n in 6, 7, 8, at 16 starts, seed 0, whose
-  answers come from the LP-seeded starts;
-- the 30-problem `default_rng(2026)` sweep (ROADMAP, Baseline), at 16
-  starts, seed 0;
+  Baseline), two for each n in 6, 7, 8;
+- the 30-problem `default_rng(2026)` sweep (ROADMAP, Baseline);
 - the 20 problems of acceptance criterion 08, drawn as its test draws
-  them, at 24 starts, seed 3.
+  them.
 
 The benchmark's problem sets and the test helpers are imported read-only.
 """
@@ -49,9 +47,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 from workloads import WORKLOADS  # noqa: E402
 
-# The package is imported where it is used, so that `main` can choose it;
-# options are (starts, seed) pairs until then.
-BLIND = (16, 0)
+# The package is imported where it is used, so that `main` can choose it.
 
 
 def _problem(eigenvalues, x0, k) -> dict:
@@ -65,21 +61,12 @@ def _problem(eigenvalues, x0, k) -> dict:
 
 
 NAMED = {
-    "suboptimal": (_problem((-1, 2, -3), (0.3, 0.1, 0.1), 2), BLIND),
-    "stiff-n2": (_problem((-4, -5), (0.0248, -0.0663), 0.5), BLIND),
-    "n6": (
-        _problem(range(-1, -7, -1), (0.1, 0.2, 0.4, 0.5, 0.8, 1.0), 1),
-        (6, 0),
-    ),
-    "n5-lp2.72957": (
-        _problem((-2, -3, -4, -5, -6), (0.1222, 0.489, -0.2847, -0.3398, 0.1125), 1),
-        BLIND,
-    ),
-    "n5-lp2.63353": (
-        _problem((-2, -3, -4, -5, -6), (-0.184, -0.4323, 0.3869, -0.4779, 0.0373), 1),
-        BLIND,
-    ),
-    "unstable": (_problem(((-1, 2), 1, 4), (0.2, 0.2109, -0.1805), 1), BLIND),
+    "suboptimal": _problem((-1, 2, -3), (0.3, 0.1, 0.1), 2),
+    "stiff-n2": _problem((-4, -5), (0.0248, -0.0663), 0.5),
+    "n6": _problem(range(-1, -7, -1), (0.1, 0.2, 0.4, 0.5, 0.8, 1.0), 1),
+    "n5-lp2.72957": _problem((-2, -3, -4, -5, -6), (0.1222, 0.489, -0.2847, -0.3398, 0.1125), 1),
+    "n5-lp2.63353": _problem((-2, -3, -4, -5, -6), (-0.184, -0.4323, 0.3869, -0.4779, 0.0373), 1),
+    "unstable": _problem(((-1, 2), 1, 4), (0.2, 0.2109, -0.1805), 1),
 }
 
 
@@ -91,7 +78,7 @@ def _high_order():
         for i in range(2):
             rates = sorted(rng.choice(np.arange(1, 11), n, replace=False))
             x0 = [round(float(v), 4) for v in rng.uniform(-0.5, 0.5, n)]
-            yield f"hi-n{n}-{i}", parse_problem(_problem([-r for r in rates], x0, 1)), BLIND
+            yield f"hi-n{n}-{i}", parse_problem(_problem([-r for r in rates], x0, 1))
 
 
 def _sweep():
@@ -105,7 +92,7 @@ def _sweep():
         # inside |b / lambda| for an unstable mode
         x0 = [round(float(v * (0.8 / l if l > 0 else 0.48)), 4) for v, l in zip(u, lam)]
         k = float(rng.choice([0.5, 1.0, 2.0]))
-        yield f"sweep-{i}", parse_problem(_problem(lam, x0, k)), BLIND
+        yield f"sweep-{i}", parse_problem(_problem(lam, x0, k))
 
 
 def _criterion_08():
@@ -123,36 +110,29 @@ def _criterion_08():
         if np.max(np.abs(x0)) < 0.05 or np.max(np.abs(x0)) > 50.0:
             continue
         k = float(rng.uniform(0.5, 3.0))
-        yield f"c08-{solved}", validate_problem(system, x0, k), (24, 3)
+        yield f"c08-{solved}", validate_problem(system, x0, k)
         solved += 1
 
 
-def _specs():
+def problems():
+    """(name, spec) of every problem of the set, in order."""
     from timefuel import parse_problem
 
     for cases in WORKLOADS.values():
         for case in cases():
-            yield case.name, parse_problem(case.problem), BLIND
-    for name, (problem, options) in NAMED.items():
-        yield name, parse_problem(problem), options
+            yield case.name, parse_problem(case.problem)
+    for name, problem in NAMED.items():
+        yield name, parse_problem(problem)
     yield from _high_order()
     yield from _sweep()
     yield from _criterion_08()
 
 
-def problems():
-    """(name, spec, options) of every problem of the set, in order."""
-    from timefuel import SolverOptions
-
-    for name, spec, (starts, seed) in _specs():
-        yield name, spec, SolverOptions(starts=starts, seed=seed)
-
-
-def report_line(name, spec, options) -> str:
+def report_line(name, spec) -> str:
     from timefuel import solve_time_fuel
 
     try:
-        text = json.dumps(solve_time_fuel(spec, options).as_dict(), sort_keys=True)
+        text = json.dumps(solve_time_fuel(spec).as_dict(), sort_keys=True)
     except Exception as exc:  # the line records every failure; the run goes on
         text = f"{type(exc).__name__}: {exc}"
     return f"{name}\t{text}"
