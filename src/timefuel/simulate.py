@@ -30,7 +30,7 @@ LP_CELLS = 400
 
 #: Relative gap between the lesser end cost of `lp_oracle`'s bracket and
 #: where the end tangents meet, under which its search stops.
-GAP_TOL = 1e-6
+GAP_TOL = 1e-5
 
 #: Input cells of the `null_certificate` gauge LP, equal in e^(-lam s) of the
 #: slowest unstable mode, so that they cover [0, inf).
@@ -245,6 +245,14 @@ def _farkas(cells: np.ndarray, target: np.ndarray) -> bool:
     return bool(np.abs(z @ cells).sum() + rounding < (1.0 - 1e-6) * (target @ z))
 
 
+def _row_shift(spec: ProblemSpec, horizon: float) -> np.ndarray:
+    """min(lam, 0) * horizon, the log of the row scale under which no entry
+    of a reach row grows with the horizon: `_lp_transfer` scales its rows by
+    its exponential, and the solver the residuals of the programs the LP at
+    that horizon seeds."""
+    return np.minimum(spec.system.eigenvalues, 0.0) * horizon
+
+
 def _lp_transfer(spec: ProblemSpec, horizon: float):
     """(J = k*T plus the least fuel, cell inputs, dJ/dT) of the transfer at
     T = horizon.
@@ -263,9 +271,9 @@ def _lp_transfer(spec: ProblemSpec, horizon: float):
     b = spec.system.gains
     h = horizon / LP_CELLS
     # row i: x0_i + sum_j u_j b_i int_{cell j} e^(-lam_i s) ds = 0, scaled by
-    # e^(min(lam_i, 0) T) so that no entry grows with the horizon; edges[i, j]
-    # is that scale times e^(-lam_i s) at the start of cell j
-    shift = np.minimum(lam, 0.0) * horizon
+    # e^(min(lam_i, 0) T) (`_row_shift`); edges[i, j] is that scale times
+    # e^(-lam_i s) at the start of cell j
+    shift = _row_shift(spec, horizon)
     edges = np.exp(shift[:, None] - np.outer(lam, h * np.arange(LP_CELLS + 1)))
     cells = -(b / lam * np.expm1(-lam * h))[:, None] * edges[:, :-1]
     target = -spec.x0 * np.exp(shift)
@@ -314,9 +322,10 @@ def lp_oracle(
     t_max, until an LP is feasible and J stops falling (dJ/dT >= 0).  The
     cells coarsen as T grows, so near the reachability boundary the
     feasible horizons need not form an interval, and the doubling can step
-    over all of them: when t_max is infeasible too, the 64 horizons
-    geometric from the bound to t_max are solved, with no refinement.  The
-    result is None only when no horizon tried is feasible.  Inside
+    over all of them: when t_max is infeasible too, the 62 horizons strictly
+    between the bound and t_max of a 64-point geometric ladder from one to
+    the other are solved, with no refinement.  The result is None only when
+    no horizon tried is feasible.  Inside
     the bracket of the last two horizons, each step goes to the minimum of
     the cubic through both ends' values and slopes (Nocedal & Wright,
     Numerical Optimization, 2006, eq. 3.59), kept half the stop width from
@@ -333,7 +342,7 @@ def lp_oracle(
     the cost lies above the optimum, by the discretization error.  An
     infeasible probe costs no HiGHS run when `_farkas` proves it so, which
     changes no horizon the search solves and no result.  Shares nothing
-    with the solver.
+    with the solver but the row scale of `_row_shift`.
     """
     if _is_bool(t_max) or not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
@@ -351,7 +360,8 @@ def lp_oracle(
     while hi[3] < 0.0 and hi[0] < t_max:
         lo, hi = hi, solve(min(2.0 * hi[0], t_max))
     if hi[3] == -math.inf and T > 0.0:
-        for scanned in np.geomspace(T, t_max, 64):
+        # both ends are solved already
+        for scanned in np.geomspace(T, t_max, 64)[1:-1]:
             solve(scanned)
     old = older = math.inf
     while lo and hi[3] >= 0.0 and (width := hi[0] - lo[0]) > 1e-4 * hi[0]:

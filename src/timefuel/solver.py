@@ -9,8 +9,9 @@ polish of the KKT system, each round starting from the previous polish.
 SLSQP stops at the feasibility tolerance, which is enough to find the active
 set; the polish, with the exact Hessian, gives the last digits (the split of
 Byrd, Gould, Nocedal & Waltz, Math. Prog. 100, 2004).  Every phase forms
-the residual reach - x0 and its gap Jacobian through `_eval` alone, from
-the problem's spec and a level word.
+the residual scale * (reach - x0) and its gap Jacobian through `_eval`
+alone, from the problem's spec, a level word and the row scale of the LP
+whose word seeds the solve, which each phase takes as an argument.
 `_restore` runs the start rows of all programs as one stack on the fused
 reach/Jacobian kernel, padded to the longest word, each row under its own
 program's levels, and every row gives the bits it would give alone;
@@ -58,6 +59,7 @@ from .simulate import (
     COLLAPSE_TOL,
     SwitchingSchedule,
     evaluate_cost,
+    _row_shift,
     _time_bound,
     lp_oracle,
     null_certificate,
@@ -171,21 +173,24 @@ class SolveReport:
         }
 
 
-def _eval(spec: ProblemSpec, levels, gaps: np.ndarray, jacobian: bool = True):
-    """Residuals (m, n) and gap Jacobians (m, n, K) of gap stack (m, K),
-    under one (K,) level word or one (m, K) level row per gap row."""
+def _eval(spec: ProblemSpec, levels, gaps: np.ndarray, scale: np.ndarray):
+    """Residuals scale * (reach - x0), (m, n), and their gap Jacobians
+    (m, n, K) of gap stack (m, K), under one (K,) level word or one (m, K)
+    level row per gap row; scale (n,) is the LP's row scale at its horizon
+    (`simulate._row_shift`), so that no row grows with e^(|lam| t_f) on a
+    stable mode."""
     times = np.cumsum(gaps, axis=-1)
     system = spec.system
-    reach, time_jac = reach_kernel(system.eigenvalues, system.gains, levels, times, jacobian)
+    reach, time_jac = reach_kernel(system.eigenvalues, system.gains, levels, times)
     # the gap Jacobian, by the chain rule through t_j = sum_{m <= j} gap_m,
     # is the reverse cumulative sum of the time Jacobian
-    J = None if time_jac is None else np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
-    return reach - spec.x0, J
+    J = np.cumsum(time_jac[..., ::-1], axis=-1)[..., ::-1]
+    return scale * (reach - spec.x0), scale[:, None] * J
 
 
-def _eval1(instance: NlpInstance, gaps: np.ndarray):
+def _eval1(instance: NlpInstance, gaps: np.ndarray, scale: np.ndarray):
     """`_eval` of a single gap vector under the program's levels."""
-    c, J = _eval(instance.spec, instance._v, gaps[None, :])
+    c, J = _eval(instance.spec, instance._v, gaps[None, :], scale)
     return c[0], J[0]
 
 
@@ -223,8 +228,8 @@ def _lm_step(J, c, held, nu):
     return -(_solve_rows(A, c)[:, None, :] @ J_f)[:, 0, :]
 
 
-def _lm(spec, gaps, levels):
-    """Projected Levenberg-Marquardt on || reach(t) - x0 ||, per row.
+def _lm(spec, gaps, levels, scale):
+    """Projected Levenberg-Marquardt on || scale * (reach(t) - x0) ||, per row.
 
     The rows of gaps (m, K) are independent runs, under one (K,) level
     word or one (m, K) level row each.  Each row keeps its own damping and
@@ -246,7 +251,7 @@ def _lm(spec, gaps, levels):
     rows = np.arange(m)
     gaps = gaps.copy()
     levels = np.broadcast_to(levels, gaps.shape)
-    c, J = _eval(spec, levels, gaps)
+    c, J = _eval(spec, levels, gaps, scale)
     f = _half_sq(c)
     nu = np.full(m, 1e-3)
     iters = np.zeros(m, dtype=int)
@@ -261,7 +266,7 @@ def _lm(spec, gaps, levels):
             return out_gaps, out_c
         held = (gaps <= 0.0) & ((c[:, None, :] @ J)[:, 0, :] > 0.0)
         trial = np.maximum(gaps + _lm_step(J, c, held, nu), 0.0)
-        ct, Jt = _eval(spec, levels, trial)
+        ct, Jt = _eval(spec, levels, trial, scale)
         ft = _half_sq(ct)
         better = ft < f
         np.copyto(gaps, trial, where=better[:, None])
@@ -303,7 +308,7 @@ def _hessian(instance, J, mult, free):
     return suffix[np.maximum.outer(free, free)]
 
 
-def _polish(instance, gaps):
+def _polish(instance, gaps, scale):
     """Newton iterations on the active-set KKT system, merit safeguarded;
     the (gaps, feasibility, KKT residual) of the last accepted point.
 
@@ -322,7 +327,7 @@ def _polish(instance, gaps):
     n = instance.order
     w = instance.gap_weights
     gaps = np.where(gaps < COLLAPSE_TOL, 0.0, gaps)
-    c, J = _eval1(instance, gaps)
+    c, J = _eval1(instance, gaps, scale)
     mult = _ls_multipliers(J, w, gaps)
     feas, kkt = _kkt_state(c, J, w, gaps, mult)
     for _ in range(80):
@@ -354,7 +359,7 @@ def _polish(instance, gaps):
             # a round-off floor on trials: snapping at COLLAPSE_TOL costs more steps
             trial[trial < 1e-12] = 0.0
             trial_mult = mult + alpha * d_mult
-            c_t, J_t = _eval1(instance, trial)
+            c_t, J_t = _eval1(instance, trial, scale)
             f_t, k_t = _kkt_state(c_t, J_t, w, trial, trial_mult)
             scaled_now = max(feas, kkt * 1e-3)
             scaled_new = max(f_t, k_t * 1e-3)
@@ -367,15 +372,15 @@ def _polish(instance, gaps):
             break
     if np.any((gaps > 0.0) & (gaps < COLLAPSE_TOL)):
         gaps = np.where(gaps < COLLAPSE_TOL, 0.0, gaps)
-        c, J = _eval1(instance, gaps)
+        c, J = _eval1(instance, gaps, scale)
         feas, kkt = _kkt_state(c, J, w, gaps, mult)
     return gaps, feas, kkt
 
 
-def _slsqp(instance, gaps):
+def _slsqp(instance, gaps, scale):
     """SLSQP (Kraft, DFVLR-FB 88-28, 1988) on min w . gaps subject to
-    reach(gaps) = x0 and gaps >= 0, stopped at `feas_tol`: it has to find
-    the active set, not the last digits, which `_polish` supplies.  It runs
+    scale * (reach(gaps) - x0) = 0 and gaps >= 0, stopped at `feas_tol`: it
+    has to find the active set, not the last digits, which `_polish` supplies.  It runs
     scipy's reverse-communication routine, its state and workspace set up
     as `scipy.optimize.minimize` sets them up, and evaluates each point the
     routine asks for by `_eval1`, whose Jacobian also serves its next
@@ -389,12 +394,12 @@ def _slsqp(instance, gaps):
     # scipy's buffer size, for m equality constraints and no inequalities
     size = n * (21 * n + 75) // 2 + 2 * m * (1 - n) + 28
     work = np.zeros(n), np.full(n, np.nan), np.zeros(size), np.zeros(len(mult), dtype=np.int32)
-    d, J = _eval1(instance, x)
+    d, J = _eval1(instance, x, scale)
     C[:] = J
     while True:
         slsqp(state, float(w @ x), w, C, d, x, mult, *work)
         if state["mode"] == 1:
-            d, J = _eval1(instance, x)
+            d, J = _eval1(instance, x, scale)
         elif state["mode"] == -1:
             C[:] = J
         else:
@@ -403,7 +408,7 @@ def _slsqp(instance, gaps):
     return out if np.all(np.isfinite(out)) else gaps
 
 
-def _descend(instance, gaps, c) -> LocalSolution:
+def _descend(instance, gaps, c, scale) -> LocalSolution:
     """One restored start through at most `SQP_ROUNDS` rounds of SLSQP,
     stopped at the feasibility tolerance, and a Newton polish that finishes
     to rounding level.  A round that ends short of the tolerances hands the
@@ -416,7 +421,7 @@ def _descend(instance, gaps, c) -> LocalSolution:
     if feas <= 1e-6 * x0_scale:
         status = ITERATION_LIMIT
         for _round in range(SQP_ROUNDS):
-            gaps, feas, kkt = _polish(instance, _slsqp(instance, gaps))
+            gaps, feas, kkt = _polish(instance, _slsqp(instance, gaps, scale), scale)
             if feas <= SolverOptions.feas_tol and kkt <= KKT_TOL:
                 status = CONVERGED
                 break
@@ -433,12 +438,12 @@ def _rank(solution: LocalSolution) -> tuple:
     return not converged, solution.cost if converged else solution.constraint_residual
 
 
-def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
+def solve_nlp(instance: NlpInstance, restored: tuple, scale: np.ndarray) -> LocalSolution:
     """Best solution by `_rank` of one program over its restored starts,
-    the (gaps (m, K), residuals (m, n)) pair that `_restore` gives it, each
-    descended over gaps >= 0 by `_descend`.  The counts go to the
-    "timefuel" logger at DEBUG level."""
-    solutions = [_descend(instance, g, c) for g, c in zip(*restored)]
+    the (gaps (m, K), residuals (m, n)) pair that `_restore` gives it under
+    the row scale `scale`, each descended over gaps >= 0 by `_descend`.
+    The counts go to the "timefuel" logger at DEBUG level."""
+    solutions = [_descend(instance, g, c, scale) for g, c in zip(*restored)]
     descended = sum(s.status != INFEASIBLE for s in solutions)
     converged = sum(s.status == CONVERGED for s in solutions)
     _log.debug("%s: %d starts, %d descended, %d converged",
@@ -446,18 +451,20 @@ def solve_nlp(instance: NlpInstance, restored: tuple) -> LocalSolution:
     return min(solutions, key=_rank)
 
 
-def _restore(spec, instances, starts: dict) -> dict:
+def _restore(spec, instances, starts: dict, scale: np.ndarray) -> dict:
     """Program id -> (gaps, residuals) of the (m, K) start rows that
-    `starts` maps its id to, restored in one `_lm` stack of all programs'
-    rows, each under its own levels and padded to the longest word with
-    level-0 slots of gap 0: zero Jacobian columns, so those gaps stay 0."""
+    `starts` maps its id to, restored under the row scale `scale` in one
+    `_lm` stack of all programs' rows, each under its own levels and padded
+    to the longest word with level-0 slots of gap 0: zero Jacobian columns,
+    so those gaps stay 0."""
     programs = [inst for inst in instances if inst.instance_id in starts]
     if not programs:
         return {}
     width = max(inst.slot_count for inst in programs)
     rows = [np.pad(starts[i.instance_id], [(0, 0), (0, width - i.slot_count)]) for i in programs]
     levels = [np.pad(i._v, (0, width - i.slot_count)) for i in programs]
-    gaps, c = _lm(spec, np.concatenate(rows), np.repeat(levels, [len(r) for r in rows], axis=0))
+    levels = np.repeat(levels, [len(r) for r in rows], axis=0)
+    gaps, c = _lm(spec, np.concatenate(rows), levels, scale)
     ends = np.cumsum([len(r) for r in rows[:-1]])
     return {
         inst.instance_id: (g[:, : inst.slot_count], r)
@@ -548,16 +555,17 @@ def solve_time_fuel(
     the problem infeasible before anything else runs.  Then the
     fixed-horizon LP runs, and a solve whose LP finds no transfer fails at
     once.  Otherwise one pass of the seeds of `_lp_seeds`, restored in one
-    `_restore` stack and each program descended by `solve_nlp`; a program
-    with no seed stays `SKIPPED`.  A converged program only competes after
-    its decoded schedule, propagated from x0, lands on the origin within 10x
-    the feasibility tolerance.  Cost ties are broken by fewer switchings,
+    `_restore` stack and each program descended by `solve_nlp`, all on the
+    rows scaled as the LP's at its horizon; a program with no seed stays
+    `SKIPPED`.  A converged program only competes after its decoded
+    schedule, propagated from x0, lands on the origin within 10x the
+    feasibility tolerance.  Cost ties are broken by fewer switchings,
     then by the least final time among the tied programs on each level word,
     then by the word, then by id: the programs that embed one word differ in
     final time only by rounding.  With no verified answer the solver has
-    failed, its message quoting the least residual after the descents and
-    after restoration, the LP's cost and word or the horizons it tried, and
-    the certificate's two gauge bounds.  The seeds used, and why, go to the
+    failed, its message quoting the least residual (in the scaled units)
+    after the descents and after restoration, the LP's cost and word or the
+    horizons it tried, and the certificate's two gauge bounds.  The seeds used, and why, go to the
     "timefuel" logger at DEBUG level.  `options` is unused.
     """
     proof = null_certificate(spec)
@@ -578,15 +586,16 @@ def solve_time_fuel(
         raise SolverFailedError(
             f"the fixed-horizon LP found no input reaching the origin at the "
             f"horizons it tried, doubling from the minimum-time bound "
-            f"{_time_bound(spec):.6g} to {longest:.6g} and 64 geometric steps "
-            f"between the two; {gauge}"
+            f"{_time_bound(spec):.6g} to {longest:.6g} and at 62 horizons "
+            f"geometric between the two; {gauge}"
         )
     lp_cost, lp_t_f, inputs = lp
     word = _lp_word(inputs, lp_t_f)
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    restored = _restore(spec, instances, _lp_seeds(instances, word))
+    scale = np.exp(_row_shift(spec, lp_t_f))
+    restored = _restore(spec, instances, _lp_seeds(instances, word), scale)
     solutions = [
-        solve_nlp(inst, restored[inst.instance_id])
+        solve_nlp(inst, restored[inst.instance_id], scale)
         if inst.instance_id in restored
         else LocalSolution(inst.instance_id, (), math.inf, math.inf, math.inf, SKIPPED)
         for inst in instances

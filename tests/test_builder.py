@@ -279,7 +279,7 @@ class TestInstanceCallbacks:
                     (
                         gaps,
                         lambda g: inst.constraint_residuals(np.cumsum(g)),
-                        _eval1(inst, gaps)[1],
+                        _eval1(inst, gaps, np.ones(inst.order))[1],
                     ),
                 ):
                     fd = np.zeros_like(analytic)

@@ -273,8 +273,9 @@ def refusal(eigenvalues, x0, k):
 def refusal_horizons(spec, t_max):
     """The horizons `lp_oracle` solves on its way to a refusal: the
     minimum-time bound, doubled until it reaches t_max, then t_max, then the
-    64 horizons geometric from the bound to t_max; none when the bound is
-    infinite, as when an unstable mode alone is out of reach."""
+    62 horizons strictly between the two of the 64 geometric from the bound
+    to t_max; none when the bound is infinite, as when an unstable mode
+    alone is out of reach."""
     horizons = []
     T = _time_bound(spec)
     while T < t_max:
@@ -282,7 +283,7 @@ def refusal_horizons(spec, t_max):
         T *= 2.0
     if not horizons:
         return []
-    return [*horizons, t_max, *np.geomspace(horizons[0], t_max, 64)]
+    return [*horizons, t_max, *np.geomspace(horizons[0], t_max, 64)[1:-1]]
 
 
 def record_lp_transfers(monkeypatch):
@@ -447,12 +448,12 @@ class TestLpOracle:
         calls = record_lp_transfers(monkeypatch)
         lp_oracle(spec, horizon(spec))
         horizons = [T for T, _x in calls]
-        assert len(set(horizons)) == len(horizons) == 10
+        assert len(set(horizons)) == len(horizons) == 8
 
     @REFUSALS
     def test_refusal_confirmed_on_halved_horizons(self, eigenvalues, x0, k, monkeypatch):
         # a refusal takes the LPs of the doubling from the minimum-time
-        # bound up to t_max and of the 64-horizon scan between the two, and
+        # bound up to t_max and of the 62-horizon scan between the two, and
         # no other: none on mixed-3, whose mode at 3 alone is out of reach
         spec, t_max = refusal(eigenvalues, x0, k)
         calls = record_lp_transfers(monkeypatch)
@@ -462,7 +463,7 @@ class TestLpOracle:
     def test_scan_finds_a_transfer_the_doubling_steps_over(self, monkeypatch):
         # near the reachability boundary the feasible horizons of the
         # 400-cell LP are scattered: on boundary draw 0 at gauge 0.9999
-        # every doubling horizon and t_max is infeasible, so the 64-horizon
+        # every doubling horizon and t_max is infeasible, so the 62-horizon
         # scan runs, and it finds a transfer on the optimum's word -1,0,1
         spec = near_boundary_draw_0()
         assert spec.x0 == pytest.approx([0.1354473, -0.2074274], abs=1e-7)
@@ -660,9 +661,9 @@ class TestFarkasScreen:
     def test_screens_only_lps_highs_finds_infeasible(self, monkeypatch):
         # over the search horizons of the whole comparison set, every LP the
         # screen refuses is one that HiGHS, run on the same LP with the
-        # screen off, reports not optimal: 299 of the 308 infeasible LPs,
-        # among them the 128 of the scans of sweep-22 and sweep-26, and
-        # none of the 513 feasible ones
+        # screen off, reports not optimal: 295 of the 304 infeasible LPs,
+        # among them the 124 of the scans of sweep-22 and sweep-26, and
+        # none of the 420 feasible ones
         screened, solved = [], []
         farkas, transfer = simulate._farkas, simulate._lp_transfer
 
@@ -688,7 +689,7 @@ class TestFarkasScreen:
             assert _lp_transfer(spec, T)[1] is None, T
         assert len(runs) == len(refused)
         infeasible = sum(no_input for _spec, _T, no_input in solved)
-        assert (len(solved), infeasible, len(refused)) == (821, 308, 299)
+        assert (len(solved), infeasible, len(refused)) == (724, 304, 295)
 
     def test_vertex_at_the_minimum_time_runs_highs(self, monkeypatch):
         # at mixed-2's time bound one bang reaches the origin, so x0 sits on
@@ -700,14 +701,14 @@ class TestFarkasScreen:
         assert len(runs) == 1 and inputs is not None
         assert cost == pytest.approx(0.5285483755394647, rel=1e-12)
 
-    def test_counterexample_runs_highs_on_six_of_ten_lps(self, monkeypatch):
-        # the search of stable-counterexample solves 10 LPs; the screen
+    def test_counterexample_runs_highs_on_four_of_eight_lps(self, monkeypatch):
+        # the search of stable-counterexample solves 8 LPs; the screen
         # refuses its 4 infeasible probes before HiGHS runs
         spec = counterexample()
         calls = record_lp_transfers(monkeypatch)
         runs = count_highs_runs(monkeypatch)
         lp_oracle(spec, horizon(spec))
-        assert (len(calls), len(runs)) == (10, 6)
+        assert (len(calls), len(runs)) == (8, 4)
 
     def test_singular_rows_fall_through_to_highs(self, monkeypatch):
         # x0 = 0 has the time bound T = 0, where every cell row is 0 and

@@ -50,6 +50,12 @@ def scalar_spec(lam=-1.0, b=1.0, x0=0.5, k=1.0):
     return validate_problem(system, [x0], k)
 
 
+def row_scale(spec, horizon=0.0):
+    """The solver's row scale e^(min(lam, 0) T) at the LP horizon T: all
+    ones at T = 0, where the rows are the raw reach - x0."""
+    return np.exp(simulate._row_shift(spec, horizon))
+
+
 def random_rows(instances, count=16, seed=0):
     """Program id -> (count, K) start rows of gaps drawn uniform in
     [0, 1 / n) by default_rng(seed), program by program."""
@@ -62,7 +68,8 @@ def random_rows(instances, count=16, seed=0):
 
 def restored_alone(inst, count=12):
     """One program's random rows restored on their own, for `solve_nlp`."""
-    return _restore(inst.spec, [inst], random_rows([inst], count))[inst.instance_id]
+    rows = random_rows([inst], count)
+    return _restore(inst.spec, [inst], rows, row_scale(inst.spec))[inst.instance_id]
 
 
 def cheaper_lp_oracle(spec, t_max):
@@ -82,7 +89,7 @@ class TestSolveNlp:
         # single negative bang: t_f = ln(1 + x0), J = (k + 1) t_f
         spec = scalar_spec()
         inst = sequence_instance(spec, CandidateSequence.from_levels((-1,)))
-        sol = solve_nlp(inst, restored_alone(inst))
+        sol = solve_nlp(inst, restored_alone(inst), row_scale(inst.spec))
         assert sol.status == CONVERGED
         expected = 2.0 * math.log(1.5)
         assert sol.cost == pytest.approx(expected, abs=1e-9)
@@ -92,7 +99,7 @@ class TestSolveNlp:
         inst = sequence_instance(
             example_spec, CandidateSequence.from_levels((-1, 0, 1))
         )
-        sol = solve_nlp(inst, restored_alone(inst))
+        sol = solve_nlp(inst, restored_alone(inst), row_scale(inst.spec))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(1.8940, abs=5e-4)
         assert sol.times[-1] == pytest.approx(1.1480, abs=5e-4)
@@ -100,13 +107,13 @@ class TestSolveNlp:
     def test_origin_start(self, example_spec):
         spec = validate_problem(example_spec.system, [0.0, 0.0], 1.0)
         inst = sequence_instance(spec, CandidateSequence.from_levels((0, -1, 0, 1)))
-        sol = solve_nlp(inst, restored_alone(inst))
+        sol = solve_nlp(inst, restored_alone(inst), row_scale(inst.spec))
         assert sol.status == CONVERGED
         assert sol.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_solution_invariants(self, example_spec):
         for inst in build_all(example_spec):
-            sol = solve_nlp(inst, restored_alone(inst))
+            sol = solve_nlp(inst, restored_alone(inst), row_scale(inst.spec))
             if sol.status != CONVERGED:
                 continue
             assert sol.constraint_residual <= SolverOptions.feas_tol
@@ -278,15 +285,17 @@ def check_one_stack(spec, instances, starts, monkeypatch):
     """`_restore` of these start rows makes one `_lm` call, whose rows are,
     program by program, bitwise the rows restored alone at the stack's
     width (trailing level-0 slots of gap 0), with the padded gaps exactly
-    0; the restored gaps are the unpadded ones."""
+    0; the restored gaps are the unpadded ones.  The rows are scaled as
+    under an LP horizon of 1."""
     stacks = []
+    scale = row_scale(spec, 1.0)
 
-    def recording_lm(spec, gaps, levels):
-        stacks.append(_lm(spec, gaps, levels))
+    def recording_lm(spec, gaps, levels, scale):
+        stacks.append(_lm(spec, gaps, levels, scale))
         return stacks[-1]
 
     monkeypatch.setattr(solver, "_lm", recording_lm)
-    restored = _restore(spec, instances, starts)
+    restored = _restore(spec, instances, starts, scale)
     programs = [inst for inst in instances if inst.instance_id in starts]
     width = max(inst.slot_count for inst in programs)
     assert len(stacks) == 1 and sorted(restored) == sorted(starts)
@@ -294,7 +303,7 @@ def check_one_stack(spec, instances, starts, monkeypatch):
     for inst in programs:
         pad = width - inst.slot_count
         rows = np.pad(starts[inst.instance_id], [(0, 0), (0, pad)])
-        gaps, c = _lm(spec, rows, np.pad(inst.levels, (0, pad)))
+        gaps, c = _lm(spec, rows, np.pad(inst.levels, (0, pad)), scale)
         assert np.array_equal(gaps[:, inst.slot_count:], np.zeros((len(gaps), pad)))
         assert np.array_equal(restored[inst.instance_id][0], gaps[:, : inst.slot_count])
         assert np.array_equal(restored[inst.instance_id][1], c)
@@ -316,7 +325,7 @@ class TestStackedRestoration:
         )
         for inst in (inst for spec in specs for inst in build_all(spec)[:3]):
             gaps = random_rows([inst])[inst.instance_id]
-            stacked, c = _lm(inst.spec, gaps, inst.levels)
+            stacked, c = _lm(inst.spec, gaps, inst.levels, row_scale(inst.spec))
             for i in range(len(gaps)):
                 ref_gaps, ref_c = lm_reference(inst, gaps[i], 60)
                 assert np.array_equal(stacked[i], ref_gaps)
@@ -335,12 +344,14 @@ class TestStackedRestoration:
     )
     def test_stack_matches_single_rows(self, x0):
         # restoring all starts of a program as one stack gives, row by row,
-        # the bits of restoring each start alone
+        # the bits of restoring each start alone, here under the row scale
+        # of an LP horizon of 1
         for inst in build_all(make_spec(len(x0), x0=x0)):
             starts = random_rows([inst])[inst.instance_id]
-            gaps, c = _lm(inst.spec, starts, inst.levels)
+            scale = row_scale(inst.spec, 1.0)
+            gaps, c = _lm(inst.spec, starts, inst.levels, scale)
             for i in range(len(starts)):
-                gaps_1, c_1 = _lm(inst.spec, starts[i:i + 1], inst.levels)
+                gaps_1, c_1 = _lm(inst.spec, starts[i:i + 1], inst.levels, scale)
                 assert np.array_equal(gaps[i], gaps_1[0])
                 assert np.array_equal(c[i], c_1[0])
 
@@ -386,11 +397,11 @@ class TestStackedRestoration:
 
         monkeypatch.setattr(solver, "_solve_rows", counting_solve_rows)
         instances = build_all(example_spec)
-        _restore(example_spec, instances, random_rows(instances))
+        _restore(example_spec, instances, random_rows(instances), row_scale(example_spec))
         assert len(passes) <= 60
 
     def test_no_rows_restore_to_nothing(self, example_spec):
-        assert _restore(example_spec, build_all(example_spec), {}) == {}
+        assert _restore(example_spec, build_all(example_spec), {}, row_scale(example_spec)) == {}
 
     def test_dual_step_is_the_projected_step(self):
         # the n x n step -J_f^T (J_f J_f^T + nu I)^-1 c equals the K x K
@@ -432,7 +443,7 @@ class TestStackedRestoration:
         monkeypatch.setattr(solver, "_solve_rows", singular_rows)
         inst = build_all(example_spec)[0]
         start = np.zeros((1, inst.slot_count))
-        gaps, _ = _lm(example_spec, start, inst.levels)
+        gaps, _ = _lm(example_spec, start, inst.levels, row_scale(example_spec))
         assert passes == [1] * 20
         assert np.array_equal(gaps, start)
 
@@ -516,9 +527,10 @@ class TestLpRetry:
         instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
         _cost, inputs, _slope = _lp_transfer(spec, horizon)
         word = _lp_word(inputs, horizon)
-        restored = _restore(spec, instances, _lp_seeds(instances, word))
+        scale = row_scale(spec, horizon)
+        restored = _restore(spec, instances, _lp_seeds(instances, word), scale)
         seeded = [inst for inst in instances if inst.instance_id in restored]
-        solutions = [solve_nlp(i, restored[i.instance_id]) for i in seeded]
+        solutions = [solve_nlp(i, restored[i.instance_id], scale) for i in seeded]
         verified = {v.instance_id: v.cost for v in _verified(spec, seeded, solutions)}
         assert verified["OP2-minus-+-"] == pytest.approx(1.9461, abs=1e-3)
 
@@ -557,9 +569,9 @@ class TestLpRetry:
         # LP's cost: halved, it is below every answer
         calls, words = [], []
 
-        def counting_solve_nlp(instance, restored):
+        def counting_solve_nlp(instance, restored, scale):
             calls.append((instance.instance_id, restored[0]))
-            return solve_nlp(instance, restored)
+            return solve_nlp(instance, restored, scale)
 
         def recording_lp_word(inputs, horizon):
             words.append(_lp_word(inputs, horizon))
@@ -748,18 +760,32 @@ def test_certificate_is_asked_once_before_the_lp(monkeypatch):
     assert calls == ["null_certificate", "lp_oracle"]
 
 
-def test_refusal_quotes_the_least_restored_residual():
-    # `hi-n7-1` of tools/reports.py refuses: OP2-minus-+-+-+ restores its
-    # seed to 2.253e-07, but its descent ends at 2.231e-01, and the refusal
-    # quotes both
-    spec = stable_spec(
-        (2, 3, 6, 7, 8, 9, 10), [-0.0349, -0.3387, 0.2665, -0.3929, -0.0555, -0.429, -0.0281]
-    )
+def test_refusal_quotes_the_least_restored_residual(monkeypatch):
+    # `unstable` refuses: the LP's word seeds OP2-plus-- alone, whose
+    # descent converges below its restored residual, and the simulator
+    # rejects the answer; the refusal quotes both residuals
+    restorations, results = [], []
+
+    def recording_restore(*args):
+        restorations.append(_restore(*args))
+        return restorations[-1]
+
+    def recording_solve_nlp(instance, restored, scale):
+        results.append(solve_nlp(instance, restored, scale))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_restore", recording_restore)
+    monkeypatch.setattr(solver, "solve_nlp", recording_solve_nlp)
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(spec)
+        solve_time_fuel(parse_problem(UNSTABLE))
+    [restored] = restorations
+    [result] = results
+    least = float(np.abs(restored["OP2-plus--"][1]).max(axis=1).min())
+    assert list(restored) == [result.instance_id] == ["OP2-plus--"]
+    assert result.status == CONVERGED and result.constraint_residual < least
     assert str(refusal.value).startswith(
-        "no program verified (best constraint residual 2.231e-01 (OP2-minus-+-+-+), "
-        "best restored residual 2.253e-07 (OP2-minus-+-+-+)), "
+        f"no program verified (best constraint residual {result.constraint_residual:.3e} "
+        f"(OP2-plus--), best restored residual {least:.3e} (OP2-plus--)), "
     )
 
 
@@ -778,7 +804,7 @@ def test_uncertified_refusal_is_a_solver_failure(monkeypatch):
     assert str(refusal.value) == (
         f"the fixed-horizon LP found no input reaching the origin at the horizons "
         f"it tried, doubling from the minimum-time bound {simulate._time_bound(spec):.6g} "
-        f"to {horizon(spec):.6g} and 64 geometric steps between the two; the gauge "
+        f"to {horizon(spec):.6g} and at 62 horizons geometric between the two; the gauge "
         f"of x0's unstable part in the null-controllable region lies in "
         f"[{proof.lower:.6g}, {proof.upper:.6g}]"
     )
@@ -812,7 +838,8 @@ def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
     # it, whose answer stands, even with the LP's cost (0.637067) scaled
     # below it; under a budget of 2 the word fits no program, so every
     # program is seeded with the heaviest part of it that it embeds, and
-    # the solve still refuses, at the residual that blind starts reached
+    # the solve still refuses, at residual 1.607e-04 in the LP's row scale
+    # (3.725e-04 on the raw rows, where blind starts also ended)
     seeded = []
 
     def recording_lp_seeds(instances, word):
@@ -822,7 +849,7 @@ def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
     spec = stable_spec((1, 2, 3), [0.1, 0.1, 0.1])
     budgeted = {m: validate_problem(spec.system, spec.x0, spec.k, max_switches=m) for m in (2, 4)}
     report = solve_time_fuel(budgeted[4])
-    assert report.best.cost == 0.6370635537714232
+    assert report.best.cost == 0.6370635537714395
     monkeypatch.setattr(solver, "lp_oracle", cheaper_lp_oracle)
     assert solve_time_fuel(budgeted[4]) == report
     monkeypatch.setattr(solver, "_lp_seeds", recording_lp_seeds)
@@ -830,7 +857,7 @@ def test_budgeted_solve_seeds_only_when_the_word_fits(monkeypatch):
         solve_time_fuel(budgeted[2])
     assert sorted(seeded[0]) == sorted(inst.instance_id for inst in build_all(budgeted[2]))
     message = str(refusal.value)
-    assert message.startswith("no program verified (best constraint residual 3.725e-04 ")
+    assert message.startswith("no program verified (best constraint residual 1.607e-04 ")
     assert message.endswith("the LP's word has 4 switches, over the budget of 2, so it says "
                             "nothing of the budgeted problem")
 
@@ -879,7 +906,10 @@ def test_embed_is_first_fit_when_the_whole_word_fits():
 
 
 #: (name, budget) -> (word, cost) of the budgeted problems below that 64
-#: random starts per program answered, before the LP seeded them.
+#: random starts per program answered, before the LP seeded them, and of
+#: `n6` at budgets 9 and 8, which its sub-word seeds answer since the
+#: seeded rows are scaled as the LP's (the unbudgeted answer costs
+#: 2.4119494787).
 BUDGETED_ANSWERS = {
     ("stable-higher-order", 5): ((-1, 0, -1, 0, 1), 1.512807547453698),
     ("stable-higher-order", 4): ((-1, 0, -1, 0, 1), 1.512807547453698),
@@ -888,6 +918,8 @@ BUDGETED_ANSWERS = {
     ("suboptimal", 3): ((0, -1, 0, 1), 2.3249919975274698),
     ("stiff-n2", 2): ((-1, 0, 1), 0.41823433105119456),
     ("n5-lp2.63353", 8): ((-1, 0, 1, 0, -1, 0, 1, 0, -1), 2.668259891873112),
+    ("n6", 9): ((-1, 0, -1, 0, 1, 0, -1, 0, 1), 2.4280772928128016),
+    ("n6", 8): ((-1, 0, -1, 0, 1, 0, -1, 0, 1), 2.4280772928128016),
 }
 
 
@@ -900,7 +932,7 @@ def test_sub_word_seeds_keep_the_budgeted_answers():
     # budgets one and two switches below its LP word's that the problem
     # admits: 29 budgeted problems, whose LP words fit no program.  The
     # sub-word seeds answer the same 7 as the random starts did, on the
-    # same words, at the same costs
+    # same words, at the same costs, and `n6` at both budgets
     answers, tried = {}, 0
     for name, spec in comparison_set()[:20]:
         lp = lp_oracle(spec, horizon(spec))
@@ -928,12 +960,15 @@ def test_sub_word_seeds_keep_the_budgeted_answers():
 def test_sweep_13_solves_under_a_budget_of_2():
     # `sweep-13`'s LP word 0,1,0,-1 has 3 switches; under a budget of 2
     # it fits no program, and the heaviest part of it that SEQ-1_0_-1
-    # embeds seeds the answer
+    # embeds seeds the answer (1.3526532525 on the raw rows, 1.8e-9
+    # relative dearer, at the same terminal error of a few 1e-16)
     spec = budgeted(dict(comparison_set())["sweep-13"], 2)
     report = solve_time_fuel(spec)
     assert report.best.instance_id == "SEQ-1_0_-1"
     assert report.best.schedule.levels == (1, 0, -1)
-    assert report.best.cost == pytest.approx(1.352653253, rel=1e-9)
+    assert report.best.cost == pytest.approx(1.35265325008, rel=1e-11)
+    terminal = propagate(spec.system, spec.x0, report.best.schedule).terminal_state
+    assert np.max(np.abs(terminal)) <= 1e-15
 
 
 def test_near_boundary_solve_from_the_scanned_horizon():
@@ -955,25 +990,29 @@ def test_near_origin_x0_solves_from_the_empty_word():
 
 
 def test_refusal_names_the_closest_program_over_all_starts(monkeypatch):
-    # `hi-n6-1` of tools/reports.py refuses; its closest program over all
-    # the seeded ones is OP2-plus--+-+, at residual 2.673e-06
+    # the counterexample with `lp_oracle` patched to a ten-bang word that
+    # no program contains: every program is seeded with part of it, none
+    # reaches the manifold, and the closest over all of them is
+    # OP1-minus--++, at residual 2.437e-05 (the next at 1.3e-4)
     results = []
 
-    def recording_solve_nlp(instance, restored):
-        results.append(solve_nlp(instance, restored))
+    def recording_solve_nlp(instance, restored, scale):
+        results.append(solve_nlp(instance, restored, scale))
         return results[-1]
 
+    inputs = np.array([1.0, -1.0] * 5)
+    monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (3.0, 2.0, inputs))
     monkeypatch.setattr(solver, "solve_nlp", recording_solve_nlp)
-    spec = stable_spec((1, 2, 4, 6, 7, 10), [-0.3391, 0.3785, -0.3381, -0.1606, -0.1468, -0.1118])
     with pytest.raises(SolverFailedError) as refusal:
-        solve_time_fuel(spec)
+        solve_time_fuel(stable_spec(*TestLpRetry.COUNTEREXAMPLE))
+    assert len(results) == 8
     closest = min(results, key=lambda s: s.constraint_residual)
-    assert closest.instance_id == "OP2-plus--+-+"
+    assert closest.instance_id == "OP1-minus--++"
     assert str(refusal.value).startswith(
         f"no program verified (best constraint residual "
-        f"{closest.constraint_residual:.3e} (OP2-plus--+-+), best restored residual "
+        f"{closest.constraint_residual:.3e} (OP1-minus--++), best restored residual "
     )
-    assert f"{closest.constraint_residual:.3e}" == "2.673e-06"
+    assert f"{closest.constraint_residual:.3e}" == "2.437e-05"
 
 
 def test_refusal_over_the_switch_budget_names_it(monkeypatch):
@@ -1011,9 +1050,9 @@ def test_polish_stops_on_a_non_finite_step(monkeypatch):
     # returns the point, with no NaN trial and no warning
     real_eval1 = solver._eval1
 
-    def finite_eval1(instance, gaps):
+    def finite_eval1(instance, gaps, scale):
         assert np.isfinite(gaps).all()
-        return real_eval1(instance, gaps)
+        return real_eval1(instance, gaps, scale)
 
     monkeypatch.setattr(solver, "_eval1", finite_eval1)
     spec = stable_spec((1, 2, 3), [1e-9, 0.0, 0.0])
@@ -1030,7 +1069,7 @@ def test_polish_stops_on_a_non_finite_step(monkeypatch):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        polished, feas, _kkt = solver._polish(inst, gaps)
+        polished, feas, _kkt = solver._polish(inst, gaps, row_scale(spec))
     assert np.array_equal(polished, gaps)
     assert feas == pytest.approx(1.9424263952412558e130, rel=1e-12)
 
@@ -1057,9 +1096,9 @@ def test_skipped_programs_are_deterministic():
 @pytest.mark.xfail(
     strict=True,
     raises=SolverFailedError,
-    reason="converged but rejected: OP2-plus-- meets the reach residual at "
-    "1.8e-14, while the simulator's |x(t_f)| is 2.1e-5, rounding amplified "
-    "by e^(4 t_f) ~ 4e11 (ROADMAP item 1: terminal-state residuals)",
+    reason="converged but rejected: OP2-plus-- meets the scaled reach residual "
+    "at 2.2e-16, while the simulator's |x(t_f)| is 8.9e-6, rounding amplified "
+    "by e^(4 t_f) ~ 4e11 (ROADMAP item 1: a per-mode check in `_verified`)",
 )
 def test_unstable_optimum_passes_the_simulator():
     # b = 1, lambda = -1/2, 1, 4: from the LP's seed, OP2-plus-- converges
@@ -1165,8 +1204,9 @@ def test_sliver_tail_keeps_its_program_verified():
     # the program)
     spec = parse_problem(MIXED_2)
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
-    restored = _restore(spec, instances, random_rows(instances))
-    solutions = [solve_nlp(i, restored[i.instance_id]) for i in instances]
+    scale = row_scale(spec)
+    restored = _restore(spec, instances, random_rows(instances), scale)
+    solutions = [solve_nlp(i, restored[i.instance_id], scale) for i in instances]
     verified = {v.instance_id: v for v in _verified(spec, instances, solutions)}
     least = min(v.cost for v in verified.values())
     assert verified["OP1-minus--+"].cost <= least * (1.0 + solver.TIE_REL_TOL)
@@ -1175,30 +1215,50 @@ def test_sliver_tail_keeps_its_program_verified():
     assert report.best.schedule.levels == (-1,)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="degenerate start: from the LP seed, OP1-minus--+ stalls at reach "
-    "residual 8.2e-14 and KKT residual 0.98; SLSQP's first step leaves gaps of "
-    "1.5e-6, 5.8e-9 and 1.5e-9 whose ~1e-8 columns give the polish multipliers "
-    "of ~1e10, and it finds no step",
-)
-def test_seeded_degenerate_start_converges():
-    # `mixed-2`: the LP word is one bang of -1, seeded in OP1-minus--+'s
-    # first slot; restoration splits the growth between that slot and the
-    # next -1 slot, whose columns differ only by a zero-length off slot.
-    # The seed is the LP's at the horizon where a bounded search over
-    # (0, t_max] ended; `lp_oracle` now ends at the minimum-time bound,
-    # whose seed converges
+def degenerate_seed(scale_horizon):
+    """`mixed-2`'s OP1-minus--+, its LP seed at the horizon where a bounded
+    search over (0, t_max] ended, and the seed restored under the row scale
+    of the LP at `scale_horizon`: (instance, restored, scale).  The LP word
+    is one bang of -1, seeded in the program's first slot; restoration may
+    split the growth between that slot and the next -1 slot, whose columns
+    differ only by a zero-length off slot."""
     spec = parse_problem(MIXED_2)
     instances = sorted(build_all(spec), key=lambda inst: inst.instance_id)
     t_f = 0.2648827986826366
     _cost, inputs, _slope = _lp_transfer(spec, t_f)
     word = _lp_word(inputs, t_f)
     assert word.levels == (-1,)
-    restored = _restore(spec, instances, _lp_seeds(instances, word))
+    scale = row_scale(spec, scale_horizon)
     inst = instances[0]
     assert inst.instance_id == "OP1-minus--+"
-    assert solve_nlp(inst, restored[inst.instance_id]).status == CONVERGED
+    restored = _restore(spec, instances, _lp_seeds(instances, word), scale)
+    return inst, restored[inst.instance_id], scale
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="degenerate start: on the raw rows reach - x0, OP1-minus--+ stalls "
+    "at reach residual 8.2e-14 and KKT residual 0.98; SLSQP's first step leaves "
+    "gaps of 1.5e-6, 5.8e-9 and 1.5e-9 whose ~1e-8 columns give the polish "
+    "multipliers of ~1e10, and it finds no step",
+)
+def test_seeded_degenerate_start_converges():
+    # the seed restored and descended on the raw rows (the row scale of
+    # horizon 0); the solver scales them by the LP's horizon, under which
+    # the same seed converges (below), so this pins the polish's defect on a
+    # degenerate start, not a path the solver takes
+    inst, restored, scale = degenerate_seed(0.0)
+    assert solve_nlp(inst, restored, scale).status == CONVERGED
+
+
+def test_seeded_degenerate_start_converges_under_the_lp_scale():
+    # the same seed under the row scale of its own LP horizon, as the
+    # solver runs it: restoration leaves the later slots at 0, and the
+    # descent converges on the one bang
+    inst, restored, scale = degenerate_seed(0.2648827986826366)
+    solution = solve_nlp(inst, restored, scale)
+    assert solution.status == CONVERGED
+    assert solution.cost == pytest.approx(0.5285483755394647, rel=1e-12)
 
 
 #: `hi-n6-0` of tools/reports.py: b = 1, lambda = -1, -3, -5, -7, -8, -9.
@@ -1210,25 +1270,54 @@ HI_N6_0 = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SolverFailedError,
-    reason="fragile to the LP horizon: from the LP's seed at 1 + 1e-4 times "
-    "its horizon, OP2-minus-+-+- ends at iteration_limit with KKT residual "
-    "2.7e-8 > KKT_TOL and constraint residual 4.5e-9 on the raw reach rows "
-    "(ROADMAP item 1: one feasibility measure on the LP-seeded pass)",
-)
-def test_seed_off_the_lp_horizon_converges(monkeypatch):
-    # `hi-n6-0` solves from the LP's seed at its horizon T; the 400-cell LP
-    # at T (1 + 1e-4) has the same word, at 4.2e-8 relative more cost, and
-    # its seed should solve too
-    spec = parse_problem(HI_N6_0)
-    t_f = 2.1840189471242226 * (1.0 + 1e-4)
+#: (problem, the horizon `lp_oracle` stops at) of the horizon-perturbation
+#: property.
+SEARCHED_HORIZONS = {
+    "hi-n6-0": (HI_N6_0, 2.1838605875761776),
+    "stable-counterexample": (
+        {
+            "eigenvalues": [[-r, 1] for r in TestLpRetry.COUNTEREXAMPLE[0]],
+            "b": [1] * 4,
+            "x0": TestLpRetry.COUNTEREXAMPLE[1],
+            "k": 1,
+        },
+        1.4136141427334847,
+    ),
+}
+
+
+@pytest.mark.parametrize("delta", [-1e-4, -1e-7, 1e-7, 1e-4])
+@pytest.mark.parametrize("name", sorted(SEARCHED_HORIZONS))
+def test_seed_off_the_lp_horizon_converges(name, delta, monkeypatch):
+    # the seed does not hang on the LP horizon's last digits: with the LP
+    # at T (1 + delta), T the horizon the search stops at, the word is
+    # T's, and its seed, restored and descended under the row scale of
+    # T (1 + delta), verifies on that word at T's answer (on the raw rows,
+    # hi-n6-0's seed at 1 + 1e-4 once stalled at KKT residual 2.7e-8)
+    problem, searched = SEARCHED_HORIZONS[name]
+    spec = parse_problem(problem)
+    _cost, T, at_T = lp_oracle(spec, horizon(spec))
+    assert T == searched
+    answer = solve_time_fuel(spec).best
+    t_f = T * (1.0 + delta)
     cost, inputs, _slope = _lp_transfer(spec, t_f)
-    assert lp_oracle(spec, horizon(spec))[1] == 2.1840189471242226
+    assert _lp_word(inputs, t_f).levels == _lp_word(at_T, T).levels
     monkeypatch.setattr(solver, "lp_oracle", lambda spec, t_max: (cost, t_f, inputs))
-    report = solve_time_fuel(spec)
-    assert report.best.schedule.levels == _lp_word(inputs, t_f).levels
+    best = solve_time_fuel(spec).best
+    assert best.schedule.levels == answer.schedule.levels == _lp_word(inputs, t_f).levels
+    assert best.cost == pytest.approx(answer.cost, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["hi-n6-1", "hi-n7-0", "hi-n7-1", "hi-n8-0", "hi-n8-1"])
+def test_high_order_draw_solves_below_its_lp(name):
+    # five `default_rng(77)` draws of tools/reports.py that exited 3 while
+    # the seeded descent ran on the raw rows reach - x0: each verifies on
+    # the simulator and costs no more than its LP
+    spec = dict(comparison_set())[name]
+    best = solve_time_fuel(spec).best
+    terminal = propagate(spec.system, spec.x0, best.schedule).terminal_state
+    assert np.max(np.abs(terminal)) <= 10.0 * SolverOptions.feas_tol
+    assert best.cost <= lp_oracle(spec, horizon(spec))[0]
 
 
 class TestDescentLayer:
@@ -1297,10 +1386,10 @@ class TestDescentLayer:
             received.append(x.tobytes())
             real_slsqp(state, fx, g, C, d, x, *args)
 
-        def counted(instance, gaps):
+        def counted(instance, gaps, scale):
             if not polishing:
                 evaluated.append(gaps.tobytes())
-            return real_eval1(instance, gaps)
+            return real_eval1(instance, gaps, scale)
 
         def polish(*args):
             # the polish evaluates on its own
@@ -1313,12 +1402,12 @@ class TestDescentLayer:
         monkeypatch.setattr(solver, "slsqp", step)
         monkeypatch.setattr(solver, "_eval1", counted)
         monkeypatch.setattr(solver, "_polish", polish)
-        solve_nlp(inst, restored)
+        solve_nlp(inst, restored, row_scale(example_spec))
         assert len(received) > len(evaluated) > 16
         assert sorted(evaluated) == sorted(set(received))
 
     @staticmethod
-    def scipy_slsqp(inst, gaps):
+    def scipy_slsqp(inst, gaps, scale):
         """The SLSQP round as `scipy.optimize.minimize` runs it, with the
         arguments the per-start descent passed it."""
         w = inst.gap_weights
@@ -1331,8 +1420,8 @@ class TestDescentLayer:
             constraints=[
                 {
                     "type": "eq",
-                    "fun": lambda g: solver._eval1(inst, g)[0],
-                    "jac": lambda g: solver._eval1(inst, g)[1],
+                    "fun": lambda g: solver._eval1(inst, g, scale)[0],
+                    "jac": lambda g: solver._eval1(inst, g, scale)[1],
                 }
             ],
             options={"maxiter": 400, "ftol": SolverOptions.feas_tol},
@@ -1356,24 +1445,25 @@ class TestDescentLayer:
     )
     def test_slsqp_runs_are_scipy_slsqp(self, problem, monkeypatch):
         # each descended start's first run ends bit for bit where scipy's
-        # own SLSQP loop ends it
+        # own SLSQP loop ends it, under the row scale of an LP horizon of 1
         spec = parse_problem(problem)
         instances = build_all(spec)
-        restored = _restore(spec, instances, random_rows(instances))
+        scale = row_scale(spec, 1.0)
+        restored = _restore(spec, instances, random_rows(instances), scale)
         polished, expected = Counter(), Counter()
         real_polish = solver._polish
 
-        def recorded(instance, gaps):
+        def recorded(instance, gaps, scale):
             polished[instance.instance_id, gaps.tobytes()] += 1
-            return real_polish(instance, gaps)
+            return real_polish(instance, gaps, scale)
 
         monkeypatch.setattr(solver, "_polish", recorded)
         for inst in instances:
             gaps, c = restored[inst.instance_id]
-            solve_nlp(inst, (gaps, c))
-            scale = max(1.0, float(np.max(np.abs(inst.x0))))
-            for g in gaps[np.max(np.abs(c), axis=1) <= 1e-6 * scale]:
-                expected[inst.instance_id, self.scipy_slsqp(inst, g).tobytes()] += 1
+            solve_nlp(inst, (gaps, c), scale)
+            x0_scale = max(1.0, float(np.max(np.abs(inst.x0))))
+            for g in gaps[np.max(np.abs(c), axis=1) <= 1e-6 * x0_scale]:
+                expected[inst.instance_id, self.scipy_slsqp(inst, g, scale).tobytes()] += 1
         assert sum(expected.values()) > 0
         assert expected <= polished
 
@@ -1394,9 +1484,9 @@ class TestMergeIntoKnownMinimum:
         calls = []
         real_polish = solver._polish
 
-        def counted(instance, gaps):
+        def counted(instance, gaps, scale):
             calls.append(instance.instance_id)
-            return real_polish(instance, gaps)
+            return real_polish(instance, gaps, scale)
 
         monkeypatch.setattr(solver, "_polish", counted)
         return calls
@@ -1443,28 +1533,28 @@ class TestPolishState:
     def test_polish_returns_the_state_of_its_point(self, problem, monkeypatch):
         real_polish, starts = solver._polish, []
 
-        def recorded(instance, gaps):
-            starts.append((instance, gaps))
-            return real_polish(instance, gaps)
+        def recorded(instance, gaps, scale):
+            starts.append((instance, gaps, scale))
+            return real_polish(instance, gaps, scale)
 
         monkeypatch.setattr(solver, "_polish", recorded)
         solve_time_fuel(parse_problem(problem))
         monkeypatch.undo()
         real_eval1, evaluated = solver._eval1, []
 
-        def eval1(instance, gaps):
+        def eval1(instance, gaps, scale):
             evaluated.append(gaps.copy())
-            return real_eval1(instance, gaps)
+            return real_eval1(instance, gaps, scale)
 
         monkeypatch.setattr(solver, "_eval1", eval1)
         assert starts
-        for inst, start in starts:
+        for inst, start, scale in starts:
             evaluated.clear()
-            gaps, feas, _kkt = real_polish(inst, start)
+            gaps, feas, _kkt = real_polish(inst, start, scale)
             # the first evaluation is of the snapped start, not of the start
             snapped = np.where(start < solver.COLLAPSE_TOL, 0.0, start)
             assert np.array_equal(evaluated[0], snapped)
-            assert feas == float(np.max(np.abs(real_eval1(inst, gaps)[0])))
+            assert feas == float(np.max(np.abs(real_eval1(inst, gaps, scale)[0])))
 
 
 def test_converged_point_with_a_dropped_sliver_verifies():
@@ -1490,7 +1580,7 @@ def test_converged_point_with_a_dropped_sliver_verifies():
         0.6766549171111258,
         0.7599902315801419,
     )
-    c, _ = solver._eval1(inst, np.diff(times, prepend=0.0))
+    c, _ = solver._eval1(inst, np.diff(times, prepend=0.0), row_scale(spec))
     residual = float(np.max(np.abs(c)))
     assert residual <= 1e-15
     cost = float(inst.cost_value(np.array(times)))

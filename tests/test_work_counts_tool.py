@@ -28,7 +28,7 @@ def test_ref2_counts_are_byte_identical(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     record = json.loads(outputs[0])
-    assert (record["starts"], record["seed"], list(record["workloads"])) == (16, 0, ["ref2"])
+    assert list(record) == ["workloads"] and list(record["workloads"]) == ["ref2"]
     problems = record["workloads"]["ref2"]
     assert len(problems) == 6
     for counts in problems.values():

@@ -1,7 +1,7 @@
 """Count the work of one solve of every benchmark problem.
 
 Each problem of the workload sets of `bench/workloads.py` is solved once,
-at 16 starts, seed 0, and per problem these integer counts are kept:
+with the default options, and per problem these integer counts are kept:
 
 - `lm_passes` and `lm_row_passes`: calls of `solver._solve_rows`, one per
   restoration pass, and the rows those calls solve;
@@ -50,7 +50,6 @@ COUNTS = (
     "lp_solves",
     "highs_runs",
 )
-STARTS, SEED = 16, 0
 
 
 def _counted(module, name, counts, calls, rows=None, rows_arg=0):
@@ -73,7 +72,7 @@ def _counted(module, name, counts, calls, rows=None, rows_arg=0):
 def count_work(workloads: dict) -> dict:
     """Workload -> problem name -> counts of one solve, for a dict of
     workload name -> its `bench/workloads.py` case list."""
-    from timefuel import SolverOptions, parse_problem, simulate, solve_time_fuel, solver
+    from timefuel import parse_problem, simulate, solve_time_fuel, solver
 
     counts = Counter()
     _counted(solver, "_solve_rows", counts, "lm_passes", "lm_row_passes")
@@ -83,14 +82,13 @@ def count_work(workloads: dict) -> dict:
     _counted(solver, "_polish", counts, "polish_calls")
     _counted(simulate, "_lp_transfer", counts, "lp_solves")
     _counted(simulate, "_dense_lp", counts, "highs_runs")
-    options = SolverOptions(starts=STARTS, seed=SEED)
     result = {}
     for workload, cases in workloads.items():
         result[workload] = {}
         for case in cases:
             counts.clear()
             try:
-                solve_time_fuel(parse_problem(case.problem), options)
+                solve_time_fuel(parse_problem(case.problem))
             except (solver.InfeasibleProblemError, solver.SolverFailedError):
                 pass  # a refusal's work counts like a solve's
             result[workload][case.name] = {name: int(counts[name]) for name in COUNTS}
@@ -139,7 +137,7 @@ def main(argv=None) -> int:
 
     names = args.workload or list(WORKLOADS)
     workloads = {name: WORKLOADS[name]() for name in names}
-    record = {"starts": STARTS, "seed": SEED, "workloads": count_work(workloads)}
+    record = {"workloads": count_work(workloads)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
